@@ -161,7 +161,9 @@ impl Reg {
             "fp" => return Some(Reg(8)),
             _ => {}
         }
-        let (prefix, rest) = name.split_at(1);
+        // Checked: an empty or multi-byte-leading name (e.g. a corrupted
+        // report row) is unknown, not a slicing panic.
+        let (prefix, rest) = name.split_at_checked(1)?;
         let n = tail_index(rest)?;
         match prefix {
             "x" | "r" => (n < VIRT_BIT).then(|| Reg::phys(n)),
@@ -325,6 +327,13 @@ mod tests {
         assert_eq!(Reg::parse("x10"), Some(Reg::A0));
         assert_eq!(Reg::parse("r3"), Some(Reg::GP));
         assert_eq!(Reg::parse("v7"), Some(Reg::virt(7)));
+    }
+
+    #[test]
+    fn malformed_names_are_unknown() {
+        for name in ["", "é", "€1", "a", "x", "t7", "s12", "a8", "q1"] {
+            assert_eq!(Reg::parse(name), None, "{name:?}");
+        }
     }
 
     #[test]

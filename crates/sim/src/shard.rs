@@ -470,10 +470,13 @@ fn encode_outcome(o: &FaultOutcome) -> String {
 
 fn decode_outcome(row: &str) -> Result<FaultOutcome, String> {
     let bad = || format!("malformed outcome row `{row}`");
-    let parts: Vec<&str> = row.split(':').collect();
-    let [cycle, reg, bit, func, point, occurrence, verdict, class] = parts[..] else {
+    let mut parts = row.split(':');
+    let mut field = || parts.next().ok_or_else(bad);
+    let [cycle, reg, bit, func, point, occurrence, verdict, class] =
+        [field()?, field()?, field()?, field()?, field()?, field()?, field()?, field()?];
+    if parts.next().is_some() {
         return Err(bad());
-    };
+    }
     Ok(FaultOutcome {
         fault: SitedFault {
             spec: FaultSpec {

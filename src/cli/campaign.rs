@@ -238,7 +238,9 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     let (campaign, stats, interval) = (run.report, run.stats, run.interval);
 
     if let Some(path) = &flags.report_path {
-        std::fs::write(path, campaign.to_json().render() + "\n")
+        let mut text = campaign.to_json().render();
+        text.push('\n');
+        std::fs::write(path, text)
             .map_err(|e| CliError::failed(format!("cannot write `{path}`: {e}")))?;
     }
 
