@@ -55,6 +55,9 @@ struct EngineRow {
     batches: u64,
     batched_lanes: u64,
     forked_lanes: u64,
+    handoff_lanes: u64,
+    replay_steps: u64,
+    tail_cycles: u64,
 }
 
 impl EngineRow {
@@ -74,7 +77,8 @@ impl EngineRow {
     fn lane_occupancy(&self) -> f64 {
         self.batched_lanes as f64 / self.batches.max(1) as f64
     }
-    /// Fraction of lanes that diverged and fell back to a scalar tail.
+    /// Fraction of lanes that forked to a scalar tail on branch
+    /// divergence.
     fn fork_rate(&self) -> f64 {
         self.forked_lanes as f64 / self.batched_lanes.max(1) as f64
     }
@@ -231,6 +235,9 @@ fn main() {
             batches: bs_snap.counter("campaign.batches").unwrap_or(0),
             batched_lanes: bs_snap.counter("campaign.batched_lanes").unwrap_or(0),
             forked_lanes: bs_snap.counter("campaign.forked_lanes").unwrap_or(0),
+            handoff_lanes: bs_snap.counter("campaign.handoff_lanes").unwrap_or(0),
+            replay_steps: bs_snap.counter("campaign.replay_steps").unwrap_or(0),
+            tail_cycles: bs_snap.counter("campaign.tail_cycles").unwrap_or(0),
         });
 
         // Worker scaling of the default (bitsliced, checkpointed) engine.
@@ -399,6 +406,9 @@ fn main() {
             base.gauge(&format!("{prefix}.batches"), r.batches);
             base.gauge(&format!("{prefix}.batched_lanes"), r.batched_lanes);
             base.gauge(&format!("{prefix}.forked_lanes"), r.forked_lanes);
+            base.gauge(&format!("{prefix}.handoff_lanes"), r.handoff_lanes);
+            base.gauge(&format!("{prefix}.replay_steps"), r.replay_steps);
+            base.gauge(&format!("{prefix}.tail_cycles"), r.tail_cycles);
             base.time_ms(&format!("{prefix}.from_scratch_wall_ms"), r.scratch_ms);
             base.time_ms(&format!("{prefix}.checkpointed_wall_ms"), r.checkpointed_ms);
             base.time_ms(&format!("{prefix}.bitsliced_wall_ms"), r.bitsliced_ms);

@@ -8,39 +8,45 @@
 //! observable output. The batch runner executes that shared path **once**:
 //! the scratch machine replays the golden trace while each lane carries
 //! only its *taint* — the set of registers whose lane value differs from
-//! the golden value, plus those values. Arithmetic steps recompute tainted
-//! lanes against the golden sources in registers; everything else (control
-//! flow, memory, trace hash) is shared.
+//! the golden value, plus those values — and a sparse memory *overlay* —
+//! the memory words whose lane value differs from the shared memory.
+//! Arithmetic steps recompute tainted lanes against the golden sources in
+//! registers; loads and stores of a lane with a divergent address, value
+//! or overlay word go through the lane's own view of memory; control flow
+//! and the trace hash are shared.
 //!
-//! **Soundness: a lane leaves the batch before its machine state can
-//! differ from the modeled scalar run.** The batch only ever executes
-//! steps whose machine effect is identical for every resident lane,
-//! modulo the per-lane register values the taint tracks exactly. The
-//! moment a lane's *would-be* behavior diverges in a way the taint cannot
-//! express — a branch condition flips, a *store* address or value differs
-//! — the lane is *forked*: its full scalar state (golden replay state with
-//! its tainted registers patched in) is handed to the scalar interpreter
-//! (`exec::run_tail`), which executes the tail exactly as the
+//! **Soundness: a lane leaves the batch before its control path can differ
+//! from the modeled scalar run.** The batch only ever executes steps whose
+//! control effect is identical for every resident lane, and it tracks each
+//! lane's registers (taint) and memory (overlay) exactly. The moment a
+//! lane's *would-be* control flow diverges — a branch condition flips — the
+//! lane is *forked*: its full scalar state (golden replay state with its
+//! tainted registers and overlay words patched in) is handed to the scalar
+//! interpreter (`exec::run_tail`), which executes the tail exactly as the
 //! scalar engine would have from the same cycle. Divergent addresses that
 //! are misaligned or out of bounds retire the lane directly as a crash —
-//! the same trap the scalar run takes on that instruction. Two divergences
-//! *can* stay batched, because they mutate no shared state: a divergent
-//! `print` (flagged SDC, output patch recorded) and a divergent in-bounds
-//! *load* — a load writes nothing but `rd`, and the shared memory *is* the
-//! lane's memory (any divergent store forks), so the lane just reads its
-//! own value per-lane. Both permanently mark the lane's trace hash as
-//! diverged, which excludes it from Benign convergence — exactly the
-//! scalar engine's hash-equality convergence requirement — and bounds its
-//! verdict at Deviation (Sdc once outputs differ). Per-lane convergence
-//! applies the scalar engine's own per-bit dynamic-liveness check at every
-//! aligned checkpoint cycle, so verdicts, early-exit counts and per-fault
-//! cycle accounting are identical to the scalar engine's —
-//! `tests/bitslice_equivalence.rs` pins report byte-identity across
-//! engines and worker counts.
+//! the same trap the scalar run takes on that instruction. Every other
+//! divergence stays batched: a divergent `print` (flagged SDC, output patch
+//! recorded), a divergent load (the lane reads its own view of memory) and
+//! a divergent store (the lane's view of the written words goes into its
+//! overlay). Each of these feeds a different event into the trace hash —
+//! the store event hashes both address and value, so only a lane whose
+//! trace already diverged ever holds an overlay word — and permanently
+//! marks the lane's trace hash as diverged. That excludes it from Benign
+//! convergence — exactly the scalar engine's hash-equality convergence
+//! requirement — so no per-lane memory digest is needed, and bounds its
+//! verdict at Deviation (Sdc once outputs differ). A batch whose only
+//! remaining lane is trace-diverged hands that lane to the scalar tail at
+//! once: it can no longer converge, and one lane replays faster scalar-ly.
+//! Per-lane convergence applies the scalar engine's own per-bit
+//! dynamic-liveness check at every aligned checkpoint cycle, so verdicts,
+//! early-exit counts and per-fault cycle accounting are identical to the
+//! scalar engine's — `tests/bitslice_equivalence.rs` pins report
+//! byte-identity across engines and worker counts.
 
 use crate::checkpoint::CheckpointLog;
 use crate::exec::{run_tail, step_inst, ExecState, FlatStep, StepResult};
-use crate::machine::Machine;
+use crate::machine::{Machine, Memory};
 use crate::runner::{GoldenRun, RunResult, Simulator};
 use crate::shard::SitedFault;
 use crate::trace::FaultClass;
@@ -104,8 +110,16 @@ pub(crate) struct BatchCounters {
     /// Lanes executed inside batches (= faults routed through the
     /// bitsliced engine).
     pub batched_lanes: u64,
-    /// Lanes forked out to a scalar tail on divergence.
+    /// Lanes forked out to a scalar tail on branch divergence.
     pub forked_lanes: u64,
+    /// Lanes handed to a scalar tail as the last lane of a batch that can
+    /// no longer converge.
+    pub handoff_lanes: u64,
+    /// Cycles the scalar tails of forked and handed-off lanes executed.
+    pub tail_cycles: u64,
+    /// Cycles the shared batch replays executed (once per batch, however
+    /// many lanes rode along).
+    pub replay_steps: u64,
     /// Lanes-per-batch distribution.
     pub occupancy: Histogram,
 }
@@ -126,6 +140,126 @@ pub(crate) fn batch_eligible(sim: &Simulator<'_>, ckpts: &CheckpointLog) -> bool
         && sim.program().config.num_regs as usize <= LANES
 }
 
+/// The lane state of the batch in flight.
+struct Lanes<'a> {
+    /// `(register, bit, shard slot)` of each lane's fault.
+    faults: &'a [(Reg, u32, u32)],
+    /// Cycle of the checkpoint the batch restored.
+    restored_at: u64,
+    /// Lanes still resident in the batch.
+    active: u64,
+    /// Lanes whose observable outputs already diverged (tainted print):
+    /// still batched, but excluded from convergence and classified SDC at
+    /// retirement.
+    sdc: u64,
+    /// Lanes whose trace hash diverged (divergent print, load or store):
+    /// still batched — their registers and memory are tracked exactly —
+    /// but permanently out of the Benign convergence set, mirroring the
+    /// scalar engine's hash-equality convergence requirement, and at best
+    /// a Deviation at retirement.
+    hash_div: u64,
+}
+
+impl Lanes<'_> {
+    /// Lanes that may still converge Benign.
+    fn candidates(&self) -> u64 {
+        self.active & !(self.sdc | self.hash_div)
+    }
+
+    /// The run of a lane that ends with the step at `cycle` (a trap, or
+    /// program completion).
+    fn ended(&self, class: FaultClass, cycle: u64) -> LaneRun {
+        LaneRun {
+            class,
+            converged_at: None,
+            simulated_cycles: cycle + 1 - self.restored_at,
+            restored_at: self.restored_at,
+        }
+    }
+
+    /// Records `run` for every lane of `mask` and removes them from the
+    /// batch.
+    fn retire(&mut self, out: &mut [LaneRun], mask: u64, run: LaneRun) {
+        let mut m = mask;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            out[self.faults[lane].2 as usize] = run;
+        }
+        self.active &= !mask;
+    }
+}
+
+/// The lanes' private memory words: word index → (lanes holding a word
+/// there, each holder's word). A lane's memory is the shared machine
+/// memory with its own words on top. Sparse, because only words a
+/// divergent store touched ever differ, and reused across batches.
+#[derive(Default)]
+struct Overlay {
+    /// Word index → position in `words`.
+    index: HashMap<u32, usize>,
+    /// `(word index, holder lanes, per-lane word)`.
+    words: Vec<(u32, u64, [u32; LANES])>,
+    /// Lanes that ever held a word in this batch (a superset of the
+    /// current holders).
+    lanes: u64,
+}
+
+impl Overlay {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.words.clear();
+        self.lanes = 0;
+    }
+
+    /// Lanes holding their own word at `widx`.
+    fn holders(&self, widx: u32) -> u64 {
+        if self.lanes == 0 {
+            return 0;
+        }
+        self.index.get(&widx).map_or(0, |&i| self.words[i].1)
+    }
+
+    /// Lane `lane`'s view of the memory word at `widx`.
+    fn view(&self, mem: &Memory, widx: u32, lane: usize) -> u32 {
+        if self.lanes >> lane & 1 != 0 {
+            if let Some(&i) = self.index.get(&widx) {
+                let (_, held, words) = &self.words[i];
+                if held >> lane & 1 != 0 {
+                    return words[lane];
+                }
+            }
+        }
+        mem.word(widx)
+    }
+
+    /// Sets lane `lane`'s view of the word at `widx` to `word`, where the
+    /// shared memory holds `shared`: a view equal to the shared word needs
+    /// no overlay entry.
+    fn set(&mut self, widx: u32, lane: usize, word: u32, shared: u32) {
+        let bit = 1u64 << lane;
+        if word == shared {
+            if let Some(&i) = self.index.get(&widx) {
+                self.words[i].1 &= !bit;
+            }
+            return;
+        }
+        let words = &mut self.words;
+        let i = *self.index.entry(widx).or_insert_with(|| {
+            words.push((widx, 0, [0; LANES]));
+            words.len() - 1
+        });
+        self.words[i].1 |= bit;
+        self.words[i].2[lane] = word;
+        self.lanes |= bit;
+    }
+}
+
+/// The mask of the low `size` bytes.
+fn size_mask(size: u64) -> u64 {
+    (1u64 << (size * 8)) - 1
+}
+
 /// The reusable batch execution context of one worker: one scratch
 /// machine, the dirty-word undo log, and the lane state arrays, reused
 /// across every batch the worker runs.
@@ -142,15 +276,22 @@ pub(crate) struct BatchRunner<'p, 's> {
     /// Lane values, `vals[r * LANES + lane]`, valid iff the taint bit is
     /// set. Always truncated to xlen.
     vals: Vec<u64>,
+    /// Per-lane memory words that differ from the shared memory.
+    overlay: Overlay,
     /// Register-file snapshot scratch used around lane forks.
     reg_snap: Vec<u64>,
     /// `(output index, lane, value)` patches of SDC-flagged lanes: outputs
     /// whose lane value differs from the golden value printed there.
     out_patches: Vec<(u32, u8, u64)>,
-    /// Lanes of the current `Load` whose effective address diverged but
-    /// stayed batched; their per-lane loaded (extended) values.
+    /// Per-lane results of the current instruction, valid for the lanes
+    /// it affects (loads fill them during detection).
+    lane_results: [u64; LANES],
+    /// Lanes of the current `Load` reading their own view of memory.
     load_divergent: u64,
-    load_vals: Vec<u64>,
+    /// `(lane, word index, word)` views the current `Store` leaves its
+    /// divergent lanes with, applied to the overlay after the shared
+    /// store.
+    store_views: Vec<(u8, u32, u32)>,
 }
 
 impl<'p, 's> BatchRunner<'p, 's> {
@@ -165,10 +306,12 @@ impl<'p, 's> BatchRunner<'p, 's> {
             taint: vec![0; nregs],
             tainted_regs: 0,
             vals: vec![0; nregs * LANES],
+            overlay: Overlay::default(),
             reg_snap: vec![0; nregs],
             out_patches: Vec::new(),
+            lane_results: [0; LANES],
             load_divergent: 0,
-            load_vals: vec![0; LANES],
+            store_views: Vec::new(),
         }
     }
 
@@ -261,34 +404,64 @@ impl<'p, 's> BatchRunner<'p, 's> {
         }
     }
 
+    /// The effective address of a memory access in lane `lane`, and
+    /// whether the access traps there (misaligned or out of bounds).
+    /// `golden` is the golden replay's address, which never traps.
+    fn lane_addr(
+        &self,
+        base: Reg,
+        offset: i64,
+        size: u64,
+        lane: usize,
+        golden: u64,
+    ) -> (u64, bool) {
+        if self.taint_of(base) >> lane & 1 == 0 {
+            return (golden, false);
+        }
+        let cfg = self.machine.config();
+        let addr = cfg
+            .truncate(self.vals[base.index() as usize * LANES + lane].wrapping_add(offset as u64));
+        let trap = !addr.is_multiple_of(size)
+            || addr.checked_add(size).is_none_or(|end| end > self.machine.memory.len() as u64);
+        (addr, trap)
+    }
+
     /// Forks lane `lane` out of the batch at the boundary state `st`: the
-    /// lane's scalar state is materialized on the shared machine, its tail
-    /// runs to a terminal outcome through the scalar interpreter, and the
-    /// machine is restored for the replay to continue. `sdc` tells whether
-    /// the lane already printed a divergent value; `diverged` whether its
-    /// trace diverged at all (divergent print or load) — in either case
-    /// the replayed hash is the golden one, not the lane's own, so
-    /// classification must not trust it.
-    #[allow(clippy::too_many_arguments)]
+    /// lane's scalar state — its tainted registers and overlay words — is
+    /// materialized on the shared machine, its tail runs to a terminal
+    /// outcome through the scalar interpreter, and the machine is restored
+    /// for the replay to continue.
     fn fork_lane(
         &mut self,
         golden: &GoldenRun,
         st: &ExecState,
+        lanes: &Lanes<'_>,
         lane: usize,
-        sdc: bool,
-        diverged: bool,
-        restored_at: u64,
+        counters: &mut BatchCounters,
     ) -> LaneRun {
+        let bit = 1u64 << lane;
         let mark = self.dirty.len();
         self.reg_snap.copy_from_slice(self.machine.regs());
         let mut t = self.tainted_regs;
         while t != 0 {
             let r = t.trailing_zeros() as usize;
             t &= t - 1;
-            if self.taint[r] >> lane & 1 != 0 {
+            if self.taint[r] & bit != 0 {
                 self.machine.write(Reg::phys(r as u32), self.vals[r * LANES + lane]);
             }
         }
+        // Overlay words go through the dirty log, so the undo below
+        // restores the shared memory as well.
+        if self.overlay.lanes & bit != 0 {
+            for (widx, held, words) in &self.overlay.words {
+                if held & bit != 0 {
+                    self.dirty.push((*widx, self.machine.memory.word(*widx)));
+                    self.machine.memory.set_word(*widx, words[lane]);
+                }
+            }
+        }
+        let sdc = lanes.sdc & bit != 0;
+        let diverged = lanes.hash_div & bit != 0;
         let mut outputs = st.outputs.clone();
         if sdc {
             for &(idx, l, v) in &self.out_patches {
@@ -307,7 +480,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
             func: st.func,
             pc: st.pc,
             stack: st.stack.clone(),
-            mem_digest: st.mem_digest,
+            // Tails track no digest: they never check convergence.
+            mem_digest: 0,
         };
         let raw = run_tail(
             &self.sim.flat,
@@ -324,11 +498,12 @@ impl<'p, 's> BatchRunner<'p, 's> {
             self.machine.memory.set_word(w, old);
         }
         self.machine.restore_regs(&self.reg_snap);
+        counters.tail_cycles += raw.cycles - st.cycle;
         let class = if sdc || diverged {
             // The tail ran with the golden-prefix hash, not the lane's own
-            // (the divergent print/load already changed it), so classify
-            // from the outcome and the outputs alone: a completed run
-            // cannot be Benign (its trace differs), and is a Deviation
+            // (the divergent print/load/store already changed it), so
+            // classify from the outcome and the outputs alone: a completed
+            // run cannot be Benign (its trace differs), and is a Deviation
             // exactly when its outputs still match the golden run's (never
             // the case once a divergent print was emitted).
             match raw.outcome {
@@ -354,19 +529,19 @@ impl<'p, 's> BatchRunner<'p, 's> {
         LaneRun {
             class,
             converged_at: None,
-            simulated_cycles: raw.cycles.saturating_sub(restored_at),
-            restored_at,
+            simulated_cycles: raw.cycles.saturating_sub(lanes.restored_at),
+            restored_at: lanes.restored_at,
         }
     }
 
-    /// Runs one batch: all `lanes` share the injection cycle and differ in
-    /// `(register, bit, shard slot)`.
+    /// Runs one batch: all `faults` share the injection cycle and differ
+    /// in `(register, bit, shard slot)`.
     fn run_batch(
         &mut self,
         golden: &GoldenRun,
         ckpts: &CheckpointLog,
         inj_cycle: u64,
-        lanes: &[(Reg, u32, u32)],
+        faults: &[(Reg, u32, u32)],
         counters: &mut BatchCounters,
         out: &mut [LaneRun],
     ) {
@@ -379,27 +554,18 @@ impl<'p, 's> BatchRunner<'p, 's> {
             ExecState::restore(ckpts, idx, golden.outputs(), &mut self.machine, &mut self.dirty);
         debug_assert_eq!(self.tainted_regs, 0, "previous batch fully retired");
         self.out_patches.clear();
+        self.overlay.clear();
 
-        let all: u64 = if lanes.len() == LANES { u64::MAX } else { (1u64 << lanes.len()) - 1 };
-        let mut active = all;
-        // Lanes whose observable outputs already diverged (tainted print):
-        // still batched, but excluded from convergence and classified SDC
-        // at retirement.
-        let mut sdc = 0u64;
-        // Lanes whose trace hash diverged (divergent print or load
-        // address): still batched — their machine state is tracked exactly
-        // — but permanently out of the Benign convergence set, mirroring
-        // the scalar engine's hash-equality convergence requirement, and
-        // at best a Deviation at retirement.
-        let mut hash_div = 0u64;
-        let retire = |out: &mut [LaneRun], lanes_mask: u64, run: LaneRun| {
-            let mut m = lanes_mask;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                out[lanes[lane].2 as usize] = run;
-            }
+        let mut lanes = Lanes {
+            faults,
+            restored_at,
+            active: if faults.len() == LANES { u64::MAX } else { (1u64 << faults.len()) - 1 },
+            sdc: 0,
+            hash_div: 0,
         };
+        // Forward cursor over the checkpoints strictly after the injection
+        // cycle: the replay visits every cycle boundary once, in order.
+        let mut next_ck = ckpts.checkpoints.partition_point(|c| c.cycle <= inj_cycle);
 
         'replay: loop {
             st.steps += 1;
@@ -416,44 +582,56 @@ impl<'p, 's> BatchRunner<'p, 's> {
             // Cycle boundary. Per-lane convergence first, exactly like the
             // scalar engine: strictly after the injection cycle, at
             // checkpoint-aligned cycles only. All non-register state of a
-            // resident lane equals the golden replay's by construction, so
-            // the check reduces to the per-bit register comparison.
-            if st.cycle > inj_cycle {
-                if let Some(ck) = ckpts.at_cycle(st.cycle) {
-                    let mut ok = active & !sdc & !hash_div;
-                    let mut t = self.tainted_regs;
-                    while ok != 0 && t != 0 {
-                        let r = t.trailing_zeros() as usize;
-                        t &= t - 1;
-                        let live = ck.live_bits[r];
-                        let g = self.machine.regs()[r];
-                        let mut m = self.taint[r] & ok;
-                        while m != 0 {
-                            let lane = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            if (self.vals[r * LANES + lane] ^ g) & live != 0 {
-                                ok &= !(1u64 << lane);
-                            }
-                        }
-                    }
-                    if ok != 0 {
-                        retire(
-                            out,
-                            ok,
-                            LaneRun {
-                                class: FaultClass::Benign,
-                                converged_at: Some(st.cycle),
-                                simulated_cycles: st.cycle - restored_at,
-                                restored_at,
-                            },
-                        );
-                        active &= !ok;
-                        self.clear_lanes(ok);
-                        if active == 0 {
-                            break 'replay;
+            // convergence candidate equals the golden replay's (a lane with
+            // overlay words is trace-diverged), so the check reduces to the
+            // per-bit register comparison. Candidates only ever shrink, so
+            // the cursor is dead once none are left.
+            let candidates = lanes.candidates();
+            if candidates != 0
+                && ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle == st.cycle)
+            {
+                let ck = &ckpts.checkpoints[next_ck];
+                next_ck += 1;
+                let mut ok = candidates;
+                let mut t = self.tainted_regs;
+                while ok != 0 && t != 0 {
+                    let r = t.trailing_zeros() as usize;
+                    t &= t - 1;
+                    let live = ck.live_bits[r];
+                    let g = self.machine.regs()[r];
+                    let mut m = self.taint[r] & ok;
+                    while m != 0 {
+                        let lane = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        if (self.vals[r * LANES + lane] ^ g) & live != 0 {
+                            ok &= !(1u64 << lane);
                         }
                     }
                 }
+                if ok != 0 {
+                    let run = LaneRun {
+                        class: FaultClass::Benign,
+                        converged_at: Some(st.cycle),
+                        simulated_cycles: st.cycle - restored_at,
+                        restored_at,
+                    };
+                    lanes.retire(out, ok, run);
+                    self.clear_lanes(ok);
+                    if lanes.active == 0 {
+                        break 'replay;
+                    }
+                }
+            }
+
+            // Single-lane handoff: a lone lane that can no longer converge
+            // gains nothing from the batch, and the scalar interpreter
+            // runs one lane faster than the replay does.
+            if lanes.active.is_power_of_two() && lanes.candidates() == 0 {
+                let lane = lanes.active.trailing_zeros() as usize;
+                let run = self.fork_lane(golden, &st, &lanes, lane, counters);
+                counters.handoff_lanes += 1;
+                lanes.retire(out, lanes.active, run);
+                break 'replay;
             }
 
             // Fault injection on the boundary, mirroring `Machine::flip`:
@@ -462,7 +640,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
             // different registers; a flipped bit always differs from the
             // golden value, so the taint bit is always set.
             if st.cycle == inj_cycle {
-                for (lane, &(reg, bit, _)) in lanes.iter().enumerate() {
+                for (lane, &(reg, bit, _)) in faults.iter().enumerate() {
                     if cfg.is_zero_reg(reg) || bit >= cfg.xlen {
                         continue;
                     }
@@ -483,57 +661,36 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     // Every resident lane completes exactly like the golden
                     // run: divergent outputs make it an SDC, a divergent
                     // trace with intact outputs a Deviation.
-                    let simulated = st.cycle + 1 - restored_at;
-                    let done = |class| LaneRun {
-                        class,
-                        converged_at: None,
-                        simulated_cycles: simulated,
-                        restored_at,
-                    };
-                    retire(out, active & !(sdc | hash_div), done(FaultClass::Benign));
-                    retire(out, active & hash_div & !sdc, done(FaultClass::Deviation));
-                    retire(out, active & sdc, done(FaultClass::Sdc));
+                    let sdc = lanes.active & lanes.sdc;
+                    lanes.retire(out, sdc, lanes.ended(FaultClass::Sdc, st.cycle));
+                    let deviated = lanes.active & lanes.hash_div;
+                    lanes.retire(out, deviated, lanes.ended(FaultClass::Deviation, st.cycle));
+                    lanes.retire(out, lanes.active, lanes.ended(FaultClass::Benign, st.cycle));
                     break 'replay;
                 }
                 FlatStep::Ret { reads, .. } if st.stack.is_empty() => {
                     // Entry return: the read registers become outputs, so a
                     // lane with any of them tainted emits divergent output;
                     // a trace-diverged lane with intact outputs deviates.
-                    let mut bad = sdc;
+                    let mut bad = lanes.sdc;
                     for r in *reads {
                         bad |= self.taint_of(*r);
                     }
-                    let simulated = st.cycle + 1 - restored_at;
-                    let done = |class| LaneRun {
-                        class,
-                        converged_at: None,
-                        simulated_cycles: simulated,
-                        restored_at,
-                    };
-                    retire(out, active & !(bad | hash_div), done(FaultClass::Benign));
-                    retire(out, active & hash_div & !bad, done(FaultClass::Deviation));
-                    retire(out, active & bad, done(FaultClass::Sdc));
+                    lanes.retire(out, lanes.active & bad, lanes.ended(FaultClass::Sdc, st.cycle));
+                    let deviated = lanes.active & lanes.hash_div;
+                    lanes.retire(out, deviated, lanes.ended(FaultClass::Deviation, st.cycle));
+                    lanes.retire(out, lanes.active, lanes.ended(FaultClass::Benign, st.cycle));
                     break 'replay;
                 }
                 FlatStep::Ret { .. } => {
                     // Non-entry return: the golden RA holds the frame's
                     // token, so a tainted RA *is* a wild return.
                     if cfg.num_regs == 32 {
-                        let bad = self.taint_of(Reg::RA) & active;
+                        let bad = self.taint_of(Reg::RA) & lanes.active;
                         if bad != 0 {
-                            retire(
-                                out,
-                                bad,
-                                LaneRun {
-                                    class: FaultClass::Crash,
-                                    converged_at: None,
-                                    simulated_cycles: st.cycle + 1 - restored_at,
-                                    restored_at,
-                                },
-                            );
-                            active &= !bad;
+                            lanes.retire(out, bad, lanes.ended(FaultClass::Crash, st.cycle));
                             self.clear_lanes(bad);
-                            if active == 0 {
+                            if lanes.active == 0 {
                                 break 'replay;
                             }
                         }
@@ -543,40 +700,26 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     let a_g = self.machine.read(*rs1);
                     let b_g = rs2.map(|r| self.machine.read(r)).unwrap_or(0);
                     let taken_g = eval_cond(&cfg, *cond, a_g, b_g);
-                    let mut m =
-                        (self.taint_of(*rs1) | rs2.map(|r| self.taint_of(r)).unwrap_or(0)) & active;
+                    let mut m = (self.taint_of(*rs1) | rs2.map(|r| self.taint_of(r)).unwrap_or(0))
+                        & lanes.active;
                     while m != 0 {
                         let lane = m.trailing_zeros() as usize;
                         m &= m - 1;
                         let a = self.lane_value(*rs1, lane, a_g);
                         let b = rs2.map(|r| self.lane_value(r, lane, b_g)).unwrap_or(0);
                         if eval_cond(&cfg, *cond, a, b) != taken_g {
-                            let s = sdc >> lane & 1 != 0;
-                            let d = hash_div >> lane & 1 != 0;
-                            let run = self.fork_lane(golden, &st, lane, s, d, restored_at);
+                            let run = self.fork_lane(golden, &st, &lanes, lane, counters);
                             counters.forked_lanes += 1;
-                            out[lanes[lane].2 as usize] = run;
-                            active &= !(1u64 << lane);
+                            lanes.retire(out, 1u64 << lane, run);
                         }
                     }
-                    self.clear_lanes(!active);
-                    if active == 0 {
+                    self.clear_lanes(!lanes.active);
+                    if lanes.active == 0 {
                         break 'replay;
                     }
                 }
                 FlatStep::Inst { inst, .. } => {
-                    if !self.detect_inst(
-                        golden,
-                        inst,
-                        &st,
-                        &mut active,
-                        &mut sdc,
-                        &mut hash_div,
-                        restored_at,
-                        counters,
-                        lanes,
-                        out,
-                    ) {
+                    if !self.detect_inst(inst, &st, &mut lanes, out) {
                         break 'replay;
                     }
                 }
@@ -584,8 +727,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
 
             // Shared golden execution of the step — the scalar
-            // interpreter's own code wherever possible, so hash, outputs,
-            // memory digest and dirty accounting stay bit-identical.
+            // interpreter's own code wherever possible, so hash, outputs
+            // and dirty accounting stay bit-identical.
             let point = step.point();
             st.hash.update((st.func as u64) << 32 | point.0 as u64);
             st.cycle += 1;
@@ -628,6 +771,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 }
             }
         }
+        counters.replay_steps += st.cycle - restored_at;
 
         // Undo the batch, leaving the scratch machine in initial state.
         self.machine.restore_regs(&self.initial_regs);
@@ -637,110 +781,103 @@ impl<'p, 's> BatchRunner<'p, 's> {
         self.clear_lanes(u64::MAX);
     }
 
-    /// Divergence detection of one ordinary instruction: forks or retires
-    /// lanes whose store behavior differs from the golden replay's, keeps
-    /// divergent loads batched per-lane, and flags lanes printing a
+    /// Divergence detection of one ordinary instruction: retires lanes
+    /// whose memory access traps, routes divergent loads and stores
+    /// through the lanes' own views of memory, and flags lanes printing a
     /// divergent value. Returns `false` when the batch emptied.
-    #[allow(clippy::too_many_arguments)]
     fn detect_inst(
         &mut self,
-        golden: &GoldenRun,
         inst: &Inst,
         st: &ExecState,
-        active: &mut u64,
-        sdc: &mut u64,
-        hash_div: &mut u64,
-        restored_at: u64,
-        counters: &mut BatchCounters,
-        lanes: &[(Reg, u32, u32)],
+        lanes: &mut Lanes<'_>,
         out: &mut [LaneRun],
     ) -> bool {
+        let cfg = *self.machine.config();
         match inst {
             Inst::Load { base, offset, width, signed, .. } => {
                 // A tainted base yields a *different* effective address in
-                // that lane (truncation is injective on xlen-bit values).
-                // The lane either traps right here — misaligned or out of
-                // bounds, retired as the crash the scalar run takes — or
-                // stays batched: a load mutates nothing but `rd`, and the
-                // shared memory *is* the lane's memory (divergent stores
-                // fork), so the lane simply reads its own value. Its trace
-                // hash diverges for good, though — the load event records
-                // the address — so the lane leaves the Benign set.
+                // that lane (truncation is injective on xlen-bit values):
+                // the lane either traps right here — retired as the crash
+                // the scalar run takes — or reads its own view of memory,
+                // and its trace hash diverges for good (the load event
+                // records the address). A lane holding its own word at the
+                // golden address reads that word instead.
                 self.load_divergent = 0;
-                let cfg = *self.machine.config();
                 let size = width.bytes();
-                let g_base = self.machine.read(*base);
-                let mut m = self.taint_of(*base) & *active;
+                let g_addr = cfg.truncate(self.machine.read(*base).wrapping_add(*offset as u64));
+                let held = self.overlay.holders((g_addr >> 2) as u32);
+                let mut m = (self.taint_of(*base) | held) & lanes.active;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let addr = cfg.truncate(
-                        self.lane_value(*base, lane, g_base).wrapping_add(*offset as u64),
-                    );
-                    let trap = !addr.is_multiple_of(size)
-                        || addr
-                            .checked_add(size)
-                            .is_none_or(|end| end > self.machine.memory.len() as u64);
+                    let (addr, trap) = self.lane_addr(*base, *offset, size, lane, g_addr);
                     if trap {
-                        out[lanes[lane].2 as usize] = LaneRun {
-                            class: FaultClass::Crash,
-                            converged_at: None,
-                            simulated_cycles: st.cycle + 1 - restored_at,
-                            restored_at,
-                        };
-                        *active &= !(1u64 << lane);
-                    } else {
-                        let raw = self.machine.memory.load(addr, size).expect("bounds checked");
-                        self.load_vals[lane] = Self::extend_load(raw, *signed, size);
-                        self.load_divergent |= 1u64 << lane;
-                        *hash_div |= 1u64 << lane;
+                        lanes.retire(out, 1u64 << lane, lanes.ended(FaultClass::Crash, st.cycle));
+                        continue;
+                    }
+                    let word = self.overlay.view(&self.machine.memory, (addr >> 2) as u32, lane);
+                    let raw = (word as u64 >> ((addr & 3) * 8)) & size_mask(size);
+                    self.lane_results[lane] = cfg.truncate(Self::extend_load(raw, *signed, size));
+                    self.load_divergent |= 1u64 << lane;
+                    if addr != g_addr {
+                        lanes.hash_div |= 1u64 << lane;
                     }
                 }
-                self.clear_lanes(!*active);
+                self.clear_lanes(!lanes.active);
             }
             Inst::Store { rs, base, offset, width } => {
-                self.detect_store_addr(
-                    golden,
-                    *base,
-                    *offset,
-                    width.bytes(),
-                    st,
-                    active,
-                    *sdc,
-                    *hash_div,
-                    restored_at,
-                    counters,
-                    lanes,
-                    out,
-                );
-                // Lanes with the same (clean-base) address but a tainted
-                // value: the store only observes the low `width` bytes, so
-                // the lane stays batched iff the masked value matches.
+                // A lane whose store differs from the golden one — in
+                // address or in the stored low `width` bytes — or that
+                // holds its own word at the golden address keeps its
+                // resulting view of the touched words in its overlay. A
+                // divergent address either traps here (retired as the
+                // crash the scalar run takes) or leaves the golden target
+                // word unchanged in the lane.
+                self.store_views.clear();
                 let size = width.bytes();
-                let mask = if size >= 8 { u64::MAX } else { (1u64 << (size * 8)) - 1 };
-                let g = self.machine.read(*rs) & mask;
-                let mut m = self.taint_of(*rs) & *active & !self.taint_of(*base);
+                let mask = size_mask(size);
+                let g_rs = self.machine.read(*rs);
+                let g_val = g_rs & mask;
+                let g_addr = cfg.truncate(self.machine.read(*base).wrapping_add(*offset as u64));
+                let g_widx = (g_addr >> 2) as u32;
+                let held = self.overlay.holders(g_widx);
+                let mut m = (self.taint_of(*base) | self.taint_of(*rs) | held) & lanes.active;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
+                    let bit = 1u64 << lane;
                     m &= m - 1;
-                    if self.lane_value(*rs, lane, 0) & mask != g {
-                        let s = *sdc >> lane & 1 != 0;
-                        let d = *hash_div >> lane & 1 != 0;
-                        let run = self.fork_lane(golden, st, lane, s, d, restored_at);
-                        counters.forked_lanes += 1;
-                        out[lanes[lane].2 as usize] = run;
-                        *active &= !(1u64 << lane);
+                    let (addr, trap) = self.lane_addr(*base, *offset, size, lane, g_addr);
+                    if trap {
+                        lanes.retire(out, bit, lanes.ended(FaultClass::Crash, st.cycle));
+                        continue;
                     }
+                    let val = self.lane_value(*rs, lane, g_rs) & mask;
+                    if (addr, val) != (g_addr, g_val) {
+                        // The store event hashes address and value.
+                        lanes.hash_div |= bit;
+                    } else if held & bit == 0 {
+                        continue;
+                    }
+                    let mem = &self.machine.memory;
+                    let widx = (addr >> 2) as u32;
+                    if widx != g_widx {
+                        let keep = self.overlay.view(mem, g_widx, lane);
+                        self.store_views.push((lane as u8, g_widx, keep));
+                    }
+                    let shift = (addr & 3) * 8;
+                    let old = self.overlay.view(mem, widx, lane);
+                    let new = (old & !((mask << shift) as u32)) | (val << shift) as u32;
+                    self.store_views.push((lane as u8, widx, new));
                 }
-                self.clear_lanes(!*active);
+                self.clear_lanes(!lanes.active);
             }
             Inst::Print { rs } => {
                 // Printing doesn't mutate machine state, so divergent
                 // lanes stay batched — flagged, with the output recorded
                 // for an eventual fork.
-                let mut m = self.taint_of(*rs) & *active;
-                *sdc |= m;
-                *hash_div |= m;
+                let mut m = self.taint_of(*rs) & lanes.active;
+                lanes.sdc |= m;
+                lanes.hash_div |= m;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
@@ -750,97 +887,31 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
             _ => {}
         }
-        *active != 0
-    }
-
-    /// Store address-divergence check: a lane whose store address differs
-    /// would corrupt the shared memory, so it either traps right here —
-    /// misaligned or out of bounds, retired as the crash the scalar run
-    /// takes — or forks to execute its divergent access scalar-ly.
-    #[allow(clippy::too_many_arguments)]
-    fn detect_store_addr(
-        &mut self,
-        golden: &GoldenRun,
-        base: Reg,
-        offset: i64,
-        size: u64,
-        st: &ExecState,
-        active: &mut u64,
-        sdc: u64,
-        hash_div: u64,
-        restored_at: u64,
-        counters: &mut BatchCounters,
-        lanes: &[(Reg, u32, u32)],
-        out: &mut [LaneRun],
-    ) {
-        let cfg = *self.machine.config();
-        let g_base = self.machine.read(base);
-        let mut m = self.taint_of(base) & *active;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let addr =
-                cfg.truncate(self.lane_value(base, lane, g_base).wrapping_add(offset as u64));
-            let trap = !addr.is_multiple_of(size)
-                || addr.checked_add(size).is_none_or(|end| end > self.machine.memory.len() as u64);
-            let run = if trap {
-                LaneRun {
-                    class: FaultClass::Crash,
-                    converged_at: None,
-                    simulated_cycles: st.cycle + 1 - restored_at,
-                    restored_at,
-                }
-            } else {
-                counters.forked_lanes += 1;
-                let s = sdc >> lane & 1 != 0;
-                let d = hash_div >> lane & 1 != 0;
-                self.fork_lane(golden, st, lane, s, d, restored_at)
-            };
-            out[lanes[lane].2 as usize] = run;
-            *active &= !(1u64 << lane);
-        }
-        self.clear_lanes(!*active);
+        lanes.active != 0
     }
 
     /// Shared execution of one ordinary instruction plus the lane taint
-    /// update: tainted lanes recompute the result from their own source
-    /// values; a lane whose result equals the golden one drops its taint.
+    /// and overlay update: tainted lanes recompute the result from their
+    /// own source values; a lane whose result equals the golden one drops
+    /// its taint.
     fn exec_inst(&mut self, inst: &Inst, st: &mut ExecState) {
         let cfg = *self.machine.config();
-        let mut lane_results = [0u64; LANES];
         // (rd, lanes-with-a-possibly-divergent-result) of arithmetic steps.
         let pending: Option<(Reg, u64)> = match inst {
             Inst::Li { rd, .. } | Inst::La { rd, .. } => Some((*rd, 0)),
-            Inst::Load { rd, .. } => {
-                // Divergent-address lanes read their own (extended) value,
-                // recorded by `detect_inst`; everyone else gets the golden
-                // load and drops any stale `rd` taint.
-                let m = self.load_divergent;
-                let mut i = m;
-                while i != 0 {
-                    let lane = i.trailing_zeros() as usize;
-                    i &= i - 1;
-                    lane_results[lane] = self.load_vals[lane];
-                }
-                Some((*rd, m))
+            // Lanes reading their own view of memory got their (extended)
+            // values during detection; everyone else gets the golden load
+            // and drops any stale `rd` taint.
+            Inst::Load { rd, .. } => Some((*rd, self.load_divergent)),
+            Inst::Mv { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| v))),
+            Inst::Neg { rd, rs } => {
+                Some((*rd, self.lane_unary(*rs, |v| cfg.truncate(0u64.wrapping_sub(v)))))
             }
-            Inst::Mv { rd, rs } => Some((*rd, self.lane_unary(*rs, &mut lane_results, |v| v))),
-            Inst::Neg { rd, rs } => Some((
-                *rd,
-                self.lane_unary(*rs, &mut lane_results, |v| cfg.truncate(0u64.wrapping_sub(v))),
-            )),
-            Inst::Seqz { rd, rs } => {
-                Some((*rd, self.lane_unary(*rs, &mut lane_results, |v| u64::from(v == 0))))
-            }
-            Inst::Snez { rd, rs } => {
-                Some((*rd, self.lane_unary(*rs, &mut lane_results, |v| u64::from(v != 0))))
-            }
+            Inst::Seqz { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v == 0)))),
+            Inst::Snez { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v != 0)))),
             Inst::AluImm { op, rd, rs1, imm } => {
                 let imm = *imm as u64;
-                Some((
-                    *rd,
-                    self.lane_unary(*rs1, &mut lane_results, |v| eval_alu(&cfg, *op, v, imm)),
-                ))
+                Some((*rd, self.lane_unary(*rs1, |v| eval_alu(&cfg, *op, v, imm))))
             }
             Inst::Alu { op, rd, rs1, rs2 } => {
                 let a_g = self.machine.read(*rs1);
@@ -852,7 +923,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     m &= m - 1;
                     let a = self.lane_value(*rs1, lane, a_g);
                     let b = self.lane_value(*rs2, lane, b_g);
-                    lane_results[lane] = eval_alu(&cfg, *op, a, b);
+                    self.lane_results[lane] = eval_alu(&cfg, *op, a, b);
                 }
                 Some((*rd, affected))
             }
@@ -860,12 +931,14 @@ impl<'p, 's> BatchRunner<'p, 's> {
             Inst::Call { .. } => unreachable!("pre-resolved during flattening"),
         };
 
+        // No memory digest: nothing reads it — batch convergence compares
+        // registers only, and tails never check convergence.
         let step = step_inst(
             &mut self.machine,
             inst,
             &mut st.hash,
             &mut st.outputs,
-            Some(&mut st.mem_digest),
+            None,
             None,
             &mut self.dirty,
         );
@@ -874,6 +947,12 @@ impl<'p, 's> BatchRunner<'p, 's> {
         };
         st.pc += 1;
 
+        if let Inst::Store { .. } = inst {
+            for &(lane, widx, word) in &self.store_views {
+                let shared = self.machine.memory.word(widx);
+                self.overlay.set(widx, lane as usize, word, shared);
+            }
+        }
         if let Some((rd, affected)) = pending {
             if cfg.is_zero_reg(rd) {
                 return;
@@ -884,8 +963,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
                 m &= m - 1;
-                if lane_results[lane] != g_rd {
-                    self.vals[rd.index() as usize * LANES + lane] = lane_results[lane];
+                if self.lane_results[lane] != g_rd {
+                    self.vals[rd.index() as usize * LANES + lane] = self.lane_results[lane];
                     taint |= 1u64 << lane;
                 }
             }
@@ -910,18 +989,14 @@ impl<'p, 's> BatchRunner<'p, 's> {
 
     /// Computes lane results of a unary operation over the tainted lanes
     /// of `rs`; returns the affected-lane mask.
-    fn lane_unary(
-        &mut self,
-        rs: Reg,
-        lane_results: &mut [u64; LANES],
-        f: impl Fn(u64) -> u64,
-    ) -> u64 {
+    fn lane_unary(&mut self, rs: Reg, f: impl Fn(u64) -> u64) -> u64 {
         let affected = self.taint_of(rs);
+        let base = rs.index() as usize * LANES;
         let mut m = affected;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            lane_results[lane] = f(self.vals[rs.index() as usize * LANES + lane]);
+            self.lane_results[lane] = f(self.vals[base + lane]);
         }
         affected
     }

@@ -66,8 +66,8 @@ pub struct PoolStats {
     pub batches: u64,
     /// Faults executed as bitsliced lanes (0 on the scalar engine).
     pub batched_lanes: u64,
-    /// Lanes forked out to a scalar tail on divergence (0 on the scalar
-    /// engine).
+    /// Lanes forked out to a scalar tail on branch divergence (0 on the
+    /// scalar engine).
     pub forked_lanes: u64,
 }
 
@@ -322,6 +322,9 @@ fn run_report(
                     tel.add("campaign.batches", counters.batches);
                     tel.add("campaign.batched_lanes", counters.batched_lanes);
                     tel.add("campaign.forked_lanes", counters.forked_lanes);
+                    tel.add("campaign.handoff_lanes", counters.handoff_lanes);
+                    tel.add("campaign.replay_steps", counters.replay_steps);
+                    tel.add("campaign.tail_cycles", counters.tail_cycles);
                     batches.fetch_add(counters.batches, Ordering::Relaxed);
                     batched_lanes.fetch_add(counters.batched_lanes, Ordering::Relaxed);
                     forked_lanes.fetch_add(counters.forked_lanes, Ordering::Relaxed);
@@ -461,6 +464,12 @@ exit:
             "campaign.early_exits",
             "campaign.simulated_cycles",
             "campaign.saved_cycles",
+            "campaign.batches",
+            "campaign.batched_lanes",
+            "campaign.forked_lanes",
+            "campaign.handoff_lanes",
+            "campaign.replay_steps",
+            "campaign.tail_cycles",
             "campaign.outcome.benign",
             "campaign.outcome.sdc",
             "campaign.outcome.crash",
