@@ -1,19 +1,28 @@
-//! The bitsliced fault engine: up to 64 single-bit faults that share one
-//! injection cycle execute as *lanes* of a single shared golden replay.
+//! The bitsliced fault engine: up to 64 single-bit faults execute as
+//! *lanes* of a single shared golden replay.
 //!
-//! Most faults in an exhaustive campaign differ only in their register and
-//! bit index — they restore the same checkpoint, replay the same golden
-//! prefix, and follow the golden control path until (if ever) their
-//! flipped bit reaches a branch condition, an effective address, or an
-//! observable output. The batch runner executes that shared path **once**:
-//! the scratch machine replays the golden trace while each lane carries
-//! only its *taint* — the set of registers whose lane value differs from
-//! the golden value, plus those values — and a sparse memory *overlay* —
-//! the memory words whose lane value differs from the shared memory.
+//! A shard's faults are sorted by injection cycle and cut into batches of
+//! 64 consecutive lanes. A batch restores the checkpoint nearest before
+//! its first lane's cycle and replays the golden trace **once**; each lane
+//! *joins* the replay when it reaches that lane's injection cycle. Until
+//! then the lane is *pending*: not injected yet, so golden by
+//! construction, and carrying it costs nothing. Injected lanes differ
+//! from the golden run only in their register and bit, and follow the
+//! golden control path until (if ever) their flipped bit reaches a branch
+//! condition, an effective address, or an observable output. The scratch
+//! machine replays the golden trace while each lane carries only its
+//! *taint* — the set of registers whose lane value differs from the
+//! golden value, plus those values — and a sparse memory *overlay* — the
+//! memory words whose lane value differs from the shared memory.
 //! Arithmetic steps recompute tainted lanes against the golden sources in
 //! registers; loads and stores of a lane with a divergent address, value
 //! or overlay word go through the lane's own view of memory; control flow
-//! and the trace hash are shared.
+//! and the trace hash are shared. When every lane that joined has retired
+//! and the next pending lane's checkpoint lies ahead, the batch *skips the
+//! gap*: it rewinds the scratch machine and restores that checkpoint
+//! instead of replaying golden cycles no lane needs. Lanes still pending
+//! when the program ends (faults at the final cycle boundary, which the
+//! scalar run never reaches) join uninjected and complete Benign.
 //!
 //! **Soundness: a lane leaves the batch before its control path can differ
 //! from the modeled scalar run.** The batch only ever executes steps whose
@@ -36,13 +45,15 @@
 //! convergence — exactly the scalar engine's hash-equality convergence
 //! requirement — so no per-lane memory digest is needed, and bounds its
 //! verdict at Deviation (Sdc once outputs differ). A batch whose only
-//! remaining lane is trace-diverged hands that lane to the scalar tail at
-//! once: it can no longer converge, and one lane replays faster scalar-ly.
-//! Per-lane convergence applies the scalar engine's own per-bit
-//! dynamic-liveness check at every aligned checkpoint cycle, so verdicts,
-//! early-exit counts and per-fault cycle accounting are identical to the
-//! scalar engine's — `tests/bitslice_equivalence.rs` pins report
-//! byte-identity across engines and worker counts.
+//! remaining lane is trace-diverged, with no lane pending, hands that lane
+//! to the scalar tail at once: it can no longer converge, and one lane
+//! replays faster scalar-ly. Per-lane convergence applies the scalar
+//! engine's own per-bit dynamic-liveness check at every aligned checkpoint
+//! cycle strictly after the lane's injection cycle, and each lane accounts
+//! its cycles from the checkpoint its own scalar run restores, so
+//! verdicts, early-exit counts and per-fault cycle accounting are
+//! identical to the scalar engine's — `tests/bitslice_equivalence.rs` pins
+//! report byte-identity across engines and worker counts.
 
 use crate::checkpoint::CheckpointLog;
 use crate::exec::{run_tail, step_inst, ExecState, FlatStep, StepResult};
@@ -66,7 +77,9 @@ const LANES: usize = 64;
 pub enum Engine {
     /// One scalar checkpointed run per fault (the PR 6 engine).
     Scalar,
-    /// Faults sharing an injection cycle batched into 64-bit lanes.
+    /// Faults batched 64 at a time, in injection-cycle order, into the
+    /// lanes of one shared golden replay that each lane joins at its own
+    /// injection cycle.
     #[default]
     Bitsliced,
 }
@@ -140,13 +153,29 @@ pub(crate) fn batch_eligible(sim: &Simulator<'_>, ckpts: &CheckpointLog) -> bool
         && sim.program().config.num_regs as usize <= LANES
 }
 
-/// The lane state of the batch in flight.
+/// One lane's fault.
+#[derive(Clone, Copy)]
+struct LaneFault {
+    /// Injection cycle.
+    cycle: u64,
+    reg: Reg,
+    bit: u32,
+    /// Position of the fault in its shard.
+    slot: u32,
+}
+
+/// The lane state of the batch in flight: lane `i` carries `faults[i]`.
+/// Lanes before `next` have joined the replay; lanes `next..` are pending.
 struct Lanes<'a> {
-    /// `(register, bit, shard slot)` of each lane's fault.
-    faults: &'a [(Reg, u32, u32)],
-    /// Cycle of the checkpoint the batch restored.
-    restored_at: u64,
-    /// Lanes still resident in the batch.
+    /// The batch's faults in injection-cycle order.
+    faults: &'a [LaneFault],
+    /// The first pending lane.
+    next: usize,
+    /// Cycle of the checkpoint each joined lane's scalar run restores: its
+    /// cycle accounting starts there, whichever checkpoint the batch
+    /// restored.
+    restored_at: [u64; LANES],
+    /// Joined lanes still resident in the batch.
     active: u64,
     /// Lanes whose observable outputs already diverged (tainted print):
     /// still batched, but excluded from convergence and classified SDC at
@@ -166,27 +195,65 @@ impl Lanes<'_> {
         self.active & !(self.sdc | self.hash_div)
     }
 
-    /// The run of a lane that ends with the step at `cycle` (a trap, or
-    /// program completion).
-    fn ended(&self, class: FaultClass, cycle: u64) -> LaneRun {
-        LaneRun {
-            class,
-            converged_at: None,
-            simulated_cycles: cycle + 1 - self.restored_at,
-            restored_at: self.restored_at,
-        }
+    /// Whether the batch is over: no lane resident and none pending.
+    fn done(&self) -> bool {
+        self.active == 0 && self.next == self.faults.len()
     }
 
-    /// Records `run` for every lane of `mask` and removes them from the
-    /// batch.
-    fn retire(&mut self, out: &mut [LaneRun], mask: u64, run: LaneRun) {
+    /// Admits the first pending lane into the batch and returns it.
+    fn admit(&mut self, ckpts: &CheckpointLog) -> usize {
+        let lane = self.next;
+        self.next += 1;
+        self.active |= 1u64 << lane;
+        let idx = ckpts.nearest_at_or_before(self.faults[lane].cycle);
+        self.restored_at[lane] = ckpts.checkpoints[idx].cycle;
+        lane
+    }
+
+    /// Records the run of every lane of `mask` — `class`, stopping at
+    /// cycle `stop`, early-exited there when `converged` — and removes
+    /// them from the batch.
+    fn retire(
+        &mut self,
+        out: &mut [LaneRun],
+        mask: u64,
+        class: FaultClass,
+        stop: u64,
+        converged: bool,
+    ) {
         let mut m = mask;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            out[self.faults[lane].2 as usize] = run;
+            out[self.faults[lane].slot as usize] = LaneRun {
+                class,
+                converged_at: converged.then_some(stop),
+                simulated_cycles: stop - self.restored_at[lane],
+                restored_at: self.restored_at[lane],
+            };
         }
         self.active &= !mask;
+    }
+
+    /// Retires the lanes of `mask`, whose runs end with the step at
+    /// `cycle` (a trap, or program completion).
+    fn end(&mut self, out: &mut [LaneRun], mask: u64, class: FaultClass, cycle: u64) {
+        self.retire(out, mask, class, cycle + 1, false);
+    }
+
+    /// Program completion with the step at `cycle`, where the lanes of
+    /// `bad` emit divergent output. Lanes still pending inject at a
+    /// boundary the run never reaches: their scalar runs are the golden
+    /// run, so they join uninjected. Every lane then completes exactly
+    /// like the golden run: divergent outputs make it an SDC, a divergent
+    /// trace with intact outputs a Deviation, anything else is Benign.
+    fn finish(&mut self, out: &mut [LaneRun], ckpts: &CheckpointLog, bad: u64, cycle: u64) {
+        while self.next < self.faults.len() {
+            self.admit(ckpts);
+        }
+        self.end(out, self.active & (bad | self.sdc), FaultClass::Sdc, cycle);
+        self.end(out, self.active & self.hash_div, FaultClass::Deviation, cycle);
+        self.end(out, self.active, FaultClass::Benign, cycle);
     }
 }
 
@@ -316,10 +383,10 @@ impl<'p, 's> BatchRunner<'p, 's> {
     }
 
     /// Runs every fault of one shard through the batch engine, writing one
-    /// [`LaneRun`] per fault in shard order. Faults are grouped by
-    /// injection cycle in first-appearance order — lanes of one batch may
-    /// fault different registers — and each group is split into chunks of
-    /// at most [`LANES`] lanes.
+    /// [`LaneRun`] per fault in shard order. Faults are sorted by
+    /// `(injection cycle, shard slot)` — lanes of one batch may fault
+    /// different registers at different cycles — and the sorted list is
+    /// cut into consecutive batches of [`LANES`] lanes.
     pub(crate) fn run_shard(
         &mut self,
         golden: &GoldenRun,
@@ -338,25 +405,23 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 restored_at: 0,
             },
         );
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: HashMap<u64, Vec<(Reg, u32, u32)>> = HashMap::new();
-        for (i, f) in faults.iter().enumerate() {
-            groups
-                .entry(f.spec.cycle)
-                .or_insert_with(|| {
-                    order.push(f.spec.cycle);
-                    Vec::new()
-                })
-                .push((f.spec.reg, f.spec.bit, i as u32));
-        }
-        for cycle in order {
-            let lanes = &groups[&cycle];
-            for chunk in lanes.chunks(LANES) {
-                counters.batches += 1;
-                counters.batched_lanes += chunk.len() as u64;
-                counters.occupancy.observe(chunk.len() as u64);
-                self.run_batch(golden, ckpts, cycle, chunk, counters, out);
-            }
+        let mut order: Vec<LaneFault> = faults
+            .iter()
+            .enumerate()
+            .map(|(i, f)| LaneFault {
+                cycle: f.spec.cycle,
+                reg: f.spec.reg,
+                bit: f.spec.bit,
+                slot: i as u32,
+            })
+            .collect();
+        // Stable: equal cycles keep shard order.
+        order.sort_by_key(|f| f.cycle);
+        for chunk in order.chunks(LANES) {
+            counters.batches += 1;
+            counters.batched_lanes += chunk.len() as u64;
+            counters.occupancy.observe(chunk.len() as u64);
+            self.run_batch(golden, ckpts, chunk, counters, out);
         }
     }
 
@@ -430,7 +495,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
     /// lane's scalar state — its tainted registers and overlay words — is
     /// materialized on the shared machine, its tail runs to a terminal
     /// outcome through the scalar interpreter, and the machine is restored
-    /// for the replay to continue.
+    /// for the replay to continue. Returns the lane's class and the cycle
+    /// its run stopped at.
     fn fork_lane(
         &mut self,
         golden: &GoldenRun,
@@ -438,7 +504,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
         lanes: &Lanes<'_>,
         lane: usize,
         counters: &mut BatchCounters,
-    ) -> LaneRun {
+    ) -> (FaultClass, u64) {
         let bit = 1u64 << lane;
         let mark = self.dirty.len();
         self.reg_snap.copy_from_slice(self.machine.regs());
@@ -526,46 +592,55 @@ impl<'p, 's> BatchRunner<'p, 's> {
             };
             result.classify(&golden.result)
         };
-        LaneRun {
-            class,
-            converged_at: None,
-            simulated_cycles: raw.cycles.saturating_sub(lanes.restored_at),
-            restored_at: lanes.restored_at,
+        (class, raw.cycles)
+    }
+
+    /// Undoes every write to the scratch machine since it was last in
+    /// initial state: pops the dirty log in reverse and resets the
+    /// register file.
+    fn rewind(&mut self) {
+        self.machine.restore_regs(&self.initial_regs);
+        while let Some((w, old)) = self.dirty.pop() {
+            self.machine.memory.set_word(w, old);
         }
     }
 
-    /// Runs one batch: all `faults` share the injection cycle and differ
-    /// in `(register, bit, shard slot)`.
+    /// Restores checkpoint `idx` onto the scratch machine, which must be in
+    /// initial state (its cumulative memory image applies onto the
+    /// initial memory), with no lane resident.
+    fn restore(&mut self, golden: &GoldenRun, ckpts: &CheckpointLog, idx: usize) -> ExecState {
+        debug_assert!(self.dirty.is_empty(), "restore onto a rewound machine");
+        debug_assert_eq!(self.tainted_regs, 0, "no lane resident");
+        self.out_patches.clear();
+        self.overlay.clear();
+        ExecState::restore(ckpts, idx, golden.outputs(), &mut self.machine, &mut self.dirty)
+    }
+
+    /// Runs one batch: `faults` in injection-cycle order, each joining the
+    /// shared replay at its own cycle.
     fn run_batch(
         &mut self,
         golden: &GoldenRun,
         ckpts: &CheckpointLog,
-        inj_cycle: u64,
-        faults: &[(Reg, u32, u32)],
+        faults: &[LaneFault],
         counters: &mut BatchCounters,
         out: &mut [LaneRun],
     ) {
         let cfg = *self.machine.config();
         let max_cycles = self.sim.limits.max_cycles;
         let step_limit = max_cycles.saturating_mul(2) + 1024;
-        let idx = ckpts.nearest_at_or_before(inj_cycle);
-        let restored_at = ckpts.checkpoints[idx].cycle;
-        let mut st =
-            ExecState::restore(ckpts, idx, golden.outputs(), &mut self.machine, &mut self.dirty);
-        debug_assert_eq!(self.tainted_regs, 0, "previous batch fully retired");
-        self.out_patches.clear();
-        self.overlay.clear();
-
-        let mut lanes = Lanes {
-            faults,
-            restored_at,
-            active: if faults.len() == LANES { u64::MAX } else { (1u64 << faults.len()) - 1 },
-            sdc: 0,
-            hash_div: 0,
-        };
-        // Forward cursor over the checkpoints strictly after the injection
-        // cycle: the replay visits every cycle boundary once, in order.
-        let mut next_ck = ckpts.checkpoints.partition_point(|c| c.cycle <= inj_cycle);
+        let idx = ckpts.nearest_at_or_before(faults[0].cycle);
+        let mut st = self.restore(golden, ckpts, idx);
+        // First cycle of the replay segment in flight (a gap skip starts
+        // a new one).
+        let mut segment = st.cycle;
+        let mut lanes =
+            Lanes { faults, next: 0, restored_at: [0; LANES], active: 0, sdc: 0, hash_div: 0 };
+        // Forward cursor over the checkpoints: the replay visits every
+        // cycle boundary once, in order, and the cursor steps past each
+        // checkpoint it reaches, so between boundaries it points at the
+        // first checkpoint ahead.
+        let mut next_ck = idx;
 
         'replay: loop {
             st.steps += 1;
@@ -580,19 +655,16 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
 
             // Cycle boundary. Per-lane convergence first, exactly like the
-            // scalar engine: strictly after the injection cycle, at
-            // checkpoint-aligned cycles only. All non-register state of a
+            // scalar engine: at checkpoint-aligned cycles only, before this
+            // boundary's lanes join — so a lane is checked strictly after
+            // its injection cycle. All non-register state of a
             // convergence candidate equals the golden replay's (a lane with
             // overlay words is trace-diverged), so the check reduces to the
-            // per-bit register comparison. Candidates only ever shrink, so
-            // the cursor is dead once none are left.
-            let candidates = lanes.candidates();
-            if candidates != 0
-                && ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle == st.cycle)
-            {
+            // per-bit register comparison.
+            if ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle == st.cycle) {
                 let ck = &ckpts.checkpoints[next_ck];
                 next_ck += 1;
-                let mut ok = candidates;
+                let mut ok = lanes.candidates();
                 let mut t = self.tainted_regs;
                 while ok != 0 && t != 0 {
                     let r = t.trailing_zeros() as usize;
@@ -609,46 +681,59 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     }
                 }
                 if ok != 0 {
-                    let run = LaneRun {
-                        class: FaultClass::Benign,
-                        converged_at: Some(st.cycle),
-                        simulated_cycles: st.cycle - restored_at,
-                        restored_at,
-                    };
-                    lanes.retire(out, ok, run);
+                    lanes.retire(out, ok, FaultClass::Benign, st.cycle, true);
                     self.clear_lanes(ok);
-                    if lanes.active == 0 {
-                        break 'replay;
-                    }
                 }
             }
 
-            // Single-lane handoff: a lone lane that can no longer converge
-            // gains nothing from the batch, and the scalar interpreter
-            // runs one lane faster than the replay does.
-            if lanes.active.is_power_of_two() && lanes.candidates() == 0 {
+            if lanes.active == 0 {
+                let Some(pending) = faults.get(lanes.next) else { break 'replay };
+                debug_assert!(pending.cycle >= st.cycle, "the replay never passes a lane");
+                // Gap skip: with no lane resident, the golden cycles up to
+                // the next pending lane's checkpoint are needed by nobody.
+                // Rewind and restore that checkpoint instead of replaying.
+                if ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle <= pending.cycle) {
+                    counters.replay_steps += st.cycle - segment;
+                    let idx = ckpts.nearest_at_or_before(pending.cycle);
+                    self.rewind();
+                    st = self.restore(golden, ckpts, idx);
+                    segment = st.cycle;
+                    next_ck = idx;
+                    continue 'replay;
+                }
+            }
+
+            // Single-lane handoff: a lone lane that can no longer converge,
+            // with no lane left to join, gains nothing from the batch, and
+            // the scalar interpreter runs one lane faster than the replay
+            // does.
+            if lanes.next == faults.len()
+                && lanes.active.is_power_of_two()
+                && lanes.candidates() == 0
+            {
                 let lane = lanes.active.trailing_zeros() as usize;
-                let run = self.fork_lane(golden, &st, &lanes, lane, counters);
+                let (class, stop) = self.fork_lane(golden, &st, &lanes, lane, counters);
                 counters.handoff_lanes += 1;
-                lanes.retire(out, lanes.active, run);
+                lanes.retire(out, lanes.active, class, stop, false);
                 break 'replay;
             }
 
-            // Fault injection on the boundary, mirroring `Machine::flip`:
-            // flips into the zero register or past xlen are physically
-            // impossible and leave the lane clean. Lanes may fault
-            // different registers; a flipped bit always differs from the
-            // golden value, so the taint bit is always set.
-            if st.cycle == inj_cycle {
-                for (lane, &(reg, bit, _)) in faults.iter().enumerate() {
-                    if cfg.is_zero_reg(reg) || bit >= cfg.xlen {
-                        continue;
-                    }
-                    let i = reg.index() as usize;
-                    self.vals[i * LANES + lane] = self.machine.read(reg) ^ (1u64 << bit);
-                    self.taint[i] |= 1u64 << lane;
-                    self.tainted_regs |= 1u64 << i;
+            // Fault injection on the boundary: the lanes of this cycle
+            // join, mirroring `Machine::flip`: flips into the zero
+            // register or past xlen are physically impossible and leave
+            // the lane clean. Lanes may fault different registers; a
+            // flipped bit always differs from the golden value, so the
+            // taint bit is always set.
+            while faults.get(lanes.next).is_some_and(|f| f.cycle == st.cycle) {
+                let lane = lanes.admit(ckpts);
+                let LaneFault { reg, bit, .. } = faults[lane];
+                if cfg.is_zero_reg(reg) || bit >= cfg.xlen {
+                    continue;
                 }
+                let i = reg.index() as usize;
+                self.vals[i * LANES + lane] = self.machine.read(reg) ^ (1u64 << bit);
+                self.taint[i] |= 1u64 << lane;
+                self.tainted_regs |= 1u64 << i;
             }
 
             // Divergence detection, *before* the shared execution mutates
@@ -658,28 +743,17 @@ impl<'p, 's> BatchRunner<'p, 's> {
             match step {
                 FlatStep::Goto { .. } => unreachable!("handled above"),
                 FlatStep::Exit { .. } => {
-                    // Every resident lane completes exactly like the golden
-                    // run: divergent outputs make it an SDC, a divergent
-                    // trace with intact outputs a Deviation.
-                    let sdc = lanes.active & lanes.sdc;
-                    lanes.retire(out, sdc, lanes.ended(FaultClass::Sdc, st.cycle));
-                    let deviated = lanes.active & lanes.hash_div;
-                    lanes.retire(out, deviated, lanes.ended(FaultClass::Deviation, st.cycle));
-                    lanes.retire(out, lanes.active, lanes.ended(FaultClass::Benign, st.cycle));
+                    lanes.finish(out, ckpts, 0, st.cycle);
                     break 'replay;
                 }
                 FlatStep::Ret { reads, .. } if st.stack.is_empty() => {
                     // Entry return: the read registers become outputs, so a
-                    // lane with any of them tainted emits divergent output;
-                    // a trace-diverged lane with intact outputs deviates.
-                    let mut bad = lanes.sdc;
+                    // lane with any of them tainted emits divergent output.
+                    let mut bad = 0;
                     for r in *reads {
                         bad |= self.taint_of(*r);
                     }
-                    lanes.retire(out, lanes.active & bad, lanes.ended(FaultClass::Sdc, st.cycle));
-                    let deviated = lanes.active & lanes.hash_div;
-                    lanes.retire(out, deviated, lanes.ended(FaultClass::Deviation, st.cycle));
-                    lanes.retire(out, lanes.active, lanes.ended(FaultClass::Benign, st.cycle));
+                    lanes.finish(out, ckpts, bad, st.cycle);
                     break 'replay;
                 }
                 FlatStep::Ret { .. } => {
@@ -688,11 +762,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     if cfg.num_regs == 32 {
                         let bad = self.taint_of(Reg::RA) & lanes.active;
                         if bad != 0 {
-                            lanes.retire(out, bad, lanes.ended(FaultClass::Crash, st.cycle));
+                            lanes.end(out, bad, FaultClass::Crash, st.cycle);
                             self.clear_lanes(bad);
-                            if lanes.active == 0 {
-                                break 'replay;
-                            }
                         }
                     }
                 }
@@ -708,22 +779,18 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         let a = self.lane_value(*rs1, lane, a_g);
                         let b = rs2.map(|r| self.lane_value(r, lane, b_g)).unwrap_or(0);
                         if eval_cond(&cfg, *cond, a, b) != taken_g {
-                            let run = self.fork_lane(golden, &st, &lanes, lane, counters);
+                            let (class, stop) = self.fork_lane(golden, &st, &lanes, lane, counters);
                             counters.forked_lanes += 1;
-                            lanes.retire(out, 1u64 << lane, run);
+                            lanes.retire(out, 1u64 << lane, class, stop, false);
                         }
                     }
                     self.clear_lanes(!lanes.active);
-                    if lanes.active == 0 {
-                        break 'replay;
-                    }
                 }
-                FlatStep::Inst { inst, .. } => {
-                    if !self.detect_inst(inst, &st, &mut lanes, out) {
-                        break 'replay;
-                    }
-                }
+                FlatStep::Inst { inst, .. } => self.detect_inst(inst, &st, &mut lanes, out),
                 FlatStep::Call { .. } | FlatStep::La { .. } => {}
+            }
+            if lanes.done() {
+                break 'replay;
             }
 
             // Shared golden execution of the step — the scalar
@@ -771,27 +838,24 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 }
             }
         }
-        counters.replay_steps += st.cycle - restored_at;
+        counters.replay_steps += st.cycle - segment;
 
         // Undo the batch, leaving the scratch machine in initial state.
-        self.machine.restore_regs(&self.initial_regs);
-        while let Some((w, old)) = self.dirty.pop() {
-            self.machine.memory.set_word(w, old);
-        }
+        self.rewind();
         self.clear_lanes(u64::MAX);
     }
 
     /// Divergence detection of one ordinary instruction: retires lanes
     /// whose memory access traps, routes divergent loads and stores
     /// through the lanes' own views of memory, and flags lanes printing a
-    /// divergent value. Returns `false` when the batch emptied.
+    /// divergent value.
     fn detect_inst(
         &mut self,
         inst: &Inst,
         st: &ExecState,
         lanes: &mut Lanes<'_>,
         out: &mut [LaneRun],
-    ) -> bool {
+    ) {
         let cfg = *self.machine.config();
         match inst {
             Inst::Load { base, offset, width, signed, .. } => {
@@ -812,7 +876,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     m &= m - 1;
                     let (addr, trap) = self.lane_addr(*base, *offset, size, lane, g_addr);
                     if trap {
-                        lanes.retire(out, 1u64 << lane, lanes.ended(FaultClass::Crash, st.cycle));
+                        lanes.end(out, 1u64 << lane, FaultClass::Crash, st.cycle);
                         continue;
                     }
                     let word = self.overlay.view(&self.machine.memory, (addr >> 2) as u32, lane);
@@ -848,7 +912,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     m &= m - 1;
                     let (addr, trap) = self.lane_addr(*base, *offset, size, lane, g_addr);
                     if trap {
-                        lanes.retire(out, bit, lanes.ended(FaultClass::Crash, st.cycle));
+                        lanes.end(out, bit, FaultClass::Crash, st.cycle);
                         continue;
                     }
                     let val = self.lane_value(*rs, lane, g_rs) & mask;
@@ -887,7 +951,6 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
             _ => {}
         }
-        lanes.active != 0
     }
 
     /// Shared execution of one ordinary instruction plus the lane taint

@@ -491,6 +491,29 @@ exit:
     }
 
     #[test]
+    fn sampled_shards_fill_whole_batches() {
+        // A batch takes 64 consecutive faults of its shard in
+        // injection-cycle order, whatever their cycles: a shard of n runs
+        // executes ⌈n / 64⌉ batches.
+        let p = toy();
+        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
+        let sim = Simulator::new(&p);
+        let (golden, ckpts) = sim.run_golden_checkpointed(4);
+        let plan =
+            ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::sampled(5, 140, 2));
+        assert!(plan.runs() < plan.fault_space() as usize, "sampled");
+        let expected: u64 =
+            (0..plan.shard_count()).map(|s| plan.shard(s).len().div_ceil(64) as u64).sum();
+        assert_eq!(expected, 4, "two 70-run shards");
+        let tel = Telemetry::enabled();
+        let (_, stats) =
+            run_sharded_with(&sim, &golden, &ckpts, &plan, 2, None, "toy", &tel).unwrap();
+        assert_eq!(tel.snapshot().counter("campaign.batches"), Some(expected));
+        assert_eq!(stats.batches, expected);
+        assert_eq!(stats.batched_lanes, 140);
+    }
+
+    #[test]
     fn resume_rejects_mismatched_reports() {
         let p = toy();
         let bec = BecAnalysis::analyze(&p, &BecOptions::paper());

@@ -90,10 +90,10 @@ impl FaultOutcome {
 /// sites are included — they are exactly the claims a differential campaign
 /// must test.
 ///
-/// Occurrence-major order keeps every fault of one injection cycle — all
-/// read registers, all bits — contiguous, so the contiguous shard split
-/// preserves whole same-cycle groups and the bitsliced engine packs full
-/// batches out of each shard.
+/// The order is part of the report format: sampling draws from it, shards
+/// are contiguous chunks of it and report rows follow it. Execution order
+/// is free — the bitsliced engine sorts each shard by injection cycle to
+/// fill its batches — so the report bytes never depend on the engine.
 pub fn site_fault_space(
     program: &Program,
     bec: &BecAnalysis,
@@ -547,9 +547,7 @@ exit:
         assert!(space.len() > 288, "{}", space.len());
         assert!(space.iter().any(|f| f.masked));
         assert!(space.iter().any(|f| !f.masked));
-        // Canonical order is strictly increasing on the provenance key —
-        // occurrence-major, so every fault of one injection cycle is
-        // contiguous (full batches for the bitsliced engine).
+        // Canonical order is strictly increasing on the provenance key.
         let key = |f: &SitedFault| (f.func, f.point.0, f.occurrence, f.spec.reg, f.spec.bit);
         assert!(space.windows(2).all(|w| key(&w[0]) < key(&w[1])));
     }

@@ -6,14 +6,17 @@
 //! bitsliced batch with N converged lanes counts N, exactly like N scalar
 //! runs. Lanes whose stores diverge stay batched on a per-lane memory
 //! overlay; the overlay cases below pin that path against the scalar
-//! engine too.
+//! engine too. A batch takes 64 consecutive faults of its shard in
+//! injection-cycle order, and each lane joins the shared replay at its own
+//! cycle; the staggered-batch cases pin lane joining, gap skips and
+//! program-end admission.
 
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::Program;
-use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan};
+use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan, SitedFault};
 use bec_sim::{
-    default_checkpoint_interval, pool, Engine, ExecOutcome, FaultClass, PoolStats, SimLimits,
-    Simulator,
+    default_checkpoint_interval, pool, CheckpointLog, Engine, ExecOutcome, FaultClass, GoldenRun,
+    PoolStats, SimLimits, Simulator,
 };
 use bec_telemetry::{MetricsSnapshot, Telemetry};
 
@@ -97,32 +100,79 @@ exit:
     assert!(run.converged_at.is_none());
 }
 
-/// Runs `spec` over `program` on the scalar engine (two workers) and on
-/// both engines at every count in `workers`, and asserts every run agrees
-/// with the scalar one on the report bytes, the early-exit count (early
-/// exits count individual faults on both engines) and the per-fault cycle
-/// accounting (`campaign.simulated_cycles` and the `campaign.run_cycles`
-/// histogram). Returns the last bitsliced run's stats and metrics.
+/// Where a golden run captures its checkpoints.
+#[derive(Clone, Copy)]
+enum Grid {
+    /// The fixed grid `bec campaign` picks for the trace length.
+    Default,
+    /// A fixed grid of this interval (`--checkpoint-interval`).
+    Every(u64),
+    /// The block-entry-aligned adaptive grid studies use.
+    Aligned,
+}
+
+/// The campaign inputs of one program: a simulator whose budget the
+/// golden run fits, its checkpointed golden run and the classified fault
+/// space.
+struct Setup<'p> {
+    sim: Simulator<'p>,
+    golden: GoldenRun,
+    ckpts: CheckpointLog,
+    space: Vec<SitedFault>,
+}
+
+impl<'p> Setup<'p> {
+    fn new(label: &str, program: &'p Program, grid: Grid) -> Setup<'p> {
+        let probe = Simulator::new(program).run_golden();
+        assert_eq!(probe.result.outcome, ExecOutcome::Completed, "{label}: golden completes");
+        let budget = probe.cycles() * 2 + 100;
+        let sim = Simulator::with_limits(program, SimLimits { max_cycles: budget });
+        let (golden, ckpts) = match grid {
+            Grid::Default => {
+                sim.run_golden_checkpointed(default_checkpoint_interval(probe.cycles()))
+            }
+            Grid::Every(n) => sim.run_golden_checkpointed(n),
+            Grid::Aligned => sim.run_golden_aligned(),
+        };
+        let bec = BecAnalysis::analyze(program, &BecOptions::paper());
+        let space = site_fault_space(program, &bec, &golden);
+        Setup { sim, golden, ckpts, space }
+    }
+}
+
+/// Runs `spec` over `program` (default checkpoints) on the scalar engine
+/// (two workers) and on both engines at every count in `workers`; see
+/// [`assert_plan_agrees`].
 fn assert_engines_agree(
     label: &str,
     program: &Program,
     spec: CampaignSpec,
     workers: &[usize],
 ) -> (PoolStats, MetricsSnapshot) {
-    let probe = Simulator::new(program).run_golden();
-    assert_eq!(probe.result.outcome, ExecOutcome::Completed, "{label}: golden completes");
-    let budget = probe.cycles() * 2 + 100;
-    let sim = Simulator::with_limits(program, SimLimits { max_cycles: budget });
-    let (golden, ckpts) = sim.run_golden_checkpointed(default_checkpoint_interval(probe.cycles()));
-    let bec = BecAnalysis::analyze(program, &BecOptions::paper());
-    let plan = ShardPlan::build(site_fault_space(program, &bec, &golden), spec);
+    let setup = Setup::new(label, program, Grid::Default);
+    let plan = ShardPlan::build(setup.space.clone(), spec);
+    assert_plan_agrees(label, &setup, &plan, workers)
+}
 
+/// Runs `plan` on the scalar engine (two workers) and on both engines at
+/// every count in `workers`, and asserts every run agrees with the scalar
+/// one on the report bytes, the early-exit count (early exits count
+/// individual faults on both engines) and the per-fault cycle accounting
+/// (`campaign.simulated_cycles` and the `campaign.run_cycles` and
+/// `campaign.restore_distance` histograms). Returns the last bitsliced
+/// run's stats and metrics.
+fn assert_plan_agrees(
+    label: &str,
+    setup: &Setup<'_>,
+    plan: &ShardPlan,
+    workers: &[usize],
+) -> (PoolStats, MetricsSnapshot) {
+    let Setup { sim, golden, ckpts, .. } = setup;
     let run = |engine: Engine, workers: usize| {
         let tel = Telemetry::enabled();
-        let (report, stats) = pool::run_sharded_engine(
-            &sim, &golden, &ckpts, &plan, workers, None, label, engine, &tel,
-        )
-        .expect("pool runs");
+        let (report, stats) =
+            pool::run_sharded_engine(sim, golden, ckpts, plan, workers, None, label, engine, &tel)
+                .expect("pool runs");
         (report, stats, tel.snapshot())
     };
     let (baseline, base_stats, base_snap) = run(Engine::Scalar, 2);
@@ -140,11 +190,13 @@ fn assert_engines_agree(
             for name in ["campaign.runs", "campaign.simulated_cycles", "campaign.saved_cycles"] {
                 assert_eq!(snap.counter(name), base_snap.counter(name), "{what}: {name} deviates");
             }
-            assert_eq!(
-                snap.histogram("campaign.run_cycles"),
-                base_snap.histogram("campaign.run_cycles"),
-                "{what}: per-fault cycle accounting deviates"
-            );
+            for name in ["campaign.run_cycles", "campaign.restore_distance"] {
+                assert_eq!(
+                    snap.histogram(name),
+                    base_snap.histogram(name),
+                    "{what}: per-fault cycle accounting ({name}) deviates"
+                );
+            }
             if engine == Engine::Bitsliced {
                 assert!(stats.batches > 0, "{what}: never batched");
                 assert_eq!(stats.batched_lanes, report.runs(), "{what}: a fault skipped the lanes");
@@ -257,7 +309,9 @@ out:
 
 /// Generated full-surface programs (diamonds, loops, calls, scratch
 /// memory on a 16-bit machine): sampled reports are byte-identical across
-/// engines.
+/// engines — on the default grid, and sampled sparsely into two shards on
+/// aligned checkpoints, where lanes join across calls, returns and loop
+/// iterations, and batches empty out between distant lanes.
 #[test]
 fn generated_programs_match_across_engines() {
     let mut batched = 0;
@@ -271,6 +325,9 @@ fn generated_programs_match_across_engines() {
             &[2],
         );
         batched += stats.batched_lanes;
+        let setup = Setup::new(&label, &generated.program, Grid::Aligned);
+        let plan = ShardPlan::build(setup.space.clone(), CampaignSpec::sampled(seed, 160, 2));
+        assert_plan_agrees(&label, &setup, &plan, &[2]);
     }
     assert!(batched > 0);
 }
@@ -287,4 +344,122 @@ fn sampled_sha_matches_across_engines() {
     );
     assert!(stats.forked_lanes > 0);
     assert!(snap.counter("campaign.handoff_lanes").unwrap_or(0) > 0, "no lone lane handed off");
+}
+
+/// Distinct injection cycles summed over the shards of `plan`.
+fn shard_cycles(plan: &ShardPlan) -> u64 {
+    (0..plan.shard_count())
+        .map(|i| {
+            let mut cycles: Vec<u64> = plan.shard(i).iter().map(|f| f.spec.cycle).collect();
+            cycles.sort_unstable();
+            cycles.dedup();
+            cycles.len() as u64
+        })
+        .sum()
+}
+
+/// A sampled campaign on the study's aligned checkpoints: every batch
+/// holds lanes of many injection cycles, each joining the replay at its
+/// own cycle and accounting its cycles from its own checkpoint.
+#[test]
+fn sampled_batches_span_many_cycles() {
+    let program = bec_suite::bitcount::benchmark().compile().expect("compiles");
+    let setup = Setup::new("bitcount", &program, Grid::Aligned);
+    let plan = ShardPlan::build(setup.space.clone(), CampaignSpec::sampled(3052, 2000, 4));
+    let (stats, _) = assert_plan_agrees("bitcount", &setup, &plan, &[1, 2]);
+    assert_eq!(stats.batches, 4 * 8, "500-fault shards fill eight batches each");
+    assert!(shard_cycles(&plan) > 10 * stats.batches, "batches must span many cycles");
+}
+
+/// Faults whose window opens at the final cycle boundary (cycle == the
+/// golden cycle count: a call whose callee exits never returns to the
+/// caller's depth) are never injected by their scalar runs, which
+/// complete Benign. Their lanes are still pending when the replay reaches
+/// the program's end and join there.
+#[test]
+fn final_boundary_faults_join_at_program_end() {
+    let exits_in_callee = bec_ir::parse_program(
+        r#"
+func @finish(args=1, ret=none) {
+entry:
+    print a0
+    exit
+}
+func @main(args=0, ret=none) {
+entry:
+    li   a0, 0
+    li   t0, 40
+    j    loop
+loop:
+    add  a0, a0, t0
+    addi t0, t0, -1
+    bnez t0, loop, done
+done:
+    call @finish
+    ret
+}
+"#,
+    )
+    .unwrap();
+    let bitcount = bec_suite::bitcount::benchmark().compile().expect("compiles");
+    for (label, program) in [("exits-in-callee", &exits_in_callee), ("bitcount", &bitcount)] {
+        let setup = Setup::new(label, program, Grid::Default);
+        let end = setup.golden.cycles();
+        let at_end = setup.space.iter().filter(|f| f.spec.cycle == end).count();
+        assert!(at_end > 0, "{label}: no fault at the final boundary");
+        // The latest faults of the trace, in one shard: batches hold the
+        // final-boundary lanes behind lanes that join earlier.
+        let mut late = setup.space.clone();
+        late.sort_by_key(|f| f.spec.cycle);
+        let late = late.split_off(late.len().saturating_sub(at_end + 100));
+        assert!(late[0].spec.cycle < end, "{label}: only final-boundary faults");
+        let plan = ShardPlan::build(late, CampaignSpec::exhaustive(1));
+        assert_plan_agrees(label, &setup, &plan, &[1]);
+    }
+}
+
+/// Lanes far apart in one batch: each converges soon after it joins, so
+/// the batch empties between lanes and skips the gap — rewinds and
+/// restores the next lane's checkpoint — instead of replaying golden
+/// cycles no lane needs.
+#[test]
+fn distant_lanes_skip_the_gaps_between_them() {
+    let program = bec_ir::parse_program(
+        r#"
+func @main(args=0, ret=none) {
+entry:
+    li   t0, 0
+    li   t1, 3000
+    la   s0, @acc
+    j    loop
+loop:
+    andi t2, t1, 3
+    add  t0, t0, t2
+    sw   t0, 0(s0)
+    addi t1, t1, -1
+    bnez t1, loop, done
+done:
+    lw   a0, 0(s0)
+    print a0
+    exit
+}
+global acc: word[1] = { 0 }
+"#,
+    )
+    .unwrap();
+    let setup = Setup::new("gaps", &program, Grid::Every(16));
+    // Statically masked faults converge at the first checkpoint after
+    // their cycle; take 40 of them spread over the whole trace.
+    let mut masked: Vec<SitedFault> = setup.space.iter().filter(|f| f.masked).copied().collect();
+    masked.sort_by_key(|f| f.spec.cycle);
+    let stride = masked.len() / 40;
+    let distant: Vec<SitedFault> = masked.iter().step_by(stride).take(40).copied().collect();
+    let span = distant.last().unwrap().spec.cycle - distant[0].spec.cycle;
+    assert!(span > setup.golden.cycles() / 2, "lanes spread over the trace");
+    let plan = ShardPlan::build(distant, CampaignSpec::exhaustive(1));
+    let (stats, snap) = assert_plan_agrees("gaps", &setup, &plan, &[1]);
+    assert_eq!(stats.batches, 1);
+    assert_eq!(stats.early_exits, 40, "every masked lane converges");
+    let replayed = snap.counter("campaign.replay_steps").unwrap();
+    assert!(replayed < span / 4, "replayed {replayed} of a {span}-cycle span: no gap skipped");
 }
