@@ -4,7 +4,10 @@
 //! Runs the differential campaign on tiny suite workloads, asserts every
 //! report is byte-identical to the single-worker from-scratch scalar bytes
 //! (worker count, checkpoint interval, engine and early-exit never leak
-//! into the report), and prints wall time, runs/sec and speedups.
+//! into the report), and prints wall time, runs/sec and speedups. Each
+//! bitsliced row also reports the cost of its forked lanes' scalar tails:
+//! tail wall time (`campaign.tail_wall_ms`) per tail cycle, `tail_ns_per_cycle`
+//! (a gauge rounded to whole nanoseconds in the JSON baseline).
 //!
 //! ```text
 //! cargo run -p bec-bench --release --bin campaign_scaling -- \
@@ -58,6 +61,7 @@ struct EngineRow {
     handoff_lanes: u64,
     replay_steps: u64,
     tail_cycles: u64,
+    tail_ms: f64,
 }
 
 impl EngineRow {
@@ -81,6 +85,10 @@ impl EngineRow {
     /// divergence.
     fn fork_rate(&self) -> f64 {
         self.forked_lanes as f64 / self.batched_lanes.max(1) as f64
+    }
+    /// Scalar tail cost: tail wall time per tail cycle, in nanoseconds.
+    fn tail_ns_per_cycle(&self) -> f64 {
+        self.tail_ms * 1e6 / self.tail_cycles.max(1) as f64
     }
 }
 
@@ -143,6 +151,10 @@ fn main() {
         // seeded sample keeps the wall time bounded while still exercising
         // the bitsliced engine on its 12.6k-cycle golden trace.
         (bec_suite::aes::benchmark(), CampaignSpec::sampled(0, 10_000, 64)),
+        // sha, sampled the same way: the suite program whose forked lanes
+        // run the most scalar tail cycles through calls and sub-word
+        // memory.
+        (bec_suite::sha::benchmark(), CampaignSpec::sampled(0, 10_000, 64)),
     ];
     for (b, campaign_spec) in workloads {
         let program = b.compile().expect("benchmark compiles");
@@ -238,6 +250,7 @@ fn main() {
             handoff_lanes: bs_snap.counter("campaign.handoff_lanes").unwrap_or(0),
             replay_steps: bs_snap.counter("campaign.replay_steps").unwrap_or(0),
             tail_cycles: bs_snap.counter("campaign.tail_cycles").unwrap_or(0),
+            tail_ms: bs_snap.time_ms("campaign.tail_wall_ms").unwrap_or(0.0),
         });
 
         // Worker scaling of the default (bitsliced, checkpointed) engine.
@@ -344,7 +357,8 @@ fn main() {
                 "Ckpt speedup",
                 "Lane speedup",
                 "Occupancy",
-                "Fork rate"
+                "Fork rate",
+                "Tail ns/cycle"
             ],
             &engine_rows
                 .iter()
@@ -360,6 +374,7 @@ fn main() {
                     format!("{:.2}x", r.bitsliced_speedup()),
                     format!("{:.1}/64", r.lane_occupancy()),
                     format!("{:.1} %", r.fork_rate() * 1e2),
+                    format!("{:.1}", r.tail_ns_per_cycle()),
                 ])
                 .collect::<Vec<_>>(),
         )
@@ -409,9 +424,14 @@ fn main() {
             base.gauge(&format!("{prefix}.handoff_lanes"), r.handoff_lanes);
             base.gauge(&format!("{prefix}.replay_steps"), r.replay_steps);
             base.gauge(&format!("{prefix}.tail_cycles"), r.tail_cycles);
+            base.gauge(
+                &format!("{prefix}.tail_ns_per_cycle"),
+                r.tail_ns_per_cycle().round() as u64,
+            );
             base.time_ms(&format!("{prefix}.from_scratch_wall_ms"), r.scratch_ms);
             base.time_ms(&format!("{prefix}.checkpointed_wall_ms"), r.checkpointed_ms);
             base.time_ms(&format!("{prefix}.bitsliced_wall_ms"), r.bitsliced_ms);
+            base.time_ms(&format!("{prefix}.tail_wall_ms"), r.tail_ms);
             base.time_ms(&format!("{prefix}.cold_prepare_wall_ms"), r.cold_prepare_ms);
             base.time_ms(&format!("{prefix}.warm_prepare_wall_ms"), r.warm_prepare_ms);
         }

@@ -28,11 +28,17 @@
 //! from the modeled scalar run.** The batch only ever executes steps whose
 //! control effect is identical for every resident lane, and it tracks each
 //! lane's registers (taint) and memory (overlay) exactly. The moment a
-//! lane's *would-be* control flow diverges — a branch condition flips — the
-//! lane is *forked*: its full scalar state (golden replay state with its
-//! tainted registers and overlay words patched in) is handed to the scalar
-//! interpreter (`exec::run_tail`), which executes the tail exactly as the
-//! scalar engine would have from the same cycle. Divergent addresses that
+//! lane's *would-be* control flow diverges — a branch condition flips and
+//! the branch's edges are not one and the same path — the lane is
+//! *forked*: its full scalar state (golden replay state with its tainted
+//! registers and overlay words patched in) is handed to the scalar tail
+//! interpreter (`exec::run_tail`, a loop over ops decoded once per
+//! program), which executes the tail exactly as the scalar engine would
+//! have from the same cycle. A lane whose trace already differs from the
+//! golden run's — flagged below, or forked onto a branch edge that leads
+//! to a different step — cannot end Benign, so its tail skips the trace
+//! hash and is classified by outcome and outputs; any other fork keeps the
+//! hash and is classified like a scalar run. Divergent addresses that
 //! are misaligned or out of bounds retire the lane directly as a crash —
 //! the same trap the scalar run takes on that instruction. Every other
 //! divergence stays batched: a divergent `print` (flagged SDC, output patch
@@ -56,9 +62,12 @@
 //! report byte-identity across engines and worker counts.
 
 use crate::checkpoint::CheckpointLog;
-use crate::exec::{run_tail, step_inst, ExecState, FlatStep, StepResult};
+use crate::exec::{
+    call_seed, call_token, effective_address, extend_load, run_tail, step_inst, trace_token,
+    width_mask, Edges, ExecState, FlatStep, StepResult, MAX_CALL_DEPTH,
+};
 use crate::machine::{Machine, Memory};
-use crate::runner::{GoldenRun, RunResult, Simulator};
+use crate::runner::{GoldenRun, Simulator};
 use crate::shard::SitedFault;
 use crate::trace::FaultClass;
 use crate::ExecOutcome;
@@ -66,6 +75,7 @@ use bec_ir::semantics::{eval_alu, eval_cond};
 use bec_ir::{Inst, Reg};
 use bec_telemetry::Histogram;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Lanes per batch: one per bit of the `u64` taint masks.
 const LANES: usize = 64;
@@ -130,6 +140,8 @@ pub(crate) struct BatchCounters {
     pub handoff_lanes: u64,
     /// Cycles the scalar tails of forked and handed-off lanes executed.
     pub tail_cycles: u64,
+    /// Wall time spent in those tails (nondeterministic; telemetry only).
+    pub tail_time: Duration,
     /// Cycles the shared batch replays executed (once per batch, however
     /// many lanes rode along).
     pub replay_steps: u64,
@@ -322,11 +334,6 @@ impl Overlay {
     }
 }
 
-/// The mask of the low `size` bytes.
-fn size_mask(size: u64) -> u64 {
-    (1u64 << (size * 8)) - 1
-}
-
 /// The reusable batch execution context of one worker: one scratch
 /// machine, the dirty-word undo log, and the lane state arrays, reused
 /// across every batch the worker runs.
@@ -483,9 +490,9 @@ impl<'p, 's> BatchRunner<'p, 's> {
         if self.taint_of(base) >> lane & 1 == 0 {
             return (golden, false);
         }
-        let cfg = self.machine.config();
-        let addr = cfg
-            .truncate(self.vals[base.index() as usize * LANES + lane].wrapping_add(offset as u64));
+        let mask = self.machine.config().mask();
+        let addr =
+            effective_address(self.vals[base.index() as usize * LANES + lane], offset as u64, mask);
         let trap = !addr.is_multiple_of(size)
             || addr.checked_add(size).is_none_or(|end| end > self.machine.memory.len() as u64);
         (addr, trap)
@@ -494,15 +501,17 @@ impl<'p, 's> BatchRunner<'p, 's> {
     /// Forks lane `lane` out of the batch at the boundary state `st`: the
     /// lane's scalar state — its tainted registers and overlay words — is
     /// materialized on the shared machine, its tail runs to a terminal
-    /// outcome through the scalar interpreter, and the machine is restored
-    /// for the replay to continue. Returns the lane's class and the cycle
-    /// its run stopped at.
+    /// outcome through the scalar tail interpreter, and the machine is
+    /// restored for the replay to continue. `split` marks a fork at a
+    /// branch whose edges lead to different steps. Returns the lane's
+    /// class and the cycle its run stopped at.
     fn fork_lane(
         &mut self,
         golden: &GoldenRun,
         st: &ExecState,
         lanes: &Lanes<'_>,
         lane: usize,
+        split: bool,
         counters: &mut BatchCounters,
     ) -> (FaultClass, u64) {
         let bit = 1u64 << lane;
@@ -527,7 +536,6 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
         }
         let sdc = lanes.sdc & bit != 0;
-        let diverged = lanes.hash_div & bit != 0;
         let mut outputs = st.outputs.clone();
         if sdc {
             for &(idx, l, v) in &self.out_patches {
@@ -536,6 +544,10 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 }
             }
         }
+        // A lane whose trace already differs from the golden run's — a
+        // divergent print, load or store, or a branch onto another path —
+        // cannot end Benign, so its tail skips the trace hash.
+        let trace_diverged = sdc || lanes.hash_div & bit != 0 || split;
         let state = ExecState {
             hash: st.hash,
             outputs,
@@ -549,13 +561,16 @@ impl<'p, 's> BatchRunner<'p, 's> {
             // Tails track no digest: they never check convergence.
             mem_digest: 0,
         };
-        let raw = run_tail(
+        let started = Instant::now();
+        let result = run_tail(
             &self.sim.flat,
             self.sim.limits.max_cycles,
             state,
             &mut self.machine,
             &mut self.dirty,
+            !trace_diverged,
         );
+        counters.tail_time += started.elapsed();
         // Undo the tail: pop its dirty words in reverse and restore the
         // replay's register file, leaving the shared state exactly at the
         // boundary again.
@@ -564,19 +579,17 @@ impl<'p, 's> BatchRunner<'p, 's> {
             self.machine.memory.set_word(w, old);
         }
         self.machine.restore_regs(&self.reg_snap);
-        counters.tail_cycles += raw.cycles - st.cycle;
-        let class = if sdc || diverged {
-            // The tail ran with the golden-prefix hash, not the lane's own
-            // (the divergent print/load/store already changed it), so
-            // classify from the outcome and the outputs alone: a completed
+        counters.tail_cycles += result.cycles - st.cycle;
+        let class = if trace_diverged {
+            // Classify from the outcome and the outputs alone: a completed
             // run cannot be Benign (its trace differs), and is a Deviation
             // exactly when its outputs still match the golden run's (never
             // the case once a divergent print was emitted).
-            match raw.outcome {
+            match result.outcome {
                 ExecOutcome::Crashed(_) => FaultClass::Crash,
                 ExecOutcome::Timeout => FaultClass::Hang,
                 ExecOutcome::Completed => {
-                    if raw.outputs == golden.result.outputs {
+                    if result.outputs == golden.result.outputs {
                         FaultClass::Deviation
                     } else {
                         FaultClass::Sdc
@@ -584,15 +597,9 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 }
             }
         } else {
-            let result = RunResult {
-                outcome: raw.outcome,
-                outputs: raw.outputs,
-                cycles: raw.cycles,
-                hash: raw.hash,
-            };
             result.classify(&golden.result)
         };
-        (class, raw.cycles)
+        (class, result.cycles)
     }
 
     /// Undoes every write to the scratch machine since it was last in
@@ -712,7 +719,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 && lanes.candidates() == 0
             {
                 let lane = lanes.active.trailing_zeros() as usize;
-                let (class, stop) = self.fork_lane(golden, &st, &lanes, lane, counters);
+                let (class, stop) = self.fork_lane(golden, &st, &lanes, lane, false, counters);
                 counters.handoff_lanes += 1;
                 lanes.retire(out, lanes.active, class, stop, false);
                 break 'replay;
@@ -767,7 +774,10 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         }
                     }
                 }
-                FlatStep::Branch { cond, rs1, rs2, .. } => {
+                // A flipped condition changes nothing when both edges are
+                // the same path: the lane stays batched.
+                FlatStep::Branch { edges: Edges::Same, .. } => {}
+                FlatStep::Branch { cond, rs1, rs2, edges, .. } => {
                     let a_g = self.machine.read(*rs1);
                     let b_g = rs2.map(|r| self.machine.read(r)).unwrap_or(0);
                     let taken_g = eval_cond(&cfg, *cond, a_g, b_g);
@@ -779,7 +789,11 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         let a = self.lane_value(*rs1, lane, a_g);
                         let b = rs2.map(|r| self.lane_value(r, lane, b_g)).unwrap_or(0);
                         if eval_cond(&cfg, *cond, a, b) != taken_g {
-                            let (class, stop) = self.fork_lane(golden, &st, &lanes, lane, counters);
+                            // On split edges the lane's next trace token
+                            // already differs from the golden run's.
+                            let split = *edges == Edges::Split;
+                            let (class, stop) =
+                                self.fork_lane(golden, &st, &lanes, lane, split, counters);
                             counters.forked_lanes += 1;
                             lanes.retire(out, 1u64 << lane, class, stop, false);
                         }
@@ -797,7 +811,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
             // interpreter's own code wherever possible, so hash, outputs
             // and dirty accounting stay bit-identical.
             let point = step.point();
-            st.hash.update((st.func as u64) << 32 | point.0 as u64);
+            st.hash.update(trace_token(st.func, point));
             st.cycle += 1;
             match step {
                 FlatStep::Goto { .. } | FlatStep::Exit { .. } => unreachable!("handled above"),
@@ -813,9 +827,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     // The golden run cannot overflow the stack (it
                     // completed), and the token only depends on shared
                     // state, so every lane's RA becomes the same token.
-                    debug_assert!(st.stack.len() < 512, "golden replay cannot overflow");
-                    let token =
-                        cfg.truncate(0x4000_0000 ^ (st.stack.len() as u64) << 16 ^ point.0 as u64);
+                    debug_assert!(st.stack.len() < MAX_CALL_DEPTH, "golden replay cannot overflow");
+                    let token = call_token(call_seed(point), st.stack.len(), cfg.mask());
                     self.machine.write(Reg::RA, token);
                     self.set_taint(Reg::RA, 0);
                     st.stack.push(crate::checkpoint::FrameSnap {
@@ -868,7 +881,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 // golden address reads that word instead.
                 self.load_divergent = 0;
                 let size = width.bytes();
-                let g_addr = cfg.truncate(self.machine.read(*base).wrapping_add(*offset as u64));
+                let g_addr =
+                    effective_address(self.machine.read(*base), *offset as u64, cfg.mask());
                 let held = self.overlay.holders((g_addr >> 2) as u32);
                 let mut m = (self.taint_of(*base) | held) & lanes.active;
                 while m != 0 {
@@ -880,8 +894,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         continue;
                     }
                     let word = self.overlay.view(&self.machine.memory, (addr >> 2) as u32, lane);
-                    let raw = (word as u64 >> ((addr & 3) * 8)) & size_mask(size);
-                    self.lane_results[lane] = cfg.truncate(Self::extend_load(raw, *signed, size));
+                    let raw = (word as u64 >> ((addr & 3) * 8)) & width_mask(size);
+                    self.lane_results[lane] = cfg.truncate(extend_load(raw, *signed, size));
                     self.load_divergent |= 1u64 << lane;
                     if addr != g_addr {
                         lanes.hash_div |= 1u64 << lane;
@@ -899,10 +913,11 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 // word unchanged in the lane.
                 self.store_views.clear();
                 let size = width.bytes();
-                let mask = size_mask(size);
+                let mask = width_mask(size);
                 let g_rs = self.machine.read(*rs);
                 let g_val = g_rs & mask;
-                let g_addr = cfg.truncate(self.machine.read(*base).wrapping_add(*offset as u64));
+                let g_addr =
+                    effective_address(self.machine.read(*base), *offset as u64, cfg.mask());
                 let g_widx = (g_addr >> 2) as u32;
                 let held = self.overlay.holders(g_widx);
                 let mut m = (self.taint_of(*base) | self.taint_of(*rs) | held) & lanes.active;
@@ -1032,21 +1047,6 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 }
             }
             self.set_taint(rd, taint);
-        }
-    }
-
-    /// Sign- or zero-extends a raw loaded value from the access width —
-    /// the scalar interpreter's own extension rule.
-    fn extend_load(raw: u64, signed: bool, size: u64) -> u64 {
-        if !signed {
-            return raw;
-        }
-        let bits = size * 8;
-        let sign = 1u64 << (bits - 1);
-        if raw & sign != 0 {
-            raw | !((1u64 << bits) - 1)
-        } else {
-            raw
         }
     }
 

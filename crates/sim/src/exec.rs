@@ -1,4 +1,4 @@
-//! The instruction interpreter.
+//! The instruction interpreters.
 //!
 //! Programs are pre-decoded into a flat per-function step stream
 //! (`FlatProgram`): block bodies and terminators laid out contiguously,
@@ -7,31 +7,43 @@
 //! Execution is a `(function index, flat pc)` walk with no per-step
 //! `BlockId`/`PointLayout` lookups and no per-call name resolution.
 //!
-//! The interpreter runs against a caller-provided [`Machine`] in initial
-//! state and records every written memory word into a dirty list, so a
-//! campaign worker can reuse one scratch machine across millions of runs
-//! (undoing only the dirty words) instead of allocating a fresh address
-//! space per fault.
+//! The interpreters run against a caller-provided [`Machine`] and record
+//! every written memory word into a dirty list, so a campaign worker can
+//! reuse one scratch machine across millions of runs (undoing only the
+//! dirty words) instead of allocating a fresh address space per fault.
 //!
-//! Three modes share one loop:
+//! Two loops share one definition of every instruction effect (the
+//! semantics in [`bec_ir::semantics`] plus the memory, extension and call
+//! token helpers below):
 //!
-//! * **golden** — full instrumentation (profile, cycle map) and optional
-//!   periodic [`Checkpoint`] capture;
-//! * **from-scratch fault run** — the PR 2 behavior: execute from cycle 0
-//!   with one injected bit flip;
-//! * **resumed fault run** — restore the nearest checkpoint at or before
-//!   the injection cycle, execute only the suffix, and after the injection
-//!   compare state against the golden checkpoints at aligned cycles; full
-//!   equality (modulo dynamically dead registers) proves the remaining
-//!   trace is the golden suffix and the run early-exits as converged
-//!   (classified Benign by the caller).
+//! * `run` serves every instrumented mode:
+//!   * **golden**: full instrumentation (profile, cycle map) and optional
+//!     periodic [`Checkpoint`] capture;
+//!   * **from-scratch fault run**: execute from cycle 0 with one injected
+//!     bit flip;
+//!   * **resumed fault run**: restore the nearest checkpoint at or before
+//!     the injection cycle, execute only the suffix, and after the
+//!     injection compare state against the golden checkpoints at aligned
+//!     cycles; full equality (modulo dynamically dead registers) proves
+//!     the remaining trace is the golden suffix and the run early-exits as
+//!     converged (classified Benign by the caller).
+//! * `run_tail` runs the tail of a forked bitsliced lane to its end. It
+//!   walks a dense op array decoded once per program (`Op`: absolute op
+//!   indices across functions, register-file slots, pre-truncated
+//!   immediates) over a local copy of the register file, with none of the
+//!   capture, tape, profile, cycle-map, resume or digest machinery, and
+//!   may skip the trace hash of a lane whose trace already diverged.
 
 use crate::checkpoint::{mem_mix, Checkpoint, CheckpointLog, FrameSnap};
-use crate::machine::{FaultSpec, Machine};
+use crate::machine::{FaultSpec, Machine, Memory};
+use crate::runner::RunResult;
 use crate::trace::TraceHash;
 use bec_core::ExecProfile;
 use bec_ir::semantics::{eval_alu, eval_cond};
-use bec_ir::{AluOp, Cond, Inst, PointId, PointLayout, Program, Reg, RegMask, Terminator};
+use bec_ir::{
+    AluOp, Cond, Inst, MachineConfig, MemWidth, PointId, PointLayout, Program, Reg, RegMask,
+    Terminator,
+};
 
 /// Why a run trapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -71,11 +83,34 @@ pub(crate) enum FlatStep<'p> {
     /// event).
     Goto { target: u32 },
     /// Conditional branch between two flat indices.
-    Branch { point: PointId, cond: Cond, rs1: Reg, rs2: Option<Reg>, taken: u32, fall: u32 },
+    Branch {
+        point: PointId,
+        cond: Cond,
+        rs1: Reg,
+        rs2: Option<Reg>,
+        taken: u32,
+        fall: u32,
+        edges: Edges,
+    },
     /// Program exit.
     Exit { point: PointId },
     /// Function return.
     Ret { point: PointId, reads: &'p [Reg] },
+}
+
+/// Where a branch's two edges lead, followed through any gotos: what a
+/// run whose branch condition flips has in common with the unflipped run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Edges {
+    /// Both edges reach the same step through the same number of gotos:
+    /// the flipped run's state is the unflipped run's.
+    Same,
+    /// Both edges reach the same step through different numbers of gotos:
+    /// the trace is the same, the step count is not.
+    Rejoin,
+    /// The edges reach different steps (or a goto cycle): the flipped
+    /// run's next trace token differs.
+    Split,
 }
 
 impl FlatStep<'_> {
@@ -111,11 +146,20 @@ impl FlatFunc<'_> {
     }
 }
 
-/// The whole program, pre-decoded for the interpreter.
+/// The whole program, pre-decoded for the interpreters.
 #[derive(Clone, Debug)]
 pub(crate) struct FlatProgram<'p> {
     pub(crate) funcs: Vec<FlatFunc<'p>>,
     pub(crate) entry: u32,
+    /// Every function's steps decoded into one dense array for
+    /// [`run_tail`] (empty on machines whose registers do not fit the
+    /// byte slots below [`SINK_SLOT`]; their campaigns never batch, so
+    /// they never run tails).
+    ops: Vec<Op>,
+    /// Index of each function's first op in `ops`.
+    bases: Vec<u32>,
+    /// Register-file slots entry returns read, indexed by `OpKind::Ret`.
+    ret_reads: Vec<u8>,
 }
 
 impl<'p> FlatProgram<'p> {
@@ -127,8 +171,94 @@ impl<'p> FlatProgram<'p> {
     /// [`bec_ir::verify_program`] first.
     pub(crate) fn of(program: &'p Program) -> FlatProgram<'p> {
         let entry = program.function_index(&program.entry).expect("entry exists") as u32;
-        let funcs = program.functions.iter().map(|f| flatten(program, f)).collect();
-        FlatProgram { funcs, entry }
+        let funcs: Vec<FlatFunc<'p>> =
+            program.functions.iter().map(|f| flatten(program, f)).collect();
+        let mut bases = Vec::with_capacity(funcs.len());
+        let mut n = 0u32;
+        for f in &funcs {
+            bases.push(n);
+            n += f.steps.len() as u32;
+        }
+        let mut flat = FlatProgram { funcs, entry, ops: Vec::new(), bases, ret_reads: Vec::new() };
+        if program.config.num_regs <= u32::from(SINK_SLOT) {
+            flat.decode(&program.config);
+        }
+        flat
+    }
+
+    /// Decodes every step into `ops`: absolute op indices across
+    /// functions, register-file slots, pre-truncated immediates and `la`
+    /// addresses, and each cycle-consuming op's trace token.
+    fn decode(&mut self, cfg: &MachineConfig) {
+        let mask = cfg.mask();
+        let rd = |r: Reg| write_slot(cfg, r);
+        let rs = |r: Reg| read_slot(cfg, r);
+        let mut ops = Vec::with_capacity(self.funcs.iter().map(|f| f.steps.len()).sum());
+        for (fi, f) in self.funcs.iter().enumerate() {
+            let base = self.bases[fi];
+            for (pc, step) in f.steps.iter().enumerate() {
+                let kind = match *step {
+                    FlatStep::Goto { target } => OpKind::Goto { target: base + target },
+                    FlatStep::Inst { inst, .. } => match *inst {
+                        Inst::Alu { op, rd: d, rs1, rs2 } => {
+                            OpKind::Alu { op, rd: rd(d), rs1: rs(rs1), rs2: rs(rs2) }
+                        }
+                        Inst::AluImm { op, rd: d, rs1, imm } => {
+                            OpKind::AluImm { op, rd: rd(d), rs1: rs(rs1), imm: imm as u64 & mask }
+                        }
+                        Inst::Li { rd: d, imm } => OpKind::Li { rd: rd(d), imm: imm as u64 & mask },
+                        Inst::Mv { rd: d, rs: s } => OpKind::Mv { rd: rd(d), rs: rs(s) },
+                        Inst::Neg { rd: d, rs: s } => OpKind::Neg { rd: rd(d), rs: rs(s) },
+                        Inst::Seqz { rd: d, rs: s } => OpKind::Seqz { rd: rd(d), rs: rs(s) },
+                        Inst::Snez { rd: d, rs: s } => OpKind::Snez { rd: rd(d), rs: rs(s) },
+                        Inst::Load { rd: d, base: b, offset, width, signed } => OpKind::Load {
+                            rd: rd(d),
+                            base: rs(b),
+                            width,
+                            signed,
+                            offset: offset as u64 & mask,
+                        },
+                        Inst::Store { rs: s, base: b, offset, width } => OpKind::Store {
+                            rs: rs(s),
+                            base: rs(b),
+                            width,
+                            offset: offset as u64 & mask,
+                        },
+                        Inst::Print { rs: s } => OpKind::Print { rs: rs(s) },
+                        Inst::Nop => OpKind::Nop,
+                        Inst::La { .. } | Inst::Call { .. } => {
+                            unreachable!("pre-resolved during flattening")
+                        }
+                    },
+                    FlatStep::La { rd: d, addr, .. } => OpKind::Li { rd: rd(d), imm: addr & mask },
+                    FlatStep::Call { point, callee } => OpKind::Call {
+                        entry: self.bases[callee as usize] + self.funcs[callee as usize].entry_pc,
+                        func: fi as u32,
+                        ret_pc: pc as u32 + 1,
+                        seed: call_seed(point),
+                    },
+                    FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => OpKind::Branch {
+                        cond,
+                        rs1: rs(rs1),
+                        rs2: rs2.map_or(ZERO_SLOT, rs),
+                        taken: base + taken,
+                        fall: base + fall,
+                    },
+                    FlatStep::Exit { .. } => OpKind::Exit,
+                    FlatStep::Ret { reads, .. } => {
+                        let at = self.ret_reads.len() as u32;
+                        self.ret_reads.extend(reads.iter().map(|&r| rs(r)));
+                        OpKind::Ret { reads: at, count: reads.len() as u32 }
+                    }
+                };
+                let token = match step {
+                    FlatStep::Goto { .. } => 0,
+                    _ => trace_token(fi as u32, step.point()),
+                };
+                ops.push(Op { token, kind });
+            }
+        }
+        self.ops = ops;
     }
 }
 
@@ -168,12 +298,246 @@ fn flatten<'p>(program: &'p Program, f: &'p bec_ir::Function) -> FlatFunc<'p> {
                 rs2: *rs2,
                 taken: starts[taken.index()],
                 fall: starts[fallthrough.index()],
+                edges: Edges::Split,
             },
             Terminator::Exit => FlatStep::Exit { point },
             Terminator::Ret { reads } => FlatStep::Ret { point, reads },
         });
     }
+    // The step an edge lands on and the gotos it passes; a goto cycle
+    // lands nowhere.
+    let landing = |mut pc: u32| {
+        for gotos in 0..steps.len() {
+            match steps[pc as usize] {
+                FlatStep::Goto { target } => pc = target,
+                _ => return Some((pc, gotos)),
+            }
+        }
+        None
+    };
+    let edges: Vec<Edges> = steps
+        .iter()
+        .map(|s| match *s {
+            FlatStep::Branch { taken, fall, .. } => match (landing(taken), landing(fall)) {
+                (Some(t), Some(f)) if t == f => Edges::Same,
+                (Some((t, _)), Some((f, _))) if t == f => Edges::Rejoin,
+                _ => Edges::Split,
+            },
+            _ => Edges::Split,
+        })
+        .collect();
+    for (s, e) in steps.iter_mut().zip(edges) {
+        if let FlatStep::Branch { edges, .. } = s {
+            *edges = e;
+        }
+    }
     FlatFunc { steps, entry_pc: starts[f.entry().index()], block_starts: starts }
+}
+
+/// The trace token of the step at `point` of function `func`: the first
+/// word every cycle absorbs into the trace hash.
+pub(crate) fn trace_token(func: u32, point: PointId) -> u64 {
+    (func as u64) << 32 | point.0 as u64
+}
+
+/// The local register-file slot reads of the hardwired zero register, and
+/// a branch's missing `rs2`, use: never written, so always 0.
+const ZERO_SLOT: u8 = u8::MAX;
+
+/// The local register-file slot writes to the hardwired zero register
+/// use: written, never read.
+const SINK_SLOT: u8 = u8::MAX - 1;
+
+/// The local register-file slot a read of `r` uses.
+fn read_slot(cfg: &MachineConfig, r: Reg) -> u8 {
+    if cfg.is_zero_reg(r) {
+        ZERO_SLOT
+    } else {
+        r.index() as u8
+    }
+}
+
+/// The local register-file slot a write to `r` uses.
+fn write_slot(cfg: &MachineConfig, r: Reg) -> u8 {
+    if cfg.is_zero_reg(r) {
+        SINK_SLOT
+    } else {
+        r.index() as u8
+    }
+}
+
+/// One decoded op of [`run_tail`].
+#[derive(Clone, Copy, Debug)]
+struct Op {
+    /// The trace token a cycle-consuming op absorbs (0 for gotos).
+    token: u64,
+    kind: OpKind,
+}
+
+/// What an [`Op`] does. Register operands are local register-file slots,
+/// control targets are absolute op indices, and immediates, offsets and
+/// `la` addresses (decoded as `Li`) are truncated to the machine word.
+#[derive(Clone, Copy, Debug)]
+enum OpKind {
+    Alu {
+        op: AluOp,
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+    },
+    AluImm {
+        op: AluOp,
+        rd: u8,
+        rs1: u8,
+        imm: u64,
+    },
+    Li {
+        rd: u8,
+        imm: u64,
+    },
+    Mv {
+        rd: u8,
+        rs: u8,
+    },
+    Neg {
+        rd: u8,
+        rs: u8,
+    },
+    Seqz {
+        rd: u8,
+        rs: u8,
+    },
+    Snez {
+        rd: u8,
+        rs: u8,
+    },
+    Load {
+        rd: u8,
+        base: u8,
+        width: MemWidth,
+        signed: bool,
+        offset: u64,
+    },
+    Store {
+        rs: u8,
+        base: u8,
+        width: MemWidth,
+        offset: u64,
+    },
+    Print {
+        rs: u8,
+    },
+    Nop,
+    /// A call: the callee's entry op, then the caller function and return
+    /// pc a [`FrameSnap`] records, and the call's return-address token
+    /// seed (see [`call_token`]).
+    Call {
+        entry: u32,
+        func: u32,
+        ret_pc: u32,
+        seed: u32,
+    },
+    Goto {
+        target: u32,
+    },
+    Branch {
+        cond: Cond,
+        rs1: u8,
+        rs2: u8,
+        taken: u32,
+        fall: u32,
+    },
+    Exit,
+    /// A return; an entry return outputs `ret_reads[reads..][..count]`.
+    Ret {
+        reads: u32,
+        count: u32,
+    },
+}
+
+/// The effective address of a memory access: base plus offset, wrapped to
+/// the machine word.
+pub(crate) fn effective_address(base: u64, offset: u64, xlen_mask: u64) -> u64 {
+    base.wrapping_add(offset) & xlen_mask
+}
+
+/// The low bits a memory access of `size` bytes moves.
+pub(crate) fn width_mask(size: u64) -> u64 {
+    if size >= 8 {
+        u64::MAX
+    } else {
+        (1 << (size * 8)) - 1
+    }
+}
+
+/// A loaded value: the raw bits of a `size`-byte access, sign-extended
+/// from the access width when `signed` (truncation to the machine word is
+/// left to the register write).
+pub(crate) fn extend_load(raw: u64, signed: bool, size: u64) -> u64 {
+    if signed && raw >> (size * 8 - 1) & 1 != 0 {
+        raw | !width_mask(size)
+    } else {
+        raw
+    }
+}
+
+/// The size-aligned load of `size` bytes at `addr`, or the trap it takes.
+fn load(memory: &Memory, addr: u64, size: u64) -> Result<u64, CrashKind> {
+    if !addr.is_multiple_of(size) {
+        return Err(CrashKind::Misaligned);
+    }
+    memory.load(addr, size).ok_or(CrashKind::MemOutOfBounds)
+}
+
+/// The size-aligned store of the `size`-byte `value` at `addr`, logging
+/// the touched word's previous value in `dirty`. Returns the word index
+/// and that previous value (a size-aligned store of ≤4 bytes changes
+/// exactly one word), or the trap the store takes.
+fn store(
+    memory: &mut Memory,
+    addr: u64,
+    size: u64,
+    value: u64,
+    dirty: &mut Vec<(u32, u32)>,
+) -> Result<(u32, u32), CrashKind> {
+    if !addr.is_multiple_of(size) {
+        return Err(CrashKind::Misaligned);
+    }
+    let widx = (addr >> 2) as u32;
+    let old = memory.word(widx);
+    if !memory.store(addr, size, value) {
+        return Err(CrashKind::MemOutOfBounds);
+    }
+    dirty.push((widx, old));
+    Ok((widx, old))
+}
+
+/// The trace-hash word opening a load or store event at `addr`; the
+/// loaded or stored bits follow it.
+fn access_event(kind: u64, addr: u64) -> u64 {
+    kind ^ addr.rotate_left(8)
+}
+
+/// Event kinds of [`access_event`].
+const LOAD_EVENT: u64 = 0x10;
+const STORE_EVENT: u64 = 0x20;
+/// The trace-hash word preceding a printed value.
+const PRINT_EVENT: u64 = 0x30;
+/// The trace-hash word preceding each value an entry return outputs.
+const OUTPUT_EVENT: u64 = 0x40;
+
+/// Call depth at which a further call traps as a stack overflow.
+pub(crate) const MAX_CALL_DEPTH: usize = 512;
+
+/// The return-address token seed of a call at `point`.
+pub(crate) fn call_seed(point: PointId) -> u32 {
+    0x4000_0000 ^ point.0
+}
+
+/// The synthetic return-address token a call with seed `seed` made at call
+/// depth `depth` leaves in `ra`; the matching return checks it.
+pub(crate) fn call_token(seed: u32, depth: usize, xlen_mask: u64) -> u64 {
+    (seed as u64 ^ (depth as u64) << 16) & xlen_mask
 }
 
 /// The per-cycle word stream of a recording run's trace hash: everything
@@ -485,9 +849,7 @@ pub(crate) fn apply_rw_backward(live: &mut [u64], ev: &RwEvent, xlen_mask: u64) 
 /// tracking). `tape` additionally records every absorbed trace-hash word,
 /// segmented per cycle (substrate recording runs). `resume` restores the
 /// nearest checkpoint at or before the fault cycle and enables the
-/// convergence early-exit (fault runs; requires `fault`). `start` begins
-/// execution from an explicit mid-run state instead (forked bitsliced
-/// lanes; the machine must already hold that state).
+/// convergence early-exit (fault runs; requires `fault`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     flat: &FlatProgram<'_>,
@@ -497,7 +859,6 @@ pub(crate) fn run(
     mut capture: Option<&mut CheckpointLog>,
     mut tape: Option<&mut HashTape>,
     resume: Option<ResumeCtx<'_>>,
-    start: Option<ExecState>,
     machine: &mut Machine,
     dirty: &mut Vec<(u32, u32)>,
 ) -> RunVerdict {
@@ -520,9 +881,8 @@ pub(crate) fn run(
     let mut delta_start = dirty.len();
     let mut cum_image: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
 
-    let mut st = match (start, &resume) {
-        (Some(state), _) => state,
-        (None, Some(ctx)) if ctx.log.is_enabled() => {
+    let mut st = match &resume {
+        Some(ctx) if ctx.log.is_enabled() => {
             let f = fault.expect("resumed runs inject a fault");
             let idx = ctx.log.nearest_at_or_before(f.cycle);
             ExecState::restore(ctx.log, idx, ctx.golden_outputs, machine, dirty)
@@ -603,7 +963,7 @@ pub(crate) fn run(
 
         // Trace: the executed point.
         let point = step.point();
-        let token = (st.func as u64) << 32 | point.0 as u64;
+        let token = trace_token(st.func, point);
         st.hash.update(token);
         if let Some(t) = tape.as_deref_mut() {
             t.starts.push(t.words.len() as u32);
@@ -641,13 +1001,10 @@ pub(crate) fn run(
             }
             FlatStep::Call { callee, .. } => {
                 rw = RwEvent::full(RegMask::empty(), reg_bit(Reg::RA));
-                if st.stack.len() >= 512 {
+                if st.stack.len() >= MAX_CALL_DEPTH {
                     break LoopEnd::Outcome(ExecOutcome::Crashed(CrashKind::StackOverflow));
                 }
-                // Synthetic return-address token, checked on return.
-                let token = machine
-                    .config()
-                    .truncate(0x4000_0000 ^ (st.stack.len() as u64) << 16 ^ point.0 as u64);
+                let token = call_token(call_seed(point), st.stack.len(), xlen_mask);
                 machine.write(Reg::RA, token);
                 st.stack.push(FrameSnap { func: st.func, ret_pc: st.pc + 1, ra_token: token });
                 st.func = *callee;
@@ -671,9 +1028,9 @@ pub(crate) fn run(
                     for r in *reads {
                         r_mask = r_mask.union(reg_bit(*r));
                         let v = machine.read(*r);
-                        st.hash.update(0x40);
+                        st.hash.update(OUTPUT_EVENT);
                         st.hash.update(v);
-                        tape_push(&mut tape, 0x40);
+                        tape_push(&mut tape, OUTPUT_EVENT);
                         tape_push(&mut tape, v);
                         st.outputs.push(v);
                     }
@@ -728,19 +1085,156 @@ pub(crate) fn run(
 /// Runs the tail of a forked bitsliced lane: `machine` and `state` hold
 /// the lane's exact mid-run state (as the scalar engine would have reached
 /// it), and the run executes to a terminal outcome with no convergence
-/// checks — a forked lane has already diverged from the golden trace, so
-/// it can never match a golden checkpoint again.
+/// checks — a forked lane has already left the golden control path, so it
+/// can never match a golden checkpoint again.
+///
+/// The tail walks the decoded ops over a local copy of the register file
+/// and ends in exactly the state [`run`] would: the machine holds the
+/// final registers and memory, and every written word is logged in
+/// `dirty`. With `keep_hash` false the trace hash is left untouched, so the
+/// returned hash is the start state's. Callers pass false only for a lane
+/// whose trace already differs from the golden run's, and classify it by
+/// outcome and outputs alone.
 pub(crate) fn run_tail(
     flat: &FlatProgram<'_>,
     max_cycles: u64,
     state: ExecState,
     machine: &mut Machine,
     dirty: &mut Vec<(u32, u32)>,
-) -> RawRun {
-    match run(flat, max_cycles, None, false, None, None, None, Some(state), machine, dirty) {
-        RunVerdict::Finished(raw) => raw,
-        RunVerdict::Converged { .. } => unreachable!("tails run without a resume context"),
+    keep_hash: bool,
+) -> RunResult {
+    if keep_hash {
+        tail::<true>(flat, max_cycles, state, machine, dirty)
+    } else {
+        tail::<false>(flat, max_cycles, state, machine, dirty)
     }
+}
+
+/// The tail loop of [`run_tail`], with the trace hash updated iff `HASH`.
+fn tail<const HASH: bool>(
+    flat: &FlatProgram<'_>,
+    max_cycles: u64,
+    state: ExecState,
+    machine: &mut Machine,
+    dirty: &mut Vec<(u32, u32)>,
+) -> RunResult {
+    let nregs = machine.regs().len();
+    assert!(!flat.ops.is_empty(), "tails run on machines with decoded ops");
+    let cfg = *machine.config();
+    let mask = cfg.mask();
+    let step_limit = max_cycles.saturating_mul(2) + 1024;
+    // Returns check the token only where `ra` is the ABI link register.
+    let check_ra = cfg.num_regs == 32;
+    let ra_in = read_slot(&cfg, Reg::RA) as usize;
+    let ra_out = write_slot(&cfg, Reg::RA) as usize;
+    // Byte slots index a 256-entry file with no bounds checks.
+    let mut regs = [0u64; 256];
+    regs[..nregs].copy_from_slice(machine.regs());
+    let ExecState { mut hash, mut outputs, mut cycle, mut steps, func, pc, mut stack, .. } = state;
+    let mut pc = flat.bases[func as usize] + pc;
+    let memory = &mut machine.memory;
+
+    let outcome = loop {
+        steps += 1;
+        if cycle >= max_cycles || steps >= step_limit {
+            break ExecOutcome::Timeout;
+        }
+        let Op { token, kind } = flat.ops[pc as usize];
+        if let OpKind::Goto { target } = kind {
+            pc = target;
+            continue;
+        }
+        if HASH {
+            hash.update(token);
+        }
+        cycle += 1;
+        pc += 1;
+        match kind {
+            OpKind::Alu { op, rd, rs1, rs2 } => {
+                regs[rd as usize] = eval_alu(&cfg, op, regs[rs1 as usize], regs[rs2 as usize]);
+            }
+            OpKind::AluImm { op, rd, rs1, imm } => {
+                regs[rd as usize] = eval_alu(&cfg, op, regs[rs1 as usize], imm);
+            }
+            OpKind::Li { rd, imm } => regs[rd as usize] = imm,
+            OpKind::Mv { rd, rs } => regs[rd as usize] = regs[rs as usize],
+            OpKind::Neg { rd, rs } => {
+                regs[rd as usize] = 0u64.wrapping_sub(regs[rs as usize]) & mask
+            }
+            OpKind::Seqz { rd, rs } => regs[rd as usize] = u64::from(regs[rs as usize] == 0),
+            OpKind::Snez { rd, rs } => regs[rd as usize] = u64::from(regs[rs as usize] != 0),
+            OpKind::Load { rd, base, width, signed, offset } => {
+                let addr = effective_address(regs[base as usize], offset, mask);
+                let size = width.bytes();
+                let raw = match load(memory, addr, size) {
+                    Ok(raw) => raw,
+                    Err(kind) => break ExecOutcome::Crashed(kind),
+                };
+                if HASH {
+                    hash.update(access_event(LOAD_EVENT, addr));
+                    hash.update(raw);
+                }
+                regs[rd as usize] = extend_load(raw, signed, size) & mask;
+            }
+            OpKind::Store { rs, base, width, offset } => {
+                let addr = effective_address(regs[base as usize], offset, mask);
+                let size = width.bytes();
+                let value = regs[rs as usize] & width_mask(size);
+                if let Err(kind) = store(memory, addr, size, value, dirty) {
+                    break ExecOutcome::Crashed(kind);
+                }
+                if HASH {
+                    hash.update(access_event(STORE_EVENT, addr));
+                    hash.update(value);
+                }
+            }
+            OpKind::Print { rs } => {
+                let v = regs[rs as usize];
+                if HASH {
+                    hash.update(PRINT_EVENT);
+                    hash.update(v);
+                }
+                outputs.push(v);
+            }
+            OpKind::Nop => {}
+            OpKind::Call { entry, func, ret_pc, seed } => {
+                if stack.len() >= MAX_CALL_DEPTH {
+                    break ExecOutcome::Crashed(CrashKind::StackOverflow);
+                }
+                let ra_token = call_token(seed, stack.len(), mask);
+                regs[ra_out] = ra_token;
+                stack.push(FrameSnap { func, ret_pc, ra_token });
+                pc = entry;
+            }
+            OpKind::Branch { cond, rs1, rs2, taken, fall } => {
+                let a = regs[rs1 as usize];
+                pc = if eval_cond(&cfg, cond, a, regs[rs2 as usize]) { taken } else { fall };
+            }
+            OpKind::Exit => break ExecOutcome::Completed,
+            OpKind::Ret { reads, count } => match stack.pop() {
+                None => {
+                    for &slot in &flat.ret_reads[reads as usize..][..count as usize] {
+                        let v = regs[slot as usize];
+                        if HASH {
+                            hash.update(OUTPUT_EVENT);
+                            hash.update(v);
+                        }
+                        outputs.push(v);
+                    }
+                    break ExecOutcome::Completed;
+                }
+                Some(frame) => {
+                    if check_ra && regs[ra_in] != frame.ra_token {
+                        break ExecOutcome::Crashed(CrashKind::WildReturn);
+                    }
+                    pc = flat.bases[frame.func as usize] + frame.ret_pc;
+                }
+            },
+            OpKind::Goto { .. } => unreachable!("handled above"),
+        }
+    };
+    machine.restore_regs(&regs[..nregs]);
+    RunResult { outcome, outputs, cycles: cycle, hash }
 }
 
 pub(crate) enum StepResult {
@@ -781,54 +1275,33 @@ pub(crate) fn step_inst(
             m.write(*rd, eval_alu(&c, *op, m.read(*rs1), *imm as u64));
         }
         Inst::Load { rd, base, offset, width, signed } => {
-            let addr = c.truncate(m.read(*base).wrapping_add(*offset as u64));
+            let addr = effective_address(m.read(*base), *offset as u64, c.mask());
             let size = width.bytes();
-            if !addr.is_multiple_of(size) {
-                return StepResult::Trap(CrashKind::Misaligned);
-            }
-            let Some(raw) = m.memory.load(addr, size) else {
-                return StepResult::Trap(CrashKind::MemOutOfBounds);
+            let raw = match load(&m.memory, addr, size) {
+                Ok(raw) => raw,
+                Err(kind) => return StepResult::Trap(kind),
             };
-            let v = if *signed {
-                // Sign-extend from the access width.
-                let bits = size * 8;
-                let sign = 1u64 << (bits - 1);
-                if raw & sign != 0 {
-                    raw | !((1u64 << bits) - 1)
-                } else {
-                    raw
-                }
-            } else {
-                raw
-            };
-            note(hash, 0x10 ^ addr.rotate_left(8));
+            note(hash, access_event(LOAD_EVENT, addr));
             note(hash, raw);
-            m.write(*rd, v);
+            m.write(*rd, extend_load(raw, *signed, size));
         }
         Inst::Store { rs, base, offset, width } => {
-            let addr = c.truncate(m.read(*base).wrapping_add(*offset as u64));
+            let addr = effective_address(m.read(*base), *offset as u64, c.mask());
             let size = width.bytes();
-            if !addr.is_multiple_of(size) {
-                return StepResult::Trap(CrashKind::Misaligned);
-            }
-            let value = m.read(*rs) & if size >= 8 { u64::MAX } else { (1 << (size * 8)) - 1 };
-            // A size-aligned store of ≤4 bytes never crosses a 32-bit word
-            // boundary, so exactly one word's digest contribution changes.
-            let widx = (addr >> 2) as u32;
-            let old = m.memory.word(widx);
-            if !m.memory.store(addr, size, value) {
-                return StepResult::Trap(CrashKind::MemOutOfBounds);
-            }
-            dirty.push((widx, old));
+            let value = m.read(*rs) & width_mask(size);
+            let (widx, old) = match store(&mut m.memory, addr, size, value, dirty) {
+                Ok(touched) => touched,
+                Err(kind) => return StepResult::Trap(kind),
+            };
             if let Some(d) = digest {
                 *d ^= mem_mix(widx, old) ^ mem_mix(widx, m.memory.word(widx));
             }
-            note(hash, 0x20 ^ addr.rotate_left(8));
+            note(hash, access_event(STORE_EVENT, addr));
             note(hash, value);
         }
         Inst::Print { rs } => {
             let v = m.read(*rs);
-            note(hash, 0x30);
+            note(hash, PRINT_EVENT);
             note(hash, v);
             outputs.push(v);
         }
@@ -836,6 +1309,9 @@ pub(crate) fn step_inst(
     }
     StepResult::Next
 }
+
+#[cfg(test)]
+mod tail_differential;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,392 @@
+//! Differential test of the tail interpreter: [`run_tail`] against the
+//! instrumented [`run`] from the same states — the program entry and
+//! golden checkpoints with and without an injected bit flip — comparing
+//! outcome, outputs, cycles, the dirty log, the final registers and
+//! memory, and the trace hash wherever the tail keeps it.
+
+use super::*;
+use crate::runner::{SimLimits, Simulator};
+use bec_testutil::Rng;
+use std::sync::mpsc;
+use std::time::Duration;
+
+/// Everything both interpreters must agree on at the end of a run (the
+/// final memory is compared separately, without printing it).
+#[derive(Debug, PartialEq)]
+struct End {
+    outcome: ExecOutcome,
+    outputs: Vec<u64>,
+    cycles: u64,
+    hash: TraceHash,
+    dirty: Vec<(u32, u32)>,
+    regs: Vec<u64>,
+}
+
+/// Where both interpreters start.
+#[derive(Clone, Copy, Debug)]
+enum Start {
+    /// The program entry.
+    Entry,
+    /// Golden checkpoint `idx`, with `flip = (reg, bit)` injected at its
+    /// boundary.
+    Checkpoint { idx: usize, flip: Option<(Reg, u32)> },
+}
+
+/// A fresh machine and dirty log positioned at `start`, as the tail
+/// receives them.
+fn tail_state(
+    sim: &Simulator<'_>,
+    log: &CheckpointLog,
+    golden_outputs: &[u64],
+    start: Start,
+) -> (ExecState, Machine, Vec<(u32, u32)>) {
+    let mut machine = Machine::new(sim.program());
+    let mut dirty = Vec::new();
+    let state = match start {
+        Start::Entry => ExecState::fresh(&sim.flat),
+        Start::Checkpoint { idx, flip } => {
+            let st = ExecState::restore(log, idx, golden_outputs, &mut machine, &mut dirty);
+            if let Some((reg, bit)) = flip {
+                machine.flip(reg, bit);
+            }
+            st
+        }
+    };
+    (state, machine, dirty)
+}
+
+/// Runs `start` through [`run`]: from the entry, or as a resumed fault
+/// run injecting at the checkpoint's own cycle with convergence off.
+fn reference(
+    sim: &Simulator<'_>,
+    log: &CheckpointLog,
+    golden_outputs: &[u64],
+    start: Start,
+) -> (End, Memory) {
+    let mut machine = Machine::new(sim.program());
+    let mut dirty = Vec::new();
+    let max = sim.limits.max_cycles;
+    // A log marked incomplete never allows the convergence early-exit.
+    let no_exit = CheckpointLog { completed: false, ..log.clone() };
+    let verdict = match start {
+        Start::Entry => {
+            run(&sim.flat, max, None, false, None, None, None, &mut machine, &mut dirty)
+        }
+        Start::Checkpoint { idx, flip } => {
+            // A bit past the word never flips.
+            let (reg, bit) = flip.unwrap_or((Reg::phys(0), u32::MAX));
+            let fault = FaultSpec { cycle: log.checkpoints[idx].cycle, reg, bit };
+            let resume = ResumeCtx { log: &no_exit, golden_outputs };
+            run(
+                &sim.flat,
+                max,
+                Some(fault),
+                false,
+                None,
+                None,
+                Some(resume),
+                &mut machine,
+                &mut dirty,
+            )
+        }
+    };
+    let RunVerdict::Finished(raw) = verdict else { unreachable!("convergence is off") };
+    let end = End {
+        outcome: raw.outcome,
+        outputs: raw.outputs,
+        cycles: raw.cycles,
+        hash: raw.hash,
+        dirty,
+        regs: machine.regs().to_vec(),
+    };
+    (end, machine.memory)
+}
+
+/// Runs `start` through [`run_tail`].
+fn tail_end(
+    sim: &Simulator<'_>,
+    log: &CheckpointLog,
+    golden_outputs: &[u64],
+    start: Start,
+    keep_hash: bool,
+) -> (End, Memory) {
+    let (state, mut machine, mut dirty) = tail_state(sim, log, golden_outputs, start);
+    let r = run_tail(&sim.flat, sim.limits.max_cycles, state, &mut machine, &mut dirty, keep_hash);
+    let end = End {
+        outcome: r.outcome,
+        outputs: r.outputs,
+        cycles: r.cycles,
+        hash: r.hash,
+        dirty,
+        regs: machine.regs().to_vec(),
+    };
+    (end, machine.memory)
+}
+
+/// Asserts both interpreters agree from `start`, with the tail's hash
+/// kept and skipped; returns the outcome.
+fn assert_agree(
+    label: &str,
+    sim: &Simulator<'_>,
+    log: &CheckpointLog,
+    golden_outputs: &[u64],
+    start: Start,
+) -> ExecOutcome {
+    let (want, want_mem) = reference(sim, log, golden_outputs, start);
+    let (got, got_mem) = tail_end(sim, log, golden_outputs, start, true);
+    assert_eq!(got, want, "{label}: {start:?}");
+    assert!(got_mem == want_mem, "{label}: {start:?}: final memory differs");
+
+    let start_hash = tail_state(sim, log, golden_outputs, start).0.hash;
+    let (skipped, skipped_mem) = tail_end(sim, log, golden_outputs, start, false);
+    assert_eq!(skipped.hash, start_hash, "{label}: {start:?}: a skipped hash moved");
+    assert_eq!(End { hash: want.hash, ..skipped }, want, "{label}: {start:?} (hash skipped)");
+    assert!(skipped_mem == want_mem, "{label}: {start:?}: final memory differs (hash skipped)");
+    want.outcome
+}
+
+/// Runs the differential from the entry and from about `points`
+/// checkpoints, each unflipped and with `flips` seeded register-bit
+/// flips. The budget is twice the golden run plus slack, so corrupted
+/// loops time out. Returns every outcome seen.
+fn differential(label: &str, program: &Program, points: u64, flips: usize) -> Vec<ExecOutcome> {
+    let probe = Simulator::new(program).run_golden();
+    let budget = probe.cycles() * 2 + 100;
+    let sim = Simulator::with_limits(program, SimLimits { max_cycles: budget });
+    let (golden, log) = sim.run_golden_checkpointed((probe.cycles() / points).max(1));
+    let cfg = program.config;
+    let mut rng = Rng::seeded(probe.cycles() ^ 0x7a11);
+    let mut outcomes = vec![assert_agree(label, &sim, &log, golden.outputs(), Start::Entry)];
+    for idx in 0..log.checkpoints.len() {
+        let mut starts = vec![Start::Checkpoint { idx, flip: None }];
+        for _ in 0..flips {
+            let reg = Reg::phys(rng.range_u64(0, cfg.num_regs as u64) as u32);
+            let bit = rng.range_u64(0, cfg.xlen as u64) as u32;
+            starts.push(Start::Checkpoint { idx, flip: Some((reg, bit)) });
+        }
+        for start in starts {
+            outcomes.push(assert_agree(label, &sim, &log, golden.outputs(), start));
+        }
+    }
+    outcomes
+}
+
+fn example(name: &str) -> Program {
+    let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(path).expect("example exists");
+    bec_rv32::parse_asm(&text).expect("example assembles")
+}
+
+fn ir(text: &str) -> Program {
+    let p = bec_ir::parse_program(text).expect("parses");
+    bec_ir::verify_program(&p).expect("verifies");
+    p
+}
+
+#[test]
+fn suite_fault_points_agree() {
+    for b in bec_suite::all() {
+        let program = b.compile().expect("compiles");
+        differential(b.name, &program, 6, 2);
+    }
+    for name in ["countyears.s", "gcd.s", "memcopy.s", "bench_crc32.s"] {
+        differential(name, &example(name), 8, 3);
+    }
+}
+
+#[test]
+fn generated_programs_agree() {
+    let mut outcomes = Vec::new();
+    for seed in 0..24u64 {
+        let generated = bec_fuzzgen::generate(seed, &bec_fuzzgen::GenConfig::full());
+        outcomes.extend(differential(&format!("fuzzgen-{seed}"), &generated.program, 8, 4));
+    }
+    assert!(outcomes.iter().any(|o| matches!(o, ExecOutcome::Crashed(_))), "no tail trapped");
+}
+
+/// Sub-word memory, sign extension, negation, nested calls that expose
+/// their return-address tokens, and a loop whose gotos outnumber its
+/// cycles, so the step limit ends it before the cycle budget does.
+#[test]
+fn kitchen_sink_agrees() {
+    let p = ir(r#"
+global bytes: word[2] = { 0x7f80ff01, 0x00008001 }
+func @leaf(args=0, ret=none) {
+entry:
+    mv   a0, ra
+    print a0
+    ret
+}
+func @mid(args=0, ret=none) {
+entry:
+    addi sp, sp, -16
+    sw   ra, 12(sp)
+    call @leaf
+    lw   ra, 12(sp)
+    addi sp, sp, 16
+    ret
+}
+func @main(args=0, ret=none) {
+entry:
+    la   s0, @bytes
+    lb   a1, 1(s0)
+    lbu  a2, 1(s0)
+    lh   a3, 4(s0)
+    lb   a4, 3(s0)
+    print a1
+    print a2
+    print a3
+    print a4
+    neg  a5, a1
+    print a5
+    li   t0, 5
+    neg  t1, t0
+    sb   t1, 2(s0)
+    sh   t1, 6(s0)
+    lw   a6, 4(s0)
+    print a6
+    call @mid
+    call @leaf
+    li   t2, 0
+    j    spin
+spin:
+    addi t2, t2, 1
+    j    hop
+hop:
+    j    back
+back:
+    blt  t2, t0, spin, done
+done:
+    seqz a7, t2
+    snez a0, t2
+    print a7
+    ret a0
+}
+"#);
+    differential("kitchen-sink", &p, 16, 6);
+
+    // The goto-heavy loop alone: four steps per cycle reach the step
+    // limit well before the cycle budget.
+    let spin = ir(r#"
+func @main(args=0, ret=none) {
+entry:
+    li   t0, 0
+    j    spin
+spin:
+    addi t0, t0, 1
+    j    hop
+hop:
+    j    back
+back:
+    j    spin
+}
+"#);
+    let sim = Simulator::with_limits(&spin, SimLimits { max_cycles: 1000 });
+    let log = CheckpointLog::disabled();
+    assert_eq!(assert_agree("goto-heavy", &sim, &log, &[], Start::Entry), ExecOutcome::Timeout);
+    let (end, _) = tail_end(&sim, &log, &[], Start::Entry, true);
+    assert!(end.cycles < 1000, "the step limit, not the cycle budget, ends the loop");
+}
+
+/// A tiny-machine program: 4-bit words, four registers, no zero register.
+#[test]
+fn tiny_machine_agrees() {
+    let p = ir(r#"
+machine xlen=4 regs=4 zero=none
+func @main(args=0, ret=none) {
+entry:
+    li r1, 6
+    li r0, 0
+    j loop
+loop:
+    andi r2, r1, 1
+    add  r0, r0, r2
+    neg  r3, r1
+    xor  r0, r0, r3
+    addi r1, r1, -1
+    bnez r1, loop, exit
+exit:
+    print r0
+    ret r0
+}
+"#);
+    differential("xlen4", &p, 8, 6);
+}
+
+/// A loop of gotos alone never consumes a cycle: only counting goto steps
+/// ends it, at the step limit. Run on a watchdog thread so a tail that
+/// stopped counting fails instead of spinning forever.
+#[test]
+fn goto_only_loop_times_out_at_the_step_limit() {
+    let p = ir(r#"
+func @main(args=0, ret=none) {
+entry:
+    li   t0, 1
+    j    spin
+spin:
+    j    spin
+}
+"#);
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let sim = Simulator::with_limits(&p, SimLimits { max_cycles: 5000 });
+        let log = CheckpointLog::disabled();
+        let outcome = assert_agree("goto-only", &sim, &log, &[], Start::Entry);
+        let (end, _) = tail_end(&sim, &log, &[], Start::Entry, true);
+        tx.send((outcome, end.cycles)).expect("receiver waits");
+    });
+    let ended = rx.recv_timeout(Duration::from_secs(60));
+    assert!(
+        !matches!(ended, Err(mpsc::RecvTimeoutError::Timeout)),
+        "the goto-only loop never timed out"
+    );
+    if let Err(panic) = runner.join() {
+        std::panic::resume_unwind(panic);
+    }
+    let (outcome, cycles) = ended.expect("the runner sent before it ended");
+    assert_eq!((outcome, cycles), (ExecOutcome::Timeout, 1));
+}
+
+#[test]
+fn unbounded_recursion_overflows_the_stack() {
+    let p = ir(r#"
+func @down(args=0, ret=none) {
+entry:
+    call @down
+    ret
+}
+func @main(args=0, ret=none) {
+entry:
+    call @down
+    exit
+}
+"#);
+    let sim = Simulator::new(&p);
+    let log = CheckpointLog::disabled();
+    assert_eq!(
+        assert_agree("recursion", &sim, &log, &[], Start::Entry),
+        ExecOutcome::Crashed(CrashKind::StackOverflow)
+    );
+}
+
+#[test]
+fn corrupted_return_address_is_a_wild_return() {
+    let p = ir(r#"
+func @f(args=0, ret=none) {
+entry:
+    addi ra, ra, 4
+    ret
+}
+func @main(args=0, ret=none) {
+entry:
+    call @f
+    exit
+}
+"#);
+    let sim = Simulator::new(&p);
+    let log = CheckpointLog::disabled();
+    assert_eq!(
+        assert_agree("wild-return", &sim, &log, &[], Start::Entry),
+        ExecOutcome::Crashed(CrashKind::WildReturn)
+    );
+}

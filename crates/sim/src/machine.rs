@@ -21,7 +21,7 @@ pub struct FaultSpec {
 }
 
 /// Byte-addressed flat memory with bounds checking.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Memory {
     bytes: Vec<u8>,
 }
@@ -59,15 +59,13 @@ impl Memory {
     /// violation.
     pub fn load(&self, addr: u64, size: u64) -> Option<u64> {
         let addr = addr as usize;
-        let size = size as usize;
-        if addr.checked_add(size)? > self.bytes.len() {
-            return None;
-        }
-        let mut v = 0u64;
-        for i in (0..size).rev() {
-            v = v << 8 | u64::from(self.bytes[addr + i]);
-        }
-        Some(v)
+        let b = self.bytes.get(addr..addr.checked_add(size as usize)?)?;
+        Some(match *b {
+            [b0] => u64::from(b0),
+            [b0, b1] => u64::from(u16::from_le_bytes([b0, b1])),
+            [b0, b1, b2, b3] => u64::from(u32::from_le_bytes([b0, b1, b2, b3])),
+            _ => b.iter().rev().fold(0, |v, &x| v << 8 | u64::from(x)),
+        })
     }
 
     /// The aligned 32-bit word at word index `widx` (little-endian). Bytes
@@ -76,6 +74,9 @@ impl Memory {
     /// word.
     pub fn word(&self, widx: u32) -> u32 {
         let base = widx as usize * 4;
+        if let Some(&[b0, b1, b2, b3]) = self.bytes.get(base..base + 4) {
+            return u32::from_le_bytes([b0, b1, b2, b3]);
+        }
         let mut v = 0u32;
         for i in (0..4).rev() {
             let byte = self.bytes.get(base + i).copied().unwrap_or(0);
@@ -88,6 +89,10 @@ impl Memory {
     /// bytes past the end of the memory (mirror of [`Memory::word`]).
     pub fn set_word(&mut self, widx: u32, value: u32) {
         let base = widx as usize * 4;
+        if let Some(b) = self.bytes.get_mut(base..base + 4) {
+            b.copy_from_slice(&value.to_le_bytes());
+            return;
+        }
         for i in 0..4 {
             if let Some(b) = self.bytes.get_mut(base + i) {
                 *b = (value >> (8 * i)) as u8;
@@ -98,16 +103,18 @@ impl Memory {
     /// Little-endian store of `size` bytes. `false` on a bounds violation.
     pub fn store(&mut self, addr: u64, size: u64, value: u64) -> bool {
         let addr = addr as usize;
-        let size = size as usize;
-        match addr.checked_add(size) {
-            Some(end) if end <= self.bytes.len() => {
-                for i in 0..size {
-                    self.bytes[addr + i] = (value >> (8 * i)) as u8;
-                }
-                true
-            }
-            _ => false,
+        let Some(b) = addr.checked_add(size as usize).and_then(|end| self.bytes.get_mut(addr..end))
+        else {
+            return false;
+        };
+        let le = value.to_le_bytes();
+        match b.len() {
+            1 => b[0] = le[0],
+            2 => b.copy_from_slice(&le[..2]),
+            4 => b.copy_from_slice(&le[..4]),
+            n => b.copy_from_slice(&le[..n]),
         }
+        true
     }
 }
 

@@ -224,6 +224,7 @@ fn run_report(
     let batches = AtomicU64::new(0);
     let batched_lanes = AtomicU64::new(0);
     let forked_lanes = AtomicU64::new(0);
+    let tail_ns = AtomicU64::new(0);
     // One decision for the whole pool: batching requires exactly the
     // conditions the scalar convergence early-exit needs.
     let use_batch = engine == Engine::Bitsliced && batch_eligible(sim, ckpts);
@@ -248,6 +249,7 @@ fn run_report(
             let batches = &batches;
             let batched_lanes = &batched_lanes;
             let forked_lanes = &forked_lanes;
+            let tail_ns = &tail_ns;
             scope.spawn(move || {
                 // One scratch machine per worker, reused across all runs —
                 // a scalar injector or a bitsliced batch runner.
@@ -328,6 +330,7 @@ fn run_report(
                     batches.fetch_add(counters.batches, Ordering::Relaxed);
                     batched_lanes.fetch_add(counters.batched_lanes, Ordering::Relaxed);
                     forked_lanes.fetch_add(counters.forked_lanes, Ordering::Relaxed);
+                    tail_ns.fetch_add(counters.tail_time.as_nanos() as u64, Ordering::Relaxed);
                 }
             });
         }
@@ -345,6 +348,10 @@ fn run_report(
         }
     });
 
+    if use_batch {
+        // Tail time summed over workers: a timing, like the wall time.
+        tel.time_ms("campaign.tail_wall_ms", tail_ns.load(Ordering::Relaxed) as f64 / 1e6);
+    }
     // Outcome tallies cover the whole (possibly resumed) report, matching
     // what the CLI prints — deterministic for a fixed plan.
     for (i, &count) in report.outcome_counts().iter().enumerate() {

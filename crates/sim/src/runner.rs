@@ -302,7 +302,6 @@ impl<'p> Simulator<'p> {
             Some(&mut log),
             None,
             None,
-            None,
             &mut machine,
             &mut dirty,
         );
@@ -332,7 +331,6 @@ impl<'p> Simulator<'p> {
             true,
             capture.as_deref_mut(),
             tape,
-            None,
             None,
             &mut machine,
             &mut dirty,
@@ -400,7 +398,6 @@ impl<'p> Simulator<'p> {
             self.limits.max_cycles,
             Some(fault),
             false,
-            None,
             None,
             None,
             None,
@@ -476,7 +473,6 @@ impl Injector<'_, '_> {
             None,
             None,
             Some(resume),
-            None,
             &mut self.machine,
             &mut self.dirty,
         );

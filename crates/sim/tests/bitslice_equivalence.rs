@@ -307,6 +307,64 @@ out:
     assert!(snap.counter("campaign.tail_cycles").unwrap_or(0) > 0);
 }
 
+/// Branches whose condition a fault flips although both edges reach the
+/// same block. With equal targets the path is the same, so the lane stays
+/// batched and converges exactly when its scalar run does. With one edge
+/// through an extra goto only the step count differs: the lane forks,
+/// never converges (nor does its scalar run), and its tail must keep the
+/// trace hash to end Benign like the scalar run.
+#[test]
+fn same_target_branches_match_across_engines() {
+    for (label, fall) in [("same-edges", "next"), ("rejoining-edges", "hop")] {
+        let p = bec_ir::parse_program(&format!(
+            r#"
+func @main(args=0, ret=none) {{
+entry:
+    li   s0, 0
+    li   s1, 40
+    j    loop
+loop:
+    li   t0, 1
+    li   t1, 0
+    beq  t0, t1, next, {fall}
+hop:
+    j    next
+next:
+    li   t0, 7
+    addi s0, s0, 3
+    addi s1, s1, -1
+    bnez s1, loop, done
+done:
+    print s0
+    exit
+}}
+"#
+        ))
+        .unwrap();
+        let setup = Setup::new(label, &p, Grid::Every(4));
+        // The faults flipping `beq`'s condition: bit 0 of t0 or of t1,
+        // injected right before it.
+        let flips: Vec<SitedFault> = setup
+            .space
+            .iter()
+            .filter(|f| f.spec.bit == 0 && [bec_ir::Reg::T0, bec_ir::Reg::T1].contains(&f.spec.reg))
+            .copied()
+            .collect();
+        assert!(!flips.is_empty());
+        let plan = ShardPlan::build(setup.space.clone(), CampaignSpec::exhaustive(4));
+        assert_plan_agrees(label, &setup, &plan, &[1, 2]);
+        let plan = ShardPlan::build(flips, CampaignSpec::exhaustive(1));
+        let (stats, snap) = assert_plan_agrees(label, &setup, &plan, &[1]);
+        assert!(snap.counter("campaign.outcome.benign").unwrap_or(0) > 0);
+        assert!(stats.early_exits > 0);
+        if fall == "next" {
+            assert_eq!(stats.forked_lanes, 0, "{label}: a lane forked off an unchanged path");
+        } else {
+            assert!(stats.forked_lanes > 0, "{label}: no lane forked at the rejoining branch");
+        }
+    }
+}
+
 /// Generated full-surface programs (diamonds, loops, calls, scratch
 /// memory on a 16-bit machine): sampled reports are byte-identical across
 /// engines — on the default grid, and sampled sparsely into two shards on
