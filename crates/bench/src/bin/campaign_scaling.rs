@@ -37,7 +37,7 @@
 use bec::artifacts::ArtifactStore;
 use bec_core::report::{format_table, group_digits};
 use bec_core::{BecAnalysis, BecOptions};
-use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan};
+use bec_sim::shard::{CampaignSpec, SiteTable};
 use bec_sim::{
     default_checkpoint_interval, pool, CheckpointLog, Engine, SimLimits, Simulator, SiteVerdicts,
 };
@@ -167,7 +167,8 @@ fn main() {
         let sim = Simulator::with_limits(&program, SimLimits { max_cycles: budget });
         let interval = default_checkpoint_interval(golden.cycles());
         let (golden, ckpts) = sim.run_golden_checkpointed(interval);
-        let plan = ShardPlan::build(site_fault_space(&program, &bec, &golden), campaign_spec);
+        let verdicts = SiteVerdicts::of(&program, &bec);
+        let plan = SiteTable::new(&verdicts, &golden).plan(campaign_spec);
 
         // Engine comparison at one worker: from-scratch scalar vs
         // checkpointed scalar vs bitsliced. Each run carries its own

@@ -83,7 +83,7 @@ pub use pool::{run_sharded, run_sharded_engine, run_sharded_slice, run_sharded_w
 pub use runner::{FaultRun, GoldenRun, Injector, RunResult, SimLimits, Simulator};
 pub use shard::{
     site_fault_space, CampaignReport, CampaignSpec, FaultOutcome, ShardPlan, ShardResult,
-    SitedFault,
+    SiteTable, SitedFault,
 };
 pub use study::{CrossTable, PreparedCampaign, SharedGolden, StudyReport, StudySpec};
 pub use substrate::{DerivedGolden, GoldenSubstrate};

@@ -31,6 +31,7 @@
 use crate::machine::FaultSpec;
 use crate::persist::SiteVerdicts;
 use crate::runner::{SimLimits, Simulator};
+use crate::shard::SiteTable;
 use crate::trace::FaultClass;
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::{parse_program, print_program, verify_program, PointId, Program};
@@ -142,8 +143,8 @@ impl<'a> Minimizer<'a> {
         if golden.result.outcome != crate::exec::ExecOutcome::Completed {
             return None;
         }
-        let space = SiteVerdicts::of(program, &bec).fault_space(&golden);
-        for f in &space {
+        let verdicts = SiteVerdicts::of(program, &bec);
+        for f in SiteTable::new(&verdicts, &golden).iter() {
             let claimed_masked = match self.oracle {
                 Oracle::Analysis => f.masked,
                 Oracle::AssumeAllMasked => true,

@@ -9,7 +9,8 @@
 //!   site pairs in canonical order with one per-bit masked/live verdict
 //!   mask each. [`SiteVerdicts::fault_space`] reproduces
 //!   [`crate::shard::site_fault_space`] bit-for-bit, so a campaign driven
-//!   by decoded verdicts plans the identical shard layout.
+//!   by decoded verdicts plans the identical shard layout. Campaigns plan
+//!   through a [`crate::shard::SiteTable`] over the verdicts.
 //! * The golden pair — a completed [`GoldenRun`] plus its
 //!   [`CheckpointLog`]. Only the raw per-cycle state is persisted; the
 //!   derived lookup indexes (fault-site windows, occurrence index) are
@@ -29,7 +30,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointLog, FrameSnap, Spacing};
 use crate::exec::{ExecOutcome, HashTape};
 use crate::runner::{derive_cycle_indexes, GoldenRun, RunResult, SimLimits};
-use crate::shard::SitedFault;
+use crate::shard::{SiteTable, SitedFault};
 use crate::substrate::GoldenSubstrate;
 use crate::trace::TraceHash;
 use bec_cache::wire::{ByteReader, ByteWriter};
@@ -45,11 +46,11 @@ use bec_ir::{PointId, Program, Reg};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SiteVerdicts {
     /// Register width in bits (≤ 64; registers are `u64`).
-    xlen: u32,
+    pub(crate) xlen: u32,
     /// Per function: `(point, registers-in-site-order)`, each register with
     /// the mask of bits the analysis proved masked (bit `b` set ⇔ the
     /// verdict for bit `b` is masked).
-    funcs: Vec<FuncSites>,
+    pub(crate) funcs: Vec<FuncSites>,
 }
 
 /// One function's verdicts: `(point, registers-in-site-order)` pairs, each
@@ -98,35 +99,11 @@ impl SiteVerdicts {
 
     /// Enumerates the classified fault space over `golden` — the decoded
     /// twin of [`crate::shard::site_fault_space`], bit-for-bit identical
-    /// for verdicts extracted from the same analysis.
+    /// for verdicts extracted from the same analysis. Collects
+    /// [`SiteTable::iter`]; planning a sample goes through
+    /// [`SiteTable::plan`] instead, which never builds this list.
     pub fn fault_space(&self, golden: &GoldenRun) -> Vec<SitedFault> {
-        let mut out = Vec::new();
-        for (fi, points) in self.funcs.iter().enumerate() {
-            for (p, regs) in points {
-                let cycles = golden.occurrences(fi, *p);
-                if cycles.is_empty() {
-                    continue;
-                }
-                for (k, &c) in cycles.iter().enumerate() {
-                    for &(r, mask) in regs {
-                        for bit in 0..self.xlen {
-                            out.push(SitedFault {
-                                spec: crate::machine::FaultSpec {
-                                    cycle: golden.window_open_cycle(c),
-                                    reg: r,
-                                    bit,
-                                },
-                                func: fi as u32,
-                                point: *p,
-                                occurrence: k as u32,
-                                masked: (mask >> bit) & 1 == 1,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
+        SiteTable::new(self, golden).to_vec()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Campaign sharding: deterministic partitioning of the statically
-//! classified fault space into work units, seeded sub-exhaustive sampling,
-//! and the resumable [`CampaignReport`].
+//! classified fault space into work units, seeded sub-exhaustive sampling
+//! (planned from a per-point [`SiteTable`] in O(sites + sample), without
+//! collecting the space), and the resumable [`CampaignReport`].
 //!
 //! The fault space is the paper's `F = P × V` made temporal: every bit of
 //! every accessed `(point, register)` pair at every dynamic occurrence of
@@ -16,7 +17,7 @@
 //! [`crate::pool`] executor preserves this by aggregating per shard.
 //!
 //! ```
-//! use bec_sim::{site_fault_space, CampaignSpec, ShardPlan, Simulator};
+//! use bec_sim::{site_fault_space, CampaignSpec, ShardPlan, Simulator, SiteTable, SiteVerdicts};
 //! use bec_core::{BecAnalysis, BecOptions};
 //! use bec_ir::parse_program;
 //!
@@ -39,11 +40,18 @@
 //! let plan = ShardPlan::build(space.clone(), CampaignSpec::sampled(7, 10, 2));
 //! assert_eq!(plan.runs(), 10);
 //! assert_eq!(plan.shard_count(), 2);
+//! // The same plan, decoded from the site table without the full list.
+//! let verdicts = SiteVerdicts::of(&p, &bec);
+//! let table = SiteTable::new(&verdicts, &golden);
+//! let decoded = table.plan(CampaignSpec::sampled(7, 10, 2));
+//! assert_eq!(table.len(), space.len() as u64);
+//! assert!((0..2).all(|i| decoded.shard(i) == plan.shard(i)));
 //! # Ok::<(), bec_ir::IrError>(())
 //! ```
 
 use crate::json::Json;
 use crate::machine::FaultSpec;
+use crate::persist::SiteVerdicts;
 use crate::runner::GoldenRun;
 use crate::trace::FaultClass;
 use bec_core::BecAnalysis;
@@ -102,7 +110,155 @@ pub fn site_fault_space(
     // The extraction and the enumeration are split so the verdict half can
     // be persisted (`bec --cache-dir`) and replayed against a golden run
     // without the analysis.
-    crate::persist::SiteVerdicts::of(program, bec).fault_space(golden)
+    SiteVerdicts::of(program, bec).fault_space(golden)
+}
+
+/// The classified fault space of one program as a per-point prefix table.
+///
+/// One entry per executed access point holds the canonical index of the
+/// point's first fault, its registers with their masked-bit masks and its
+/// occurrence cycles — O(sites) memory, with the occurrence cycles
+/// borrowed from the golden run. The table enumerates the space lazily in
+/// canonical order ([`SiteTable::iter`]) and decodes any canonical index
+/// into its fault ([`SiteTable::fault`]), so a sampled plan
+/// ([`SiteTable::plan`]) costs O(sites + sample) instead of the size of
+/// the space.
+///
+/// Within a point, faults are laid out occurrence-major, then register in
+/// site order, then bit: the point's block is `occurrences × registers ×
+/// xlen` faults long.
+pub struct SiteTable<'a> {
+    xlen: u32,
+    golden: &'a GoldenRun,
+    /// Points with at least one occurrence, in canonical order.
+    points: Vec<PointSites<'a>>,
+    /// Size of the whole fault space.
+    len: u64,
+}
+
+/// One point of a [`SiteTable`].
+struct PointSites<'a> {
+    /// Canonical index of the point's first fault.
+    first: u64,
+    func: u32,
+    point: PointId,
+    /// Registers in site order, each with the mask of its masked bits.
+    regs: &'a [(Reg, u64)],
+    /// Golden cycles at which the point executed.
+    cycles: &'a [u64],
+}
+
+impl PointSites<'_> {
+    fn fault(
+        &self,
+        occurrence: usize,
+        cycle: u64,
+        (reg, mask): (Reg, u64),
+        bit: u32,
+    ) -> SitedFault {
+        SitedFault {
+            spec: FaultSpec { cycle, reg, bit },
+            func: self.func,
+            point: self.point,
+            occurrence: occurrence as u32,
+            masked: (mask >> bit) & 1 == 1,
+        }
+    }
+}
+
+impl<'a> SiteTable<'a> {
+    /// Builds the table of `verdicts` over `golden`'s occurrence index.
+    pub fn new(verdicts: &'a SiteVerdicts, golden: &'a GoldenRun) -> SiteTable<'a> {
+        let xlen = verdicts.xlen;
+        let mut points = Vec::new();
+        let mut len = 0u64;
+        for (fi, func_points) in verdicts.funcs.iter().enumerate() {
+            for (p, regs) in func_points {
+                let cycles = golden.occurrences(fi, *p);
+                if cycles.is_empty() || regs.is_empty() {
+                    continue;
+                }
+                points.push(PointSites { first: len, func: fi as u32, point: *p, regs, cycles });
+                len += cycles.len() as u64 * regs.len() as u64 * u64::from(xlen);
+            }
+        }
+        SiteTable { xlen, golden, points, len }
+    }
+
+    /// Size of the fault space.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the space is empty (no accessed site ever executed).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The whole space in canonical order, one fault at a time.
+    pub fn iter(&self) -> impl Iterator<Item = SitedFault> + '_ {
+        let (xlen, golden) = (self.xlen, self.golden);
+        self.points.iter().flat_map(move |p| {
+            p.cycles.iter().enumerate().flat_map(move |(k, &c)| {
+                let cycle = golden.window_open_cycle(c);
+                p.regs
+                    .iter()
+                    .flat_map(move |&r| (0..xlen).map(move |bit| p.fault(k, cycle, r, bit)))
+            })
+        })
+    }
+
+    /// The whole space, collected ([`SiteVerdicts::fault_space`]).
+    pub fn to_vec(&self) -> Vec<SitedFault> {
+        let mut out = Vec::with_capacity(self.len as usize);
+        out.extend(self.iter());
+        out
+    }
+
+    /// The fault at canonical position `index` — `iter().nth(index)` in
+    /// O(log points).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn fault(&self, index: u64) -> SitedFault {
+        assert!(index < self.len, "fault {index} outside a space of {}", self.len);
+        let p = &self.points[self.points.partition_point(|p| p.first <= index) - 1];
+        let xlen = u64::from(self.xlen);
+        let per_occurrence = p.regs.len() as u64 * xlen;
+        let offset = index - p.first;
+        let k = (offset / per_occurrence) as usize;
+        let r = ((offset % per_occurrence) / xlen) as usize;
+        let bit = (offset % xlen) as u32;
+        p.fault(k, self.golden.window_open_cycle(p.cycles[k]), p.regs[r], bit)
+    }
+
+    /// The plan [`ShardPlan::build`] makes from the collected space, built
+    /// without collecting it when `spec` samples fewer faults than the
+    /// space holds: the sampled indices are drawn, sorted and decoded one
+    /// by one. An exhaustive plan enumerates the space.
+    pub fn plan(&self, spec: CampaignSpec) -> ShardPlan {
+        match spec.sample {
+            Some(n) if n < self.len => {
+                let faults = sample_positions(spec.seed, self.len as usize, n as usize)
+                    .into_iter()
+                    .map(|i| self.fault(i as u64))
+                    .collect();
+                ShardPlan::split(faults, self.len, spec)
+            }
+            _ => ShardPlan::build(self.to_vec(), spec),
+        }
+    }
+}
+
+/// The canonical positions of a seeded sample of `n` of `len` faults, in
+/// canonical (ascending) order. Draws exactly `n` values from the seeded
+/// PRNG ([`Rng::sample_indices`]'s contract), which is what keeps report
+/// bytes stable across releases for a fixed spec.
+fn sample_positions(seed: u64, len: usize, n: usize) -> Vec<usize> {
+    let mut idx = Rng::seeded(seed).sample_indices(len, n);
+    idx.sort_unstable();
+    idx
 }
 
 /// The deterministic inputs of a campaign. Two campaigns with equal specs
@@ -144,25 +300,26 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Builds the plan: samples `spec.sample` faults without replacement
-    /// (seeded partial Fisher–Yates, then restored to canonical order) and
+    /// (seeded sparse Fisher–Yates, then restored to canonical order) and
     /// splits the list into `spec.shards` contiguous chunks.
     ///
-    /// The sampling draws exactly `sample` values from the seeded PRNG
-    /// ([`Rng::partial_shuffle`]'s contract), which is what keeps report
-    /// bytes stable across releases for a fixed spec.
+    /// [`SiteTable::plan`] builds the same plan without the full list.
     pub fn build(all: Vec<SitedFault>, spec: CampaignSpec) -> ShardPlan {
         let fault_space = all.len() as u64;
         let faults = match spec.sample {
-            Some(n) if (n as usize) < all.len() => {
-                let n = n as usize;
-                let mut idx: Vec<usize> = (0..all.len()).collect();
-                Rng::seeded(spec.seed).partial_shuffle(&mut idx, n);
-                idx.truncate(n);
-                idx.sort_unstable();
-                idx.into_iter().map(|i| all[i]).collect()
-            }
+            Some(n) if n < fault_space => sample_positions(spec.seed, all.len(), n as usize)
+                .into_iter()
+                .map(|i| all[i])
+                .collect(),
             _ => all,
         };
+        ShardPlan::split(faults, fault_space, spec)
+    }
+
+    /// Splits the planned `faults` (drawn from a space of `fault_space`)
+    /// into `spec.shards` contiguous chunks whose sizes differ by at most
+    /// one.
+    fn split(faults: Vec<SitedFault>, fault_space: u64, spec: CampaignSpec) -> ShardPlan {
         let shards = spec.shards.max(1) as usize;
         let per = faults.len() / shards;
         let extra = faults.len() % shards;
@@ -550,6 +707,31 @@ exit:
         // Canonical order is strictly increasing on the provenance key.
         let key = |f: &SitedFault| (f.func, f.point.0, f.occurrence, f.spec.reg, f.spec.bit);
         assert!(space.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+    }
+
+    #[test]
+    fn site_table_decodes_every_canonical_index() {
+        let p = toy();
+        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
+        let golden = Simulator::new(&p).run_golden();
+        let verdicts = SiteVerdicts::of(&p, &bec);
+        let table = SiteTable::new(&verdicts, &golden);
+        let space = site_fault_space(&p, &bec, &golden);
+        assert_eq!(table.len(), space.len() as u64);
+        assert_eq!(table.iter().collect::<Vec<_>>(), space);
+        for (i, f) in space.iter().enumerate() {
+            assert_eq!(table.fault(i as u64), *f, "canonical index {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a space")]
+    fn site_table_rejects_indices_past_the_space() {
+        let (p, space) = toy_space();
+        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
+        let golden = Simulator::new(&p).run_golden();
+        let verdicts = SiteVerdicts::of(&p, &bec);
+        SiteTable::new(&verdicts, &golden).fault(space.len() as u64);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::json::Json;
 use crate::persist::SiteVerdicts;
 use crate::pool::{self, PoolStats};
 use crate::runner::{GoldenRun, SimLimits, Simulator};
-use crate::shard::{CampaignReport, CampaignSpec, ShardPlan};
+use crate::shard::{CampaignReport, CampaignSpec, ShardPlan, SiteTable};
 use crate::substrate::GoldenSubstrate;
 use crate::trace::FaultClass;
 use bec_core::BecAnalysis;
@@ -269,7 +269,9 @@ pub fn prepare_campaign(
     tel.gauge("campaign.budget_cycles", budget);
 
     let cspec = CampaignSpec { seed: spec.seed, sample: spec.sample, shards: spec.shards };
-    let plan = ShardPlan::build(verdicts.fault_space(&golden), cspec);
+    let plan_span = tel.span("plan").arg("label", label);
+    let plan = SiteTable::new(verdicts, &golden).plan(cspec);
+    drop(plan_span.arg("fault_space", plan.fault_space()).arg("runs", plan.runs()));
     Ok(PreparedCampaign { golden, ckpts, interval, budget, plan })
 }
 

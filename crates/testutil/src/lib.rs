@@ -18,6 +18,8 @@
 //! assert_ne!(a, rng.next_u64());
 //! ```
 
+use std::collections::HashMap;
+
 /// A deterministic 64-bit PRNG (SplitMix64).
 ///
 /// Not cryptographic; statistically solid for test-case generation and
@@ -134,8 +136,9 @@ impl Rng {
     ///
     /// Draws exactly `n` values from the generator regardless of the slice
     /// length (one `range_u64` per sampled slot), which is what lets seeded
-    /// consumers — campaign fault sampling, the fuzzer's program generator —
-    /// keep their historical byte-for-byte output.
+    /// consumers keep their historical byte-for-byte output. Campaign fault
+    /// sampling draws the same values through [`Rng::sample_indices`],
+    /// which never materialises the slice.
     ///
     /// # Panics
     ///
@@ -146,6 +149,32 @@ impl Rng {
             let j = self.range_u64(i as u64, items.len() as u64) as usize;
             items.swap(i, j);
         }
+    }
+
+    /// The first `n` slots of `partial_shuffle` over `0..len`, in sampled
+    /// order, in O(`n`) time and memory: a sparse Fisher–Yates that keeps
+    /// only the displaced positions in a swap map.
+    ///
+    /// Draws the same `n` values as `partial_shuffle` (and leaves the
+    /// generator in the same state), so swapping one for the other keeps
+    /// every seeded sample byte-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > len`.
+    pub fn sample_indices(&mut self, len: usize, n: usize) -> Vec<usize> {
+        assert!(n <= len, "cannot sample {n} of {len}");
+        // `moved[p]` is the value at virtual position `p` when it is no
+        // longer `p` itself. Position `i` is final once step `i` has run,
+        // so only positions past `i` are ever looked up again.
+        let mut moved: HashMap<usize, usize> = HashMap::with_capacity(n);
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let j = self.range_u64(i as u64, len as u64) as usize;
+            let at_i = moved.remove(&i).unwrap_or(i);
+            out.push(if j == i { at_i } else { moved.insert(j, at_i).unwrap_or(j) });
+        }
+        out
     }
 }
 
@@ -245,6 +274,32 @@ mod tests {
             assert_eq!(items, (0..10).collect::<Vec<_>>(), "still a permutation");
         }
         assert!(hit.iter().all(|h| *h), "{hit:?}");
+    }
+
+    #[test]
+    fn sample_indices_matches_partial_shuffle() {
+        // The campaign sampler's contract: the same values in the same
+        // order as the first `n` slots of `partial_shuffle` over `0..len`,
+        // and the generator left in the same state.
+        for seed in [0, 1, 3052, 60607, u64::MAX] {
+            for len in [1usize, 2, 63, 64, 65, 100_000] {
+                for n in [0, 1, len - 1, len] {
+                    let mut dense = Rng::seeded(seed);
+                    let mut items: Vec<usize> = (0..len).collect();
+                    dense.partial_shuffle(&mut items, n);
+                    let mut sparse = Rng::seeded(seed);
+                    let got = sparse.sample_indices(len, n);
+                    assert_eq!(got, items[..n], "seed {seed} len {len} n {n}");
+                    assert_eq!(sparse.state(), dense.state(), "seed {seed} len {len} n {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample 3 of 2")]
+    fn sample_indices_rejects_oversampling() {
+        Rng::new().sample_indices(2, 3);
     }
 
     #[test]
