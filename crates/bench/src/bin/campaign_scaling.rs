@@ -7,7 +7,10 @@
 //! into the report), and prints wall time, runs/sec and speedups. Each
 //! bitsliced row also reports the cost of its forked lanes' scalar tails:
 //! tail wall time (`campaign.tail_wall_ms`) per tail cycle, `tail_ns_per_cycle`
-//! (a gauge rounded to whole nanoseconds in the JSON baseline).
+//! (a gauge rounded to whole nanoseconds in the JSON baseline), and the
+//! cost of its shared batch replay: the rest of the bitsliced wall time per
+//! replayed cycle (`campaign.replay_steps`), `replay_ns_per_step` (rounded
+//! the same way).
 //!
 //! ```text
 //! cargo run -p bec-bench --release --bin campaign_scaling -- \
@@ -89,6 +92,11 @@ impl EngineRow {
     /// Scalar tail cost: tail wall time per tail cycle, in nanoseconds.
     fn tail_ns_per_cycle(&self) -> f64 {
         self.tail_ms * 1e6 / self.tail_cycles.max(1) as f64
+    }
+    /// Batched replay cost: bitsliced wall time outside the tails per
+    /// replay step, in nanoseconds.
+    fn replay_ns_per_step(&self) -> f64 {
+        (self.bitsliced_ms - self.tail_ms) * 1e6 / self.replay_steps.max(1) as f64
     }
 }
 
@@ -359,6 +367,7 @@ fn main() {
                 "Lane speedup",
                 "Occupancy",
                 "Fork rate",
+                "Replay ns/step",
                 "Tail ns/cycle"
             ],
             &engine_rows
@@ -375,6 +384,7 @@ fn main() {
                     format!("{:.2}x", r.bitsliced_speedup()),
                     format!("{:.1}/64", r.lane_occupancy()),
                     format!("{:.1} %", r.fork_rate() * 1e2),
+                    format!("{:.1}", r.replay_ns_per_step()),
                     format!("{:.1}", r.tail_ns_per_cycle()),
                 ])
                 .collect::<Vec<_>>(),
@@ -425,6 +435,10 @@ fn main() {
             base.gauge(&format!("{prefix}.handoff_lanes"), r.handoff_lanes);
             base.gauge(&format!("{prefix}.replay_steps"), r.replay_steps);
             base.gauge(&format!("{prefix}.tail_cycles"), r.tail_cycles);
+            base.gauge(
+                &format!("{prefix}.replay_ns_per_step"),
+                r.replay_ns_per_step().round() as u64,
+            );
             base.gauge(
                 &format!("{prefix}.tail_ns_per_cycle"),
                 r.tail_ns_per_cycle().round() as u64,

@@ -15,6 +15,7 @@ use crate::inst::{AluOp, Cond};
 
 /// Evaluates `op a, b` on `xlen`-bit values. Inputs and outputs are
 /// truncated to the machine word.
+#[inline]
 pub fn eval_alu(c: &MachineConfig, op: AluOp, a: u64, b: u64) -> u64 {
     let a = c.truncate(a);
     let b = c.truncate(b);

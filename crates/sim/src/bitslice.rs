@@ -60,6 +60,16 @@
 //! verdicts, early-exit counts and per-fault cycle accounting are
 //! identical to the scalar engine's — `tests/bitslice_equivalence.rs` pins
 //! report byte-identity across engines and worker counts.
+//!
+//! **Lane kernels.** The per-lane work of a replay step is one loop over
+//! the lanes the step affects. An ALU step matches its op once and then
+//! runs a loop specialised to that op: each loop calls [`eval_alu`], the
+//! one definition of ALU semantics, inlined with a constant op, reads lane
+//! values straight from the value array, and takes its operands' taint
+//! masks once per step.
+//! Overlay lookups hash nothing: a dense index maps every memory word to
+//! its overlay entry, and a batch's end resets only the slots it used.
+//! `docs/oracle.md` records the before/after cost per replay step.
 
 use crate::checkpoint::CheckpointLog;
 use crate::exec::{
@@ -72,13 +82,30 @@ use crate::shard::SitedFault;
 use crate::trace::FaultClass;
 use crate::ExecOutcome;
 use bec_ir::semantics::{eval_alu, eval_cond};
-use bec_ir::{Inst, Reg};
+use bec_ir::{AluOp, Inst, Reg};
 use bec_telemetry::Histogram;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Lanes per batch: one per bit of the `u64` taint masks.
 const LANES: usize = 64;
+
+/// Evaluates `$body` with `$k` bound to the constant [`AluOp`] equal to
+/// `$op`: one copy of `$body` per op, so a lane loop that calls
+/// [`eval_alu`] with `$k` inlines it with the op match folded away.
+macro_rules! with_alu_op {
+    ($op:expr, |$k:ident| $body:block) => {
+        with_alu_op!(@arms $op, $k, $body,
+            Add Sub And Or Xor Sll Srl Sra Slt Sltu Mul Mulh Mulhu Div Divu Rem Remu)
+    };
+    (@arms $op:expr, $k:ident, $body:block, $($v:ident)*) => {
+        match $op {
+            $(AluOp::$v => {
+                let $k = AluOp::$v;
+                $body
+            })*
+        }
+    };
+}
 
 /// Which per-fault execution engine the campaign pool runs. Never changes
 /// a report byte — the bitsliced engine is a wall-clock lever, exactly
@@ -269,14 +296,16 @@ impl Lanes<'_> {
     }
 }
 
-/// The lanes' private memory words: word index → (lanes holding a word
-/// there, each holder's word). A lane's memory is the shared machine
-/// memory with its own words on top. Sparse, because only words a
-/// divergent store touched ever differ, and reused across batches.
-#[derive(Default)]
+/// The lanes' private memory words: for each memory word a divergent
+/// store touched, the lanes holding their own word there and each
+/// holder's word. A lane's memory is the shared machine memory with its
+/// own words on top. Sparse, because only words a divergent store touched
+/// ever differ, and reused across batches. Lookups hash nothing: a dense
+/// index maps every memory word to its entry.
 struct Overlay {
-    /// Word index → position in `words`.
-    index: HashMap<u32, usize>,
+    /// Memory word index → 1 + position in `words`, or 0 when the word
+    /// has no entry: one slot per memory word (512 KiB on rv32).
+    index: Vec<u32>,
     /// `(word index, holder lanes, per-lane word)`.
     words: Vec<(u32, u64, [u32; LANES])>,
     /// Lanes that ever held a word in this batch (a superset of the
@@ -285,10 +314,24 @@ struct Overlay {
 }
 
 impl Overlay {
+    /// An empty overlay over `mem` (a memory smaller than one word still
+    /// has word 0).
+    fn new(mem: &Memory) -> Overlay {
+        Overlay { index: vec![0; mem.len() / 4 + 1], words: Vec::new(), lanes: 0 }
+    }
+
+    /// Drops every entry, resetting only the index slots in use.
     fn clear(&mut self) {
-        self.index.clear();
+        for &(widx, ..) in &self.words {
+            self.index[widx as usize] = 0;
+        }
         self.words.clear();
         self.lanes = 0;
+    }
+
+    /// Position in `words` of the entry of the word at `widx`, if any.
+    fn slot(&self, widx: u32) -> Option<usize> {
+        (self.index[widx as usize] as usize).checked_sub(1)
     }
 
     /// Lanes holding their own word at `widx`.
@@ -296,13 +339,13 @@ impl Overlay {
         if self.lanes == 0 {
             return 0;
         }
-        self.index.get(&widx).map_or(0, |&i| self.words[i].1)
+        self.slot(widx).map_or(0, |i| self.words[i].1)
     }
 
     /// Lane `lane`'s view of the memory word at `widx`.
     fn view(&self, mem: &Memory, widx: u32, lane: usize) -> u32 {
         if self.lanes >> lane & 1 != 0 {
-            if let Some(&i) = self.index.get(&widx) {
+            if let Some(i) = self.slot(widx) {
                 let (_, held, words) = &self.words[i];
                 if held >> lane & 1 != 0 {
                     return words[lane];
@@ -317,16 +360,17 @@ impl Overlay {
     /// no overlay entry.
     fn set(&mut self, widx: u32, lane: usize, word: u32, shared: u32) {
         let bit = 1u64 << lane;
+        let slot = self.slot(widx);
         if word == shared {
-            if let Some(&i) = self.index.get(&widx) {
+            if let Some(i) = slot {
                 self.words[i].1 &= !bit;
             }
             return;
         }
-        let words = &mut self.words;
-        let i = *self.index.entry(widx).or_insert_with(|| {
-            words.push((widx, 0, [0; LANES]));
-            words.len() - 1
+        let i = slot.unwrap_or_else(|| {
+            self.words.push((widx, 0, [0; LANES]));
+            self.index[widx as usize] = self.words.len() as u32;
+            self.words.len() - 1
         });
         self.words[i].1 |= bit;
         self.words[i].2[lane] = word;
@@ -375,12 +419,12 @@ impl<'p, 's> BatchRunner<'p, 's> {
         BatchRunner {
             sim,
             initial_regs: machine.regs().to_vec(),
+            overlay: Overlay::new(&machine.memory),
             machine,
             dirty: Vec::new(),
             taint: vec![0; nregs],
             tainted_regs: 0,
             vals: vec![0; nregs * LANES],
-            overlay: Overlay::default(),
             reg_snap: vec![0; nregs],
             out_patches: Vec::new(),
             lane_results: [0; LANES],
@@ -987,22 +1031,18 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
             Inst::Seqz { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v == 0)))),
             Inst::Snez { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v != 0)))),
+            // One lane loop per op: the op is matched once per step, not
+            // once per lane.
             Inst::AluImm { op, rd, rs1, imm } => {
                 let imm = *imm as u64;
-                Some((*rd, self.lane_unary(*rs1, |v| eval_alu(&cfg, *op, v, imm))))
+                let affected =
+                    with_alu_op!(*op, |k| { self.lane_unary(*rs1, |v| eval_alu(&cfg, k, v, imm)) });
+                Some((*rd, affected))
             }
             Inst::Alu { op, rd, rs1, rs2 } => {
-                let a_g = self.machine.read(*rs1);
-                let b_g = self.machine.read(*rs2);
-                let affected = self.taint_of(*rs1) | self.taint_of(*rs2);
-                let mut m = affected;
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let a = self.lane_value(*rs1, lane, a_g);
-                    let b = self.lane_value(*rs2, lane, b_g);
-                    self.lane_results[lane] = eval_alu(&cfg, *op, a, b);
-                }
+                let affected = with_alu_op!(*op, |k| {
+                    self.lane_binary(*rs1, *rs2, |a, b| eval_alu(&cfg, k, a, b))
+                });
                 Some((*rd, affected))
             }
             Inst::Store { .. } | Inst::Print { .. } | Inst::Nop => None,
@@ -1032,9 +1072,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
         }
         if let Some((rd, affected)) = pending {
-            if cfg.is_zero_reg(rd) {
-                return;
-            }
+            // A write to the zero register vanishes: `set_taint` keeps
+            // its taint empty.
             let g_rd = self.machine.read(rd);
             let mut taint = 0u64;
             let mut m = affected;
@@ -1052,6 +1091,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
 
     /// Computes lane results of a unary operation over the tainted lanes
     /// of `rs`; returns the affected-lane mask.
+    #[inline(always)]
     fn lane_unary(&mut self, rs: Reg, f: impl Fn(u64) -> u64) -> u64 {
         let affected = self.taint_of(rs);
         let base = rs.index() as usize * LANES;
@@ -1062,5 +1102,90 @@ impl<'p, 's> BatchRunner<'p, 's> {
             self.lane_results[lane] = f(self.vals[base + lane]);
         }
         affected
+    }
+
+    /// Computes lane results of a binary operation over the lanes where
+    /// `rs1` or `rs2` is tainted, each reading its own value of a tainted
+    /// source and the golden value of a clean one; returns the
+    /// affected-lane mask.
+    #[inline(always)]
+    fn lane_binary(&mut self, rs1: Reg, rs2: Reg, f: impl Fn(u64, u64) -> u64) -> u64 {
+        let (ta, tb) = (self.taint_of(rs1), self.taint_of(rs2));
+        let (a_g, b_g) = (self.machine.read(rs1), self.machine.read(rs2));
+        let va = &self.vals[rs1.index() as usize * LANES..][..LANES];
+        let vb = &self.vals[rs2.index() as usize * LANES..][..LANES];
+        let mut m = ta | tb;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let a = if ta >> lane & 1 != 0 { va[lane] } else { a_g };
+            let b = if tb >> lane & 1 != 0 { vb[lane] } else { b_g };
+            self.lane_results[lane] = f(a, b);
+        }
+        ta | tb
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bec_ir::{MachineConfig, Program};
+
+    fn memory(xlen: u32) -> Memory {
+        let config = MachineConfig { xlen, num_regs: 4, zero_reg: None };
+        Memory::for_program(&Program::new(config))
+    }
+
+    #[test]
+    fn overlay_view_set_back_to_the_shared_word_drops_its_holder() {
+        let mem = memory(32);
+        let mut overlay = Overlay::new(&mem);
+        let shared = mem.word(0x400);
+        overlay.set(0x400, 3, 7, shared);
+        overlay.set(0x400, 5, 9, shared);
+        assert_eq!(overlay.holders(0x400), 1 << 3 | 1 << 5);
+        assert_eq!(overlay.view(&mem, 0x400, 3), 7);
+        overlay.set(0x400, 3, shared, shared);
+        assert_eq!(overlay.holders(0x400), 1 << 5);
+        assert_eq!(overlay.view(&mem, 0x400, 3), shared);
+        assert_eq!(overlay.view(&mem, 0x400, 5), 9);
+        // A view equal to the shared word never creates an entry.
+        overlay.set(0x401, 3, mem.word(0x401), mem.word(0x401));
+        assert_eq!(overlay.slot(0x401), None);
+    }
+
+    #[test]
+    fn cleared_overlay_leaves_no_stale_slot() {
+        let mem = memory(32);
+        let mut overlay = Overlay::new(&mem);
+        overlay.set(10, 0, 1, 0);
+        overlay.set(20, 1, 2, 0);
+        overlay.clear();
+        assert!(overlay.index.iter().all(|&s| s == 0), "index reset");
+        // The next batch's first word takes the first entry again; the
+        // words of the previous batch must not resolve to it.
+        overlay.set(30, 0, 3, 0);
+        assert_eq!(overlay.holders(30), 1);
+        assert_eq!(overlay.holders(10), 0);
+        assert_eq!(overlay.holders(20), 0);
+        assert_eq!(overlay.view(&mem, 10, 0), mem.word(10));
+        overlay.set(20, 1, 4, 0);
+        assert_eq!(overlay.holders(20), 1 << 1);
+        assert_eq!(overlay.view(&mem, 20, 1), 4);
+        assert_eq!(overlay.view(&mem, 30, 0), 3);
+    }
+
+    #[test]
+    fn overlay_reaches_the_last_word_of_every_memory_size() {
+        // rv32, 16- and 4-bit machines, and memories of one word or less.
+        for xlen in [32, 16, 4, 2, 1] {
+            let mem = memory(xlen);
+            let last = ((mem.len() - 1) / 4) as u32;
+            let mut overlay = Overlay::new(&mem);
+            overlay.set(last, 63, 0xdead_beef, mem.word(last));
+            assert_eq!(overlay.holders(last), 1 << 63, "xlen {xlen}");
+            assert_eq!(overlay.view(&mem, last, 63), 0xdead_beef, "xlen {xlen}");
+            assert_eq!(overlay.view(&mem, last, 0), mem.word(last), "xlen {xlen}");
+        }
     }
 }
