@@ -128,24 +128,25 @@ impl Reg {
     /// The canonical RISC-V ABI name (`zero`, `ra`, `sp`, …) for 32-register
     /// machines, or `r{i}` / `v{i}` otherwise.
     pub fn abi_name(self) -> String {
+        match self.abi_str() {
+            Some(name) => name.to_owned(),
+            None if self.is_virtual() => format!("v{}", self.index()),
+            None => format!("r{}", self.index()),
+        }
+    }
+
+    /// The ABI name of a physical register `x0`..`x31` from a static
+    /// table, without allocating; `None` for any other register.
+    pub fn abi_str(self) -> Option<&'static str> {
+        const NAMES: [&str; 32] = [
+            "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3",
+            "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
+            "t3", "t4", "t5", "t6",
+        ];
         if self.is_virtual() {
-            return format!("v{}", self.index());
+            return None;
         }
-        let i = self.index();
-        match i {
-            0 => "zero".to_owned(),
-            1 => "ra".to_owned(),
-            2 => "sp".to_owned(),
-            3 => "gp".to_owned(),
-            4 => "tp".to_owned(),
-            5..=7 => format!("t{}", i - 5),
-            8 => "s0".to_owned(),
-            9 => "s1".to_owned(),
-            10..=17 => format!("a{}", i - 10),
-            18..=27 => format!("s{}", i - 16),
-            28..=31 => format!("t{}", i - 25),
-            _ => format!("r{i}"),
-        }
+        NAMES.get(self.index() as usize).copied()
     }
 
     /// Parses a register name: ABI names (`a0`, `t3`, `zero`), `x{i}`,
@@ -167,7 +168,7 @@ impl Reg {
         let n = tail_index(rest)?;
         match prefix {
             "x" | "r" => (n < VIRT_BIT).then(|| Reg::phys(n)),
-            "v" => Some(Reg::virt(n)),
+            "v" => (n < VIRT_BIT).then(|| Reg::virt(n)),
             "t" => (n < 7).then(|| Reg::temp(n)),
             "s" => (n < 12).then(|| Reg::saved(n)),
             "a" => (n < 8).then(|| Reg::arg(n)),
@@ -319,7 +320,11 @@ mod tests {
         for i in 0..32 {
             let r = Reg::phys(i);
             assert_eq!(Reg::parse(&r.abi_name()), Some(r), "name {}", r.abi_name());
+            assert_eq!(r.abi_str(), Some(r.abi_name().as_str()));
         }
+        assert_eq!(Reg::phys(40).abi_name(), "r40");
+        assert_eq!(Reg::virt(3).abi_name(), "v3");
+        assert_eq!((Reg::phys(40).abi_str(), Reg::virt(3).abi_str()), (None, None));
     }
 
     #[test]
@@ -331,7 +336,8 @@ mod tests {
 
     #[test]
     fn malformed_names_are_unknown() {
-        for name in ["", "é", "€1", "a", "x", "t7", "s12", "a8", "q1"] {
+        for name in ["", "é", "€1", "a", "x", "t7", "s12", "a8", "q1", "x2147483648", "v2147483648"]
+        {
             assert_eq!(Reg::parse(name), None, "{name:?}");
         }
     }

@@ -49,7 +49,10 @@
 //! # Ok::<(), bec_ir::IrError>(())
 //! ```
 
-use crate::json::Json;
+use crate::json::{
+    push_uint, read_document, read_list, read_object, Checked, Json, Members, Sink, Source, Token,
+    TreeBuilder, TreeCursor, Writer,
+};
 use crate::machine::FaultSpec;
 use crate::persist::SiteVerdicts;
 use crate::runner::GoldenRun;
@@ -371,8 +374,11 @@ pub struct ShardResult {
 }
 
 /// A resumable campaign report: one slot per shard, `None` while the shard
-/// has not completed. Serializes to JSON ([`CampaignReport::to_json`]) and
-/// back ([`CampaignReport::from_json`]); an interrupted campaign resumes by
+/// has not completed. Streams to JSON text ([`CampaignReport::render`]) and
+/// back ([`CampaignReport::parse`]), or to and from a [`Json`] tree
+/// ([`CampaignReport::to_json`], [`CampaignReport::from_json`]); all four
+/// share the one format definition, [`CampaignReport::encode`] /
+/// [`CampaignReport::decode`]. An interrupted campaign resumes by
 /// re-running only the `None` slots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CampaignReport {
@@ -491,167 +497,322 @@ impl CampaignReport {
         self.outcomes().filter(|o| o.fault.masked).count() as u64
     }
 
-    /// Serializes the report. The encoding is canonical: shards in index
-    /// order, faults in shard order, no timing or worker-count data — equal
-    /// reports render to identical bytes.
-    pub fn to_json(&self) -> Json {
-        let shards: Vec<Json> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-            .map(|(i, s)| {
-                debug_assert_eq!(i as u32, s.shard);
-                Json::obj(vec![
-                    ("shard", Json::UInt(s.shard as u64)),
-                    (
-                        "outcomes",
-                        Json::Arr(
-                            s.outcomes.iter().map(|o| Json::str(encode_outcome(o))).collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            ("version", Json::UInt(1)),
-            ("salt", Json::str(bec_cache::VERSION_SALT)),
-            ("program", Json::str(&self.program)),
-            ("seed", Json::UInt(self.spec.seed)),
-        ];
+    /// Writes the report to `out` — the one definition of the report
+    /// format. The encoding is canonical: shards in index order, faults in
+    /// shard order, no timing or worker-count data — equal reports encode
+    /// to identical bytes.
+    pub fn encode(&self, out: &mut impl Sink) {
+        out.begin_obj();
+        out.field_uint("version", 1);
+        out.field_str("salt", bec_cache::VERSION_SALT);
+        out.field_str("program", &self.program);
+        out.field_uint("seed", self.spec.seed);
         if let Some(n) = self.spec.sample {
-            fields.push(("sample", Json::UInt(n)));
+            out.field_uint("sample", n);
         }
-        fields.extend([
-            ("shard_count", Json::UInt(self.spec.shards as u64)),
-            ("max_cycles", Json::UInt(self.max_cycles)),
-            ("fault_space", Json::UInt(self.fault_space)),
-            ("complete", Json::Bool(self.is_complete())),
-            ("runs", Json::UInt(self.runs())),
-            (
-                "outcome_counts",
-                Json::Obj(
-                    FaultClass::ALL
-                        .iter()
-                        .zip(self.outcome_counts())
-                        .map(|(c, n)| (c.name().to_owned(), Json::UInt(n)))
-                        .collect(),
-                ),
-            ),
-            ("violations", Json::UInt(self.violations().len() as u64)),
-            ("shards", Json::Arr(shards)),
-        ]);
-        Json::obj(fields)
+        out.field_uint("shard_count", u64::from(self.spec.shards));
+        out.field_uint("max_cycles", self.max_cycles);
+        out.field_uint("fault_space", self.fault_space);
+        out.field_bool("complete", self.is_complete());
+        out.field_uint("runs", self.runs());
+        out.key("outcome_counts");
+        out.begin_obj();
+        for (c, n) in FaultClass::ALL.iter().zip(self.outcome_counts()) {
+            out.field_uint(c.name(), n);
+        }
+        out.end_obj();
+        out.field_uint("violations", self.outcomes().filter(|o| o.is_violation()).count() as u64);
+        out.key("shards");
+        out.begin_arr();
+        for (i, s) in self.shards.iter().enumerate() {
+            let Some(s) = s else { continue };
+            debug_assert_eq!(i as u32, s.shard);
+            out.begin_obj();
+            out.field_uint("shard", u64::from(s.shard));
+            out.key("outcomes");
+            out.begin_arr();
+            for o in &s.outcomes {
+                out.plain_str(|row| encode_outcome(row, o));
+            }
+            out.end_arr();
+            out.end_obj();
+        }
+        out.end_arr();
+        out.end_obj();
     }
 
-    /// Deserializes a report produced by [`CampaignReport::to_json`].
+    /// The rendered report, written in one pass into a buffer sized for
+    /// it (with room for the newline a report file ends with).
+    pub fn render(&self) -> String {
+        let mut out = Writer::with_capacity(self.rendered_len_hint());
+        self.encode(&mut out);
+        out.finish()
+    }
+
+    /// A generous estimate of the rendered size.
+    pub(crate) fn rendered_len_hint(&self) -> usize {
+        1024 + 64 * self.shards.len() + ROW_BYTES_HINT * self.runs() as usize
+    }
+
+    /// The report as a [`Json`] tree ([`CampaignReport::encode`] into a
+    /// [`TreeBuilder`]): `to_json().render()` equals
+    /// [`CampaignReport::render`].
+    pub fn to_json(&self) -> Json {
+        let mut tree = TreeBuilder::default();
+        self.encode(&mut tree);
+        tree.finish()
+    }
+
+    /// Reads a report written by [`CampaignReport::encode`] from `src` —
+    /// the one definition of the reader. Members may come in any order;
+    /// the first occurrence of a key counts and unknown keys are ignored.
+    /// Outcome rows are decoded straight from the row text into a vector
+    /// pre-sized from the shard size the header plans.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is a syntax error of the source; the inner one
+    /// names the malformed field (see [`Checked`]).
+    pub fn decode<'a>(src: &mut impl Source<'a>) -> Result<Checked<CampaignReport>, String> {
+        let mut header = Members::new([
+            "version",
+            "salt",
+            "program",
+            "seed",
+            "sample",
+            "shard_count",
+            "max_cycles",
+            "fault_space",
+        ]);
+        let mut shards = None;
+        read_object(src, |src, key| match key {
+            "shards" if shards.is_none() => {
+                let rows = planned_shard_len(&header);
+                shards = Some(read_list(src, |src| read_shard_entry(src, rows).map(Ok))?);
+                Ok(())
+            }
+            _ => header.read(src, key),
+        })?;
+        Ok(campaign_from_parts(&header, shards))
+    }
+
+    /// Parses report text — the streaming reader behind `--resume` and the
+    /// `--spawn` partial merge; no [`Json`] tree is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error or, for a well-formed document, a
+    /// message naming the malformed field.
+    pub fn parse(text: &str) -> Result<CampaignReport, String> {
+        read_document(text, CampaignReport::decode)?
+    }
+
+    /// Reads a report from a [`Json`] tree ([`CampaignReport::decode`]
+    /// over a [`TreeCursor`]).
     ///
     /// # Errors
     ///
     /// Returns a message naming the malformed field.
     pub fn from_json(doc: &Json) -> Result<CampaignReport, String> {
-        let field = |k: &str| doc.get(k).ok_or_else(|| format!("missing field `{k}`"));
-        let uint = |k: &str| field(k)?.as_u64().ok_or_else(|| format!("field `{k}` not a uint"));
-        if uint("version")? != 1 {
-            return Err("unsupported report version".into());
-        }
-        // A report is only resumable/mergeable by a binary with the same
-        // artifact salt: outcomes classified by a different analysis or
-        // engine generation must be recomputed, not trusted.
-        let salt = doc.get("salt").and_then(Json::as_str).unwrap_or("<none>");
-        if salt != bec_cache::VERSION_SALT {
-            return Err(format!(
-                "report version salt `{salt}` does not match this binary's `{}`; \
-                 rerun the campaign instead of resuming",
-                bec_cache::VERSION_SALT
-            ));
-        }
-        let program = field("program")?.as_str().ok_or("field `program` not a string")?.to_owned();
-        let shard_count = uint("shard_count")?;
-        // Bound the allocation below before trusting the field: a corrupted
-        // file must fail with a clean error, not an abort on a huge `vec!`.
-        const MAX_SHARDS: u64 = 1 << 20;
-        if shard_count == 0 || shard_count > MAX_SHARDS {
-            return Err(format!("implausible shard_count {shard_count}"));
-        }
-        let spec = CampaignSpec {
-            seed: uint("seed")?,
-            sample: match doc.get("sample") {
-                Some(v) => Some(v.as_u64().ok_or("field `sample` not a uint")?),
-                None => None,
-            },
-            shards: shard_count as u32,
-        };
-        let mut shards: Vec<Option<ShardResult>> = vec![None; spec.shards as usize];
-        for entry in field("shards")?.as_arr().ok_or("field `shards` not an array")? {
-            let idx =
-                entry.get("shard").and_then(Json::as_u64).ok_or("shard entry without index")?
-                    as usize;
-            let slot = shards.get_mut(idx).ok_or_else(|| format!("shard {idx} out of range"))?;
-            let rows = entry
-                .get("outcomes")
-                .and_then(Json::as_arr)
-                .ok_or("shard entry without outcomes")?;
-            let outcomes = rows
-                .iter()
-                .map(|r| decode_outcome(r.as_str().ok_or("outcome row not a string")?))
-                .collect::<Result<Vec<_>, _>>()?;
-            *slot = Some(ShardResult { shard: idx as u32, outcomes });
-        }
-        Ok(CampaignReport {
-            program,
-            spec,
-            max_cycles: uint("max_cycles")?,
-            fault_space: uint("fault_space")?,
-            shards,
-        })
+        CampaignReport::decode(&mut TreeCursor::new(doc))?
     }
 }
 
-/// Compact row encoding of one outcome:
-/// `cycle:reg:bit:func:point:occurrence:verdict:class` where `verdict` is
-/// `m` (statically masked) or `l` (live).
-fn encode_outcome(o: &FaultOutcome) -> String {
-    format!(
-        "{}:{}:{}:{}:{}:{}:{}:{}",
-        o.fault.spec.cycle,
-        o.fault.spec.reg,
-        o.fault.spec.bit,
-        o.fault.func,
-        o.fault.point.0,
-        o.fault.occurrence,
-        if o.fault.masked { 'm' } else { 'l' },
-        o.class.name(),
-    )
+/// Bytes per outcome row assumed when sizing a rendered report: the row
+/// text, its quotes, separator and the indentation of a study report.
+const ROW_BYTES_HINT: usize = 56;
+
+/// The fewest bytes an outcome row takes in report text (`"0:ra:0:0:0:0:m:sdc"`
+/// and a separator), which bounds how many rows the rest of a document can
+/// hold.
+const ROW_MIN_BYTES: usize = 16;
+
+/// One `shards` entry as read, checked once the header is known.
+struct ShardEntry {
+    /// The `shard` member, if it is an unsigned integer.
+    index: Option<u64>,
+    outcomes: Checked<Vec<FaultOutcome>>,
 }
 
-fn decode_outcome(row: &str) -> Result<FaultOutcome, String> {
-    let bad = || format!("malformed outcome row `{row}`");
-    let mut parts = row.split(':');
-    let mut field = || parts.next().ok_or_else(bad);
-    let [cycle, reg, bit, func, point, occurrence, verdict, class] =
-        [field()?, field()?, field()?, field()?, field()?, field()?, field()?, field()?];
-    if parts.next().is_some() {
-        return Err(bad());
-    }
-    Ok(FaultOutcome {
-        fault: SitedFault {
-            spec: FaultSpec {
-                cycle: cycle.parse().map_err(|_| bad())?,
-                reg: Reg::parse(reg).ok_or_else(bad)?,
-                bit: bit.parse().map_err(|_| bad())?,
-            },
-            func: func.parse().map_err(|_| bad())?,
-            point: PointId(point.parse().map_err(|_| bad())?),
-            occurrence: occurrence.parse().map_err(|_| bad())?,
-            masked: match verdict {
-                "m" => true,
-                "l" => false,
-                _ => return Err(bad()),
-            },
-        },
-        class: FaultClass::parse(class).ok_or_else(bad)?,
+/// The per-shard row count the report's header plans (0 when the header
+/// is incomplete or has not been read yet).
+fn planned_shard_len(header: &Members<'_, 8>) -> usize {
+    let (Some(space), Some(shards)) = (header.uint("fault_space"), header.uint("shard_count"))
+    else {
+        return 0;
+    };
+    let runs = header.uint("sample").map_or(space, |n| n.min(space));
+    usize::try_from(runs.div_ceil(shards.max(1))).unwrap_or(0)
+}
+
+fn read_shard_entry<'a>(src: &mut impl Source<'a>, planned: usize) -> Result<ShardEntry, String> {
+    let mut index = None;
+    let mut outcomes = None;
+    read_object(src, |src, key| {
+        match key {
+            "shard" if index.is_none() => index = Some(src.scalar()?.as_u64()),
+            "outcomes" if outcomes.is_none() => outcomes = Some(read_rows(src, planned)?),
+            _ => {
+                src.scalar()?;
+            }
+        }
+        Ok(())
+    })?;
+    Ok(ShardEntry {
+        index: index.flatten(),
+        outcomes: outcomes.unwrap_or_else(|| Err("shard entry without outcomes".into())),
     })
+}
+
+/// Reads a shard's outcome rows into a vector of `planned` rows (bounded
+/// by what the rest of the source can hold); the first malformed row is
+/// the error and later rows are only skipped.
+fn read_rows<'a>(
+    src: &mut impl Source<'a>,
+    planned: usize,
+) -> Result<Checked<Vec<FaultOutcome>>, String> {
+    if !src.enter_array()? {
+        return Ok(Err("shard entry without outcomes".into()));
+    }
+    let mut rows = Ok(Vec::with_capacity(planned.min(src.items_hint(ROW_MIN_BYTES))));
+    while src.item()? {
+        let token = src.scalar()?;
+        let Ok(list) = &mut rows else { continue };
+        match token.as_str() {
+            Some(row) => match decode_row(row) {
+                Some(o) => list.push(o),
+                None => rows = Err(format!("malformed outcome row `{row}`")),
+            },
+            None => rows = Err("outcome row not a string".into()),
+        }
+    }
+    Ok(rows)
+}
+
+/// Checks the members [`CampaignReport::decode`] read, in a fixed order:
+/// version, salt, program, shard count, seed, sample, shards, budget and
+/// fault-space size. `shards` is `None` when the member is missing and
+/// `Some(None)` when it is not an array.
+fn campaign_from_parts(
+    header: &Members<'_, 8>,
+    shards: Option<Option<Checked<Vec<ShardEntry>>>>,
+) -> Checked<CampaignReport> {
+    let field = |k: &str| header.get(k).ok_or_else(|| format!("missing field `{k}`"));
+    let uint = |k: &str| field(k)?.as_u64().ok_or_else(|| format!("field `{k}` not a uint"));
+    if uint("version")? != 1 {
+        return Err("unsupported report version".into());
+    }
+    // A report is only resumable/mergeable by a binary with the same
+    // artifact salt: outcomes classified by a different analysis or
+    // engine generation must be recomputed, not trusted.
+    let salt = header.get("salt").and_then(Token::as_str).unwrap_or("<none>");
+    if salt != bec_cache::VERSION_SALT {
+        return Err(format!(
+            "report version salt `{salt}` does not match this binary's `{}`; \
+             rerun the campaign instead of resuming",
+            bec_cache::VERSION_SALT
+        ));
+    }
+    let program = field("program")?.as_str().ok_or("field `program` not a string")?.to_owned();
+    let shard_count = uint("shard_count")?;
+    // Bound the allocation below before trusting the field: a corrupted
+    // file must fail with a clean error, not an abort on a huge `vec!`.
+    const MAX_SHARDS: u64 = 1 << 20;
+    if shard_count == 0 || shard_count > MAX_SHARDS {
+        return Err(format!("implausible shard_count {shard_count}"));
+    }
+    let spec = CampaignSpec {
+        seed: uint("seed")?,
+        sample: match header.get("sample") {
+            Some(v) => Some(v.as_u64().ok_or("field `sample` not a uint")?),
+            None => None,
+        },
+        shards: shard_count as u32,
+    };
+    let entries = shards.ok_or("missing field `shards`")?.ok_or("field `shards` not an array")?;
+    let mut shards: Vec<Option<ShardResult>> = vec![None; spec.shards as usize];
+    for entry in entries? {
+        let idx = entry.index.ok_or("shard entry without index")? as usize;
+        let slot = shards.get_mut(idx).ok_or_else(|| format!("shard {idx} out of range"))?;
+        *slot = Some(ShardResult { shard: idx as u32, outcomes: entry.outcomes? });
+    }
+    Ok(CampaignReport {
+        program,
+        spec,
+        max_cycles: uint("max_cycles")?,
+        fault_space: uint("fault_space")?,
+        shards,
+    })
+}
+
+/// Appends the compact row encoding of one outcome:
+/// `cycle:reg:bit:func:point:occurrence:verdict:class` where `reg` is the
+/// register's ABI name and `verdict` is `m` (statically masked) or `l`
+/// (live).
+fn encode_outcome(out: &mut String, o: &FaultOutcome) {
+    let f = &o.fault;
+    push_uint(out, f.spec.cycle);
+    out.push(':');
+    match f.spec.reg.abi_str() {
+        Some(name) => out.push_str(name),
+        None => {
+            out.push(if f.spec.reg.is_virtual() { 'v' } else { 'r' });
+            push_uint(out, u64::from(f.spec.reg.index()));
+        }
+    }
+    for v in [f.spec.bit, f.func, f.point.0, f.occurrence] {
+        out.push(':');
+        push_uint(out, u64::from(v));
+    }
+    out.push_str(if f.masked { ":m:" } else { ":l:" });
+    out.push_str(o.class.name());
+}
+
+/// One left-to-right pass over an outcome row's bytes. Numbers follow
+/// Rust's unsigned-integer grammar (an optional `+`, then digits); the
+/// class is the rest of the row, so a ninth field makes it unknown.
+fn decode_row(row: &str) -> Option<FaultOutcome> {
+    let bytes = row.as_bytes();
+    let mut at = 0;
+    let cycle = uint_field(bytes, &mut at)?;
+    let reg_end = at + bytes[at..].iter().position(|&b| b == b':')?;
+    let reg = Reg::parse(&row[at..reg_end])?;
+    at = reg_end + 1;
+    let mut small = || u32::try_from(uint_field(bytes, &mut at)?).ok();
+    let (bit, func, point, occurrence) = (small()?, small()?, small()?, small()?);
+    let masked = match bytes.get(at..at + 2)? {
+        [b'm', b':'] => true,
+        [b'l', b':'] => false,
+        _ => return None,
+    };
+    let class = FaultClass::parse(&row[at + 2..])?;
+    Some(FaultOutcome {
+        fault: SitedFault {
+            spec: FaultSpec { cycle, reg, bit },
+            func,
+            point: PointId(point),
+            occurrence,
+            masked,
+        },
+        class,
+    })
+}
+
+/// Reads the decimal field at `bytes[*at..]` and the `:` that ends it,
+/// moving `at` past both.
+fn uint_field(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    let mut i = *at + usize::from(bytes.get(*at) == Some(&b'+'));
+    let digits = i;
+    let mut value = 0u64;
+    while let Some(digit) = bytes.get(i).map(|b| b.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+        value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+        i += 1;
+    }
+    if i == digits || bytes.get(i) != Some(&b':') {
+        return None;
+    }
+    *at = i + 1;
+    Some(value)
 }
 
 #[cfg(test)]
@@ -842,5 +1003,62 @@ exit:
         let text = report.to_json().render();
         let back = CampaignReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.pending_shards(), vec![0, 1, 3, 4]);
+    }
+
+    fn toy_report_text() -> (CampaignReport, String) {
+        let (p, space) = toy_space();
+        let plan = ShardPlan::build(space, CampaignSpec::sampled(3, 12, 3));
+        let sim = Simulator::new(&p);
+        let golden = sim.run_golden();
+        let mut report = CampaignReport::empty("toy", &plan, 2_000_000);
+        for i in 0..plan.shard_count() {
+            let outcomes = plan
+                .shard(i)
+                .iter()
+                .map(|&fault| FaultOutcome {
+                    fault,
+                    class: sim.run_with_fault(fault.spec).classify(&golden.result),
+                })
+                .collect();
+            report.shards[i] = Some(ShardResult { shard: i as u32, outcomes });
+        }
+        let text = report.render();
+        assert_eq!(report.to_json().render(), text);
+        (report, text)
+    }
+
+    #[test]
+    fn decode_is_order_independent_and_first_key_wins() {
+        let (report, text) = toy_report_text();
+        // Move `shards` ahead of the header and repeat a header key with a
+        // different value: the first occurrence counts.
+        let (head, shards) = text.split_once(",\n  \"shards\": ").unwrap();
+        let moved = format!(
+            "{{\n  \"shards\": {}, {}, \"program\": \"other\", \"extra\": [{{}}]\n}}",
+            shards.trim_end().strip_suffix('}').unwrap().trim_end(),
+            head.strip_prefix('{').unwrap()
+        );
+        assert_eq!(CampaignReport::parse(&moved), Ok(report.clone()));
+        assert_eq!(CampaignReport::from_json(&Json::parse(&moved).unwrap()), Ok(report));
+    }
+
+    #[test]
+    fn syntax_errors_win_and_fields_are_checked_in_a_fixed_order() {
+        let (_, text) = toy_report_text();
+        let row = text.split('"').find(|s| s.matches(':').count() == 7).unwrap();
+        let bad_row = text.replacen(row, "1:zz:0:0:0:0:m:benign", 1);
+        assert_eq!(
+            CampaignReport::parse(&bad_row).unwrap_err(),
+            "malformed outcome row `1:zz:0:0:0:0:m:benign`"
+        );
+        // A foreign salt is reported before the malformed row it precedes
+        // in the check order, wherever the two sit in the document.
+        let salted = bad_row.replacen(bec_cache::VERSION_SALT, "bec-artifacts-v0", 1);
+        assert!(CampaignReport::parse(&salted).unwrap_err().contains("salt"));
+        // A syntax error anywhere beats every semantic error.
+        let broken = salted.trim_end().strip_suffix('}').unwrap().to_owned() + ",}";
+        let err = CampaignReport::parse(&broken).unwrap_err();
+        assert!(err.starts_with("expected `\"` at byte"), "{err}");
+        assert_eq!(Json::parse(&broken).unwrap_err(), err);
     }
 }

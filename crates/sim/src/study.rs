@@ -45,7 +45,10 @@
 
 use crate::bitslice::Engine;
 use crate::checkpoint::CheckpointLog;
-use crate::json::Json;
+use crate::json::{
+    read_document, read_list, read_object, Checked, Json, Members, Sink, Source, Token,
+    TreeBuilder, TreeCursor, Writer,
+};
 use crate::persist::SiteVerdicts;
 use crate::pool::{self, PoolStats};
 use crate::runner::{GoldenRun, SimLimits, Simulator};
@@ -486,8 +489,9 @@ impl BenchmarkStudy {
 }
 
 /// A whole study: the deterministic spec header plus one
-/// [`BenchmarkStudy`] per benchmark. Serializes to the resumable JSON
-/// artifact `bec study --report` writes; bytes depend only on the
+/// [`BenchmarkStudy`] per benchmark. Streams to the resumable JSON
+/// artifact `bec study --report` writes ([`StudyReport::render`]) and back
+/// ([`StudyReport::parse`]); bytes depend only on the
 /// benchmarks, the rule set and (seed, sample, shards, max-cycles) — never
 /// on worker count, checkpoint interval or timing.
 #[derive(Clone, Debug, PartialEq)]
@@ -591,117 +595,216 @@ impl StudyReport {
         out
     }
 
-    /// Serializes the report canonically (benchmarks and variants in
-    /// recorded order; equal reports render to identical bytes).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("version", Json::UInt(1)),
-            ("rules", Json::str(&self.rules)),
-            ("seed", Json::UInt(self.seed)),
-        ];
+    /// Writes the report to `out` — the one definition of the study
+    /// format; each variant's `campaign` member is
+    /// [`CampaignReport::encode`]. Benchmarks and variants come in recorded
+    /// order, so equal reports encode to identical bytes.
+    pub fn encode(&self, out: &mut impl Sink) {
+        out.begin_obj();
+        out.field_uint("version", 1);
+        out.field_str("rules", &self.rules);
+        out.field_uint("seed", self.seed);
         if let Some(n) = self.sample {
-            fields.push(("sample", Json::UInt(n)));
+            out.field_uint("sample", n);
         }
-        fields.push(("shards", Json::UInt(self.shards as u64)));
-        fields.push((
-            "benchmarks",
-            Json::Arr(self.benchmarks.iter().map(benchmark_to_json).collect()),
-        ));
-        Json::obj(fields)
+        out.field_uint("shards", u64::from(self.shards));
+        out.key("benchmarks");
+        out.begin_arr();
+        for b in &self.benchmarks {
+            encode_benchmark(b, out);
+        }
+        out.end_arr();
+        out.end_obj();
     }
 
-    /// Deserializes a report produced by [`StudyReport::to_json`].
+    /// The rendered report, written in one pass into a buffer sized for
+    /// it (with room for the newline a report file ends with).
+    pub fn render(&self) -> String {
+        let hint = self
+            .benchmarks
+            .iter()
+            .flat_map(|b| &b.variants)
+            .map(|v| 1024 + v.campaign.rendered_len_hint())
+            .sum();
+        let mut out = Writer::with_capacity(hint);
+        self.encode(&mut out);
+        out.finish()
+    }
+
+    /// The report as a [`Json`] tree ([`StudyReport::encode`] into a
+    /// [`TreeBuilder`]).
+    pub fn to_json(&self) -> Json {
+        let mut tree = TreeBuilder::default();
+        self.encode(&mut tree);
+        tree.finish()
+    }
+
+    /// Reads a report written by [`StudyReport::encode`] from `src` — the
+    /// one definition of the reader, with each variant's campaign read by
+    /// [`CampaignReport::decode`]. Members may come in any order; the first
+    /// occurrence of a key counts and unknown keys are ignored.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is a syntax error of the source; the inner one
+    /// names the malformed field (see [`Checked`]).
+    pub fn decode<'a>(src: &mut impl Source<'a>) -> Result<Checked<StudyReport>, String> {
+        let mut header = Members::new(["version", "rules", "seed", "sample", "shards"]);
+        let mut benchmarks = None;
+        read_object(src, |src, key| match key {
+            "benchmarks" if benchmarks.is_none() => {
+                benchmarks = Some(read_list(src, decode_benchmark)?);
+                Ok(())
+            }
+            _ => header.read(src, key),
+        })?;
+        Ok(study_from_parts(&header, benchmarks))
+    }
+
+    /// Parses report text — the streaming reader behind `bec study
+    /// --resume`; no [`Json`] tree is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error or, for a well-formed document, a
+    /// message naming the malformed field.
+    pub fn parse(text: &str) -> Result<StudyReport, String> {
+        read_document(text, StudyReport::decode)?
+    }
+
+    /// Reads a report from a [`Json`] tree ([`StudyReport::decode`] over a
+    /// [`TreeCursor`]).
     ///
     /// # Errors
     ///
     /// Returns a message naming the malformed field.
     pub fn from_json(doc: &Json) -> Result<StudyReport, String> {
-        let uint = |k: &str| {
-            doc.get(k).and_then(Json::as_u64).ok_or_else(|| format!("missing uint field `{k}`"))
-        };
-        if uint("version")? != 1 {
-            return Err("unsupported study report version".into());
-        }
-        let benchmarks = doc
-            .get("benchmarks")
-            .and_then(Json::as_arr)
-            .ok_or("missing field `benchmarks`")?
-            .iter()
-            .map(benchmark_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StudyReport {
-            rules: doc
-                .get("rules")
-                .and_then(Json::as_str)
-                .ok_or("missing field `rules`")?
-                .to_owned(),
-            seed: uint("seed")?,
-            sample: match doc.get("sample") {
-                Some(v) => Some(v.as_u64().ok_or("field `sample` not a uint")?),
-                None => None,
-            },
-            shards: uint("shards")? as u32,
-            benchmarks,
-        })
+        StudyReport::decode(&mut TreeCursor::new(doc))?
     }
 }
 
-fn benchmark_to_json(b: &BenchmarkStudy) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&b.name)),
-        (
-            "scoring",
-            Json::obj(vec![
-                ("analyses", Json::UInt(b.scoring.analyses)),
-                ("points", Json::UInt(b.scoring.points)),
-                ("solver_visits", Json::UInt(b.scoring.solver_visits)),
-                ("coalesce_passes", Json::UInt(b.scoring.coalesce_passes)),
-                ("uf_nodes", Json::UInt(b.scoring.uf_nodes)),
-            ]),
-        ),
-        ("variants", Json::Arr(b.variants.iter().map(variant_to_json).collect())),
-    ])
+/// Checks the members [`StudyReport::decode`] read, in a fixed order:
+/// version, benchmarks, rules, seed, sample and shards.
+fn study_from_parts(
+    header: &Members<'_, 5>,
+    benchmarks: Option<Option<Checked<Vec<BenchmarkStudy>>>>,
+) -> Checked<StudyReport> {
+    let uint = |k: &str| header.uint(k).ok_or_else(|| format!("missing uint field `{k}`"));
+    if uint("version")? != 1 {
+        return Err("unsupported study report version".into());
+    }
+    let benchmarks = benchmarks.flatten().ok_or("missing field `benchmarks`")??;
+    Ok(StudyReport {
+        rules: header
+            .get("rules")
+            .and_then(Token::as_str)
+            .ok_or("missing field `rules`")?
+            .to_owned(),
+        seed: uint("seed")?,
+        sample: match header.get("sample") {
+            Some(v) => Some(v.as_u64().ok_or("field `sample` not a uint")?),
+            None => None,
+        },
+        shards: fits_u32("shards", uint("shards")?)?,
+        benchmarks,
+    })
 }
 
-fn variant_to_json(v: &VariantRecord) -> Json {
+/// `v` as a `u32`, or an error naming `field`.
+fn fits_u32(field: &str, v: u64) -> Checked<u32> {
+    u32::try_from(v).map_err(|_| format!("field `{field}` holds {v}, above u32::MAX"))
+}
+
+const SCORING_FIELDS: [&str; 5] =
+    ["analyses", "points", "solver_visits", "coalesce_passes", "uf_nodes"];
+
+fn encode_benchmark(b: &BenchmarkStudy, out: &mut impl Sink) {
+    out.begin_obj();
+    out.field_str("name", &b.name);
+    out.key("scoring");
+    out.begin_obj();
+    let s = &b.scoring;
+    let values = [s.analyses, s.points, s.solver_visits, s.coalesce_passes, s.uf_nodes];
+    for (k, v) in SCORING_FIELDS.into_iter().zip(values) {
+        out.field_uint(k, v);
+    }
+    out.end_obj();
+    out.key("variants");
+    out.begin_arr();
+    for v in &b.variants {
+        encode_variant(v, out);
+    }
+    out.end_arr();
+    out.end_obj();
+}
+
+fn encode_variant(v: &VariantRecord, out: &mut impl Sink) {
     let eq = &v.equivalence;
-    let mut eq_fields = vec![
-        ("cycles", Json::UInt(eq.cycles)),
-        ("outputs_match", Json::Bool(eq.outputs_match)),
-        ("terminal_regs_match", Json::Bool(eq.terminal_regs_match)),
-        ("mem_digest_match", Json::Bool(eq.mem_digest_match)),
-    ];
+    out.begin_obj();
+    out.field_str("criterion", &v.criterion);
+    out.field_bool("coverage_gated", v.coverage_gated);
+    out.field_uint("total_site_bits", v.total_site_bits);
+    out.field_uint("masked_site_bits", v.masked_site_bits);
+    out.field_uint("live_surface", v.live_surface);
+    out.field_uint("total_surface", v.total_surface);
+    out.key("equivalence");
+    out.begin_obj();
+    out.field_uint("cycles", eq.cycles);
+    out.field_bool("outputs_match", eq.outputs_match);
+    out.field_bool("terminal_regs_match", eq.terminal_regs_match);
+    out.field_bool("mem_digest_match", eq.mem_digest_match);
     if let Some(m) = eq.reencode_outputs_match {
-        eq_fields.push(("reencode_outputs_match", Json::Bool(m)));
+        out.field_bool("reencode_outputs_match", m);
     }
-    Json::obj(vec![
-        ("criterion", Json::str(&v.criterion)),
-        ("coverage_gated", Json::Bool(v.coverage_gated)),
-        ("total_site_bits", Json::UInt(v.total_site_bits)),
-        ("masked_site_bits", Json::UInt(v.masked_site_bits)),
-        ("live_surface", Json::UInt(v.live_surface)),
-        ("total_surface", Json::UInt(v.total_surface)),
-        ("equivalence", Json::obj(eq_fields)),
-        (
-            "permutation",
-            Json::Arr(
-                v.permutation
-                    .iter()
-                    .map(|f| Json::Arr(f.iter().map(|&p| Json::UInt(p as u64)).collect()))
-                    .collect(),
-            ),
-        ),
-        ("campaign", v.campaign.to_json()),
-    ])
+    out.end_obj();
+    out.key("permutation");
+    out.begin_arr();
+    for f in &v.permutation {
+        out.begin_arr();
+        for &p in f {
+            out.uint(u64::from(p));
+        }
+        out.end_arr();
+    }
+    out.end_arr();
+    out.key("campaign");
+    v.campaign.encode(out);
+    out.end_obj();
 }
 
-fn benchmark_from_json(doc: &Json) -> Result<BenchmarkStudy, String> {
-    let scoring = doc.get("scoring").ok_or("benchmark without `scoring`")?;
-    let suint = |k: &str| {
-        scoring.get(k).and_then(Json::as_u64).ok_or_else(|| format!("missing scoring field `{k}`"))
-    };
+/// Reads one benchmark; checks `scoring` (present), `name`, the scoring
+/// fields and `variants`, in that order.
+fn decode_benchmark<'a>(src: &mut impl Source<'a>) -> Result<Checked<BenchmarkStudy>, String> {
+    let mut name = None;
+    let mut scoring = None;
+    let mut variants = None;
+    read_object(src, |src, key| {
+        match key {
+            "name" if name.is_none() => name = Some(src.scalar()?),
+            "scoring" if scoring.is_none() => {
+                let mut fields = Members::new(SCORING_FIELDS);
+                read_object(src, |src, key| fields.read(src, key))?;
+                scoring = Some(fields);
+            }
+            "variants" if variants.is_none() => variants = Some(read_list(src, decode_variant)?),
+            _ => {
+                src.scalar()?;
+            }
+        }
+        Ok(())
+    })?;
+    Ok(benchmark_from_parts(name, scoring, variants))
+}
+
+fn benchmark_from_parts(
+    name: Option<Token<'_>>,
+    scoring: Option<Members<'_, 5>>,
+    variants: Option<Option<Checked<Vec<VariantRecord>>>>,
+) -> Checked<BenchmarkStudy> {
+    let scoring = scoring.ok_or("benchmark without `scoring`")?;
+    let suint = |k: &str| scoring.uint(k).ok_or_else(|| format!("missing scoring field `{k}`"));
     Ok(BenchmarkStudy {
-        name: doc.get("name").and_then(Json::as_str).ok_or("benchmark without `name`")?.to_owned(),
+        name: name.as_ref().and_then(Token::as_str).ok_or("benchmark without `name`")?.to_owned(),
         scoring: ScoringRecord {
             analyses: suint("analyses")?,
             points: suint("points")?,
@@ -709,47 +812,72 @@ fn benchmark_from_json(doc: &Json) -> Result<BenchmarkStudy, String> {
             coalesce_passes: suint("coalesce_passes")?,
             uf_nodes: suint("uf_nodes")?,
         },
-        variants: doc
-            .get("variants")
-            .and_then(Json::as_arr)
-            .ok_or("benchmark without `variants`")?
-            .iter()
-            .map(variant_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
+        variants: variants.flatten().ok_or("benchmark without `variants`")??,
     })
 }
 
-fn variant_from_json(doc: &Json) -> Result<VariantRecord, String> {
-    let uint = |k: &str| {
-        doc.get(k).and_then(Json::as_u64).ok_or_else(|| format!("missing variant field `{k}`"))
-    };
-    let eq = doc.get("equivalence").ok_or("variant without `equivalence`")?;
+/// Reads one variant; checks `equivalence` (present), `permutation`,
+/// `criterion`, `coverage_gated`, the surface counts, the equivalence
+/// fields and `campaign`, in that order.
+fn decode_variant<'a>(src: &mut impl Source<'a>) -> Result<Checked<VariantRecord>, String> {
+    let mut fields = Members::new([
+        "criterion",
+        "coverage_gated",
+        "total_site_bits",
+        "masked_site_bits",
+        "live_surface",
+        "total_surface",
+    ]);
+    let mut eq = None;
+    let mut permutation = None;
+    let mut campaign = None;
+    read_object(src, |src, key| match key {
+        "equivalence" if eq.is_none() => {
+            let mut m = Members::new([
+                "cycles",
+                "outputs_match",
+                "terminal_regs_match",
+                "mem_digest_match",
+                "reencode_outputs_match",
+            ]);
+            read_object(src, |src, key| m.read(src, key))?;
+            eq = Some(m);
+            Ok(())
+        }
+        "permutation" if permutation.is_none() => {
+            permutation = Some(read_list(src, decode_permutation_entry)?);
+            Ok(())
+        }
+        "campaign" if campaign.is_none() => {
+            campaign = Some(CampaignReport::decode(src)?);
+            Ok(())
+        }
+        _ => fields.read(src, key),
+    })?;
+    Ok(variant_from_parts(&fields, eq, permutation, campaign))
+}
+
+fn variant_from_parts(
+    fields: &Members<'_, 6>,
+    eq: Option<Members<'_, 5>>,
+    permutation: Option<Option<Checked<Vec<Vec<u32>>>>>,
+    campaign: Option<Checked<CampaignReport>>,
+) -> Checked<VariantRecord> {
+    let uint = |k: &str| fields.uint(k).ok_or_else(|| format!("missing variant field `{k}`"));
+    let eq = eq.ok_or("variant without `equivalence`")?;
     let eq_bool = |k: &str| {
-        eq.get(k).and_then(Json::as_bool).ok_or_else(|| format!("missing equivalence field `{k}`"))
+        eq.get(k).and_then(Token::as_bool).ok_or_else(|| format!("missing equivalence field `{k}`"))
     };
-    let permutation = doc
-        .get("permutation")
-        .and_then(Json::as_arr)
-        .ok_or("variant without `permutation`")?
-        .iter()
-        .map(|f| {
-            f.as_arr()
-                .ok_or("permutation entry not an array")?
-                .iter()
-                .map(|p| p.as_u64().map(|v| v as u32).ok_or("permutation point not a uint"))
-                .collect::<Result<Vec<u32>, &str>>()
-        })
-        .collect::<Result<Vec<Vec<u32>>, &str>>()
-        .map_err(str::to_owned)?;
+    let permutation = permutation.flatten().ok_or("variant without `permutation`")??;
     Ok(VariantRecord {
-        criterion: doc
+        criterion: fields
             .get("criterion")
-            .and_then(Json::as_str)
+            .and_then(Token::as_str)
             .ok_or("variant without `criterion`")?
             .to_owned(),
-        coverage_gated: doc
+        coverage_gated: fields
             .get("coverage_gated")
-            .and_then(Json::as_bool)
+            .and_then(Token::as_bool)
             .ok_or("variant without `coverage_gated`")?,
         permutation,
         total_site_bits: uint("total_site_bits")?,
@@ -757,10 +885,7 @@ fn variant_from_json(doc: &Json) -> Result<VariantRecord, String> {
         live_surface: uint("live_surface")?,
         total_surface: uint("total_surface")?,
         equivalence: EquivalenceRecord {
-            cycles: eq
-                .get("cycles")
-                .and_then(Json::as_u64)
-                .ok_or("missing equivalence field `cycles`")?,
+            cycles: eq.uint("cycles").ok_or("missing equivalence field `cycles`")?,
             outputs_match: eq_bool("outputs_match")?,
             terminal_regs_match: eq_bool("terminal_regs_match")?,
             mem_digest_match: eq_bool("mem_digest_match")?,
@@ -769,10 +894,19 @@ fn variant_from_json(doc: &Json) -> Result<VariantRecord, String> {
                 None => None,
             },
         },
-        campaign: CampaignReport::from_json(
-            doc.get("campaign").ok_or("variant without `campaign`")?,
-        )?,
+        campaign: campaign.ok_or("variant without `campaign`")??,
     })
+}
+
+/// Reads one function's point permutation.
+fn decode_permutation_entry<'a>(src: &mut impl Source<'a>) -> Result<Checked<Vec<u32>>, String> {
+    let points = read_list(src, |src| {
+        Ok(match src.scalar()?.as_u64() {
+            Some(p) => fits_u32("permutation", p),
+            None => Err("permutation point not a uint".into()),
+        })
+    })?;
+    Ok(points.unwrap_or_else(|| Err("permutation entry not an array".into())))
 }
 
 #[cfg(test)]
@@ -928,5 +1062,56 @@ exit:
         assert_eq!(report.coverage_regressions(), vec![("toy".to_owned(), "worst".to_owned())]);
         assert_eq!(report.equivalence_failures(), vec![("toy".to_owned(), "broken".to_owned())]);
         assert!(report.violations().is_empty());
+    }
+
+    /// A one-variant study report, as text.
+    fn toy_study_text() -> String {
+        let spec = StudySpec { sample: Some(8), shards: 2, ..StudySpec::default() };
+        let run = toy_campaign(&spec);
+        let mut report = StudyReport::empty("paper", &spec);
+        report.benchmarks.push(BenchmarkStudy {
+            name: "toy".into(),
+            scoring: ScoringRecord {
+                analyses: 1,
+                points: 7,
+                solver_visits: 20,
+                coalesce_passes: 2,
+                uf_nodes: 100,
+            },
+            variants: vec![toy_record("original", false, run.report)],
+        });
+        let text = report.render();
+        assert_eq!(StudyReport::parse(&text), Ok(report));
+        text
+    }
+
+    /// Reads `text` through the streaming and the tree path, which must
+    /// agree.
+    fn read_both(text: &str) -> Result<StudyReport, String> {
+        let streamed = StudyReport::parse(text);
+        assert_eq!(StudyReport::from_json(&Json::parse(text).unwrap()), streamed);
+        streamed
+    }
+
+    #[test]
+    fn u32_fields_above_u32_max_are_rejected_by_name() {
+        // 4294967360 = 2^32 + 64 once wrapped to 64 and passed `matches`.
+        let text = toy_study_text();
+        let wide = text.replacen("\"shards\": 2,", "\"shards\": 4294967360,", 1);
+        assert_ne!(wide, text);
+        let err = read_both(&wide).unwrap_err();
+        assert!(err.contains("`shards`") && err.contains("4294967360"), "{err}");
+
+        let at = text.find("\"permutation\"").unwrap();
+        let point = |v: &str| format!("{}{}", &text[..at], text[at..].replacen(" 0,", v, 1));
+        let wide = point(" 4294967360,");
+        assert_ne!(wide, text);
+        let err = read_both(&wide).unwrap_err();
+        assert!(err.contains("`permutation`") && err.contains("4294967360"), "{err}");
+
+        // u32::MAX itself still fits.
+        let edge = point(" 4294967295,");
+        let back = read_both(&edge).unwrap();
+        assert_eq!(back.benchmarks[0].variants[0].permutation[0][0], u32::MAX);
     }
 }

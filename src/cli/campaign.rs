@@ -10,7 +10,7 @@
 //! resumable: `--report out.json --resume out.json` re-runs only the shards
 //! missing from an interrupted campaign.
 
-use super::{input, CliError, CommonArgs};
+use super::{input, load_resume, write_report, CliError, CommonArgs};
 use bec::artifacts::ArtifactStore;
 use bec::spawn::{run_spawned, SpawnConfig, WorkerSource};
 use bec_core::{report, BecAnalysis};
@@ -133,21 +133,6 @@ fn parse_flags(args: &CommonArgs) -> Result<Flags, CliError> {
     Ok(flags)
 }
 
-fn load_resume(path: &str) -> Result<Option<CampaignReport>, CliError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        // A missing resume file means a fresh campaign — so the same
-        // `--report out.json --resume out.json` invocation works first time.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CliError::failed(format!("cannot read `{path}`: {e}"))),
-    };
-    let doc = Json::parse(&text)
-        .map_err(|e| CliError::failed(format!("{path}: not a campaign report: {e}")))?;
-    let report = CampaignReport::from_json(&doc)
-        .map_err(|e| CliError::failed(format!("{path}: not a campaign report: {e}")))?;
-    Ok(Some(report))
-}
-
 /// The prepare phase with `--cache-dir` wired in: analysis verdicts and
 /// (under the adaptive checkpoint policy) the golden pair come from the
 /// artifact store when warm, so a warm run skips the whole analysis +
@@ -189,8 +174,9 @@ pub(super) fn prepare_cached(
 pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     let flags = parse_flags(args)?;
     let program = input::load_program(&args.file)?;
+    let tel = Telemetry::enabled();
     let resume = match &flags.resume_path {
-        Some(path) => load_resume(path)?,
+        Some(path) => load_resume(path, "campaign report", CampaignReport::parse, &tel)?,
         None => None,
     };
     // The shared campaign driver (`bec_sim::study`): golden probe, derived
@@ -208,7 +194,6 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
         // substrate across; the flag only matters to `bec study`.
         golden_reuse: true,
     };
-    let tel = Telemetry::enabled();
     let store = match &args.cache_dir {
         Some(dir) => Some(ArtifactStore::open(dir).map_err(CliError::failed)?),
         None => None,
@@ -238,10 +223,7 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     let (campaign, stats, interval) = (run.report, run.stats, run.interval);
 
     if let Some(path) = &flags.report_path {
-        let mut text = campaign.to_json().render();
-        text.push('\n');
-        std::fs::write(path, text)
-            .map_err(|e| CliError::failed(format!("cannot write `{path}`: {e}")))?;
+        write_report(path, || campaign.render(), &tel)?;
     }
 
     // Timing is real but nondeterministic — it goes to stderr so stdout

@@ -93,6 +93,46 @@ pub(crate) fn write_exports(
     Ok(())
 }
 
+/// Reads a `--resume` report with the streaming reader `parse`, inside a
+/// `report.decode` span. A missing file means a fresh run, so the same
+/// `--report out.json --resume out.json` invocation works the first time
+/// too.
+pub(crate) fn load_resume<T>(
+    path: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+    tel: &Telemetry,
+) -> Result<Option<T>, CliError> {
+    let span = tel.span("report.decode").arg("path", path);
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(CliError::failed(format!("cannot read `{path}`: {e}"))),
+    };
+    let report =
+        parse(&text).map_err(|e| CliError::failed(format!("{path}: not a {what}: {e}")))?;
+    drop(span.arg("bytes", text.len()));
+    Ok(Some(report))
+}
+
+/// Writes a `--report` file, inside a `report.encode` span: the text
+/// `render` returns, then a final newline (`render` sizes its buffer with
+/// room for it, so the text is never copied).
+pub(crate) fn write_report(
+    path: &str,
+    render: impl FnOnce() -> String,
+    tel: &Telemetry,
+) -> Result<(), CliError> {
+    let span = tel.span("report.encode").arg("path", path);
+    let mut text = render();
+    text.push('\n');
+    let bytes = text.len();
+    std::fs::write(path, text)
+        .map_err(|e| CliError::failed(format!("cannot write `{path}`: {e}")))?;
+    drop(span.arg("bytes", bytes));
+    Ok(())
+}
+
 fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
     let mut file = None;
     let mut json = false;

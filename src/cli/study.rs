@@ -17,7 +17,7 @@
 //! masked fault observed corrupting a variant) or a coverage regression
 //! (a reliability-improving schedule grew the live fault surface).
 
-use super::{rule_options, write_exports, CliError};
+use super::{load_resume, rule_options, write_exports, write_report, CliError};
 use bec::study::{run_study, StudyConfig};
 use bec_core::report;
 use bec_sim::json::Json;
@@ -149,31 +149,16 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     Ok(Flags { cfg, json, report_path, resume_path, trace_out, metrics_out })
 }
 
-fn load_resume(path: &str) -> Result<Option<StudyReport>, CliError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        // Missing resume file = fresh study, so `--report out.json
-        // --resume out.json` works on the first run too.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CliError::failed(format!("cannot read `{path}`: {e}"))),
-    };
-    let doc = Json::parse(&text)
-        .map_err(|e| CliError::failed(format!("{path}: not a study report: {e}")))?;
-    let report = StudyReport::from_json(&doc)
-        .map_err(|e| CliError::failed(format!("{path}: not a study report: {e}")))?;
-    Ok(Some(report))
-}
-
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let flags = parse_flags(args)?;
+    let tel = Telemetry::enabled();
     let resume = match &flags.resume_path {
-        Some(path) => load_resume(path)?,
+        Some(path) => load_resume(path, "study report", StudyReport::parse, &tel)?,
         None => None,
     };
     // Typed progress events render to stderr (they carry wall times);
     // stdout stays byte-reproducible. The campaign events also carry the
     // per-variant early-exit counts the JSON summary includes.
-    let tel = Telemetry::enabled();
     let mut early_exits = EarlyExits::new();
     let report = run_study(&flags.cfg, resume.as_ref(), &tel, |event| {
         if event.phase == Phase::Campaign {
@@ -186,8 +171,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     .map_err(CliError::failed)?;
 
     if let Some(path) = &flags.report_path {
-        std::fs::write(path, report.to_json().render() + "\n")
-            .map_err(|e| CliError::failed(format!("cannot write `{path}`: {e}")))?;
+        write_report(path, || report.render(), &tel)?;
     }
     write_exports(&tel, flags.trace_out.as_deref(), flags.metrics_out.as_deref())?;
 

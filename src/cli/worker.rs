@@ -11,7 +11,7 @@
 //! the protocol. `--cache-dir` is forwarded so workers share the parent's
 //! artifact store instead of re-analyzing.
 
-use super::{input, rule_options, CliError};
+use super::{input, rule_options, write_report, CliError};
 use bec::artifacts::ArtifactStore;
 use bec::spawn::run_worker_slice;
 use bec_core::BecAnalysis;
@@ -203,8 +203,7 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
     };
     let (report, stats) =
         run_worker_slice(&program, &prep, &a.spec, &a.slice, &label).map_err(CliError::failed)?;
-    std::fs::write(&a.partial_out, report.to_json().render() + "\n")
-        .map_err(|e| CliError::failed(format!("cannot write `{}`: {e}", a.partial_out)))?;
+    write_report(&a.partial_out, || report.render(), &tel)?;
     println!("done {} {}", stats.executed_shards, stats.early_exits);
     Ok(())
 }

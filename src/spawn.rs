@@ -294,9 +294,7 @@ fn merge_partial(
 ) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{label}: worker {worker} partial {}: {e}", path.display()))?;
-    let doc = bec_sim::json::Json::parse(&text)
-        .map_err(|e| format!("{label}: worker {worker} partial: {e}"))?;
-    let partial = CampaignReport::from_json(&doc)
+    let partial = CampaignReport::parse(&text)
         .map_err(|e| format!("{label}: worker {worker} partial: {e}"))?;
     partial
         .validate_resume(label, &prep.plan, prep.budget)

@@ -1,17 +1,24 @@
-//! The campaign-report reader on large and hostile inputs.
+//! The campaign- and study-report codecs on large and hostile inputs.
 //!
 //! `--resume`, the `--spawn` partial merge and every other reader of an
-//! outside report go through `Json::parse` + `CampaignReport::from_json`.
-//! These tests pin that the reader is linear in the report size (a
-//! multi-MB report parses in well under a second even unoptimised) and
-//! that mutated or hostile bytes yield a clean error, never a panic, a
-//! stack overflow or a superlinear stall.
+//! outside report go through the streaming `CampaignReport::parse` /
+//! `StudyReport::parse`. These tests pin that the reader is linear in the
+//! report size (a multi-MB report parses in well under a second even
+//! unoptimised), that mutated or hostile bytes yield a clean error, never
+//! a panic, a stack overflow or a superlinear stall, and that the `Json`
+//! tree adapters (`to_json`, `from_json`) agree with the streaming path
+//! byte for byte and value for value.
 
+use bec::study::{run_study, StudyConfig};
 use bec_ir::{PointId, Reg};
 use bec_sim::json::Json;
+use bec_sim::study::{
+    BenchmarkStudy, EquivalenceRecord, ScoringRecord, StudyReport, StudySpec, VariantRecord,
+};
 use bec_sim::{
     CampaignReport, CampaignSpec, FaultClass, FaultOutcome, FaultSpec, ShardResult, SitedFault,
 };
+use bec_telemetry::Telemetry;
 use bec_testutil::Rng;
 use std::path::Path;
 use std::process::Command;
@@ -52,8 +59,29 @@ fn synthetic_report(shards: u32, per_shard: usize) -> CampaignReport {
     }
 }
 
-fn read_report(text: &str) -> Result<CampaignReport, String> {
+/// The tree path: `Json::parse`, then `from_json`.
+fn campaign_via_tree(text: &str) -> Result<CampaignReport, String> {
     CampaignReport::from_json(&Json::parse(text)?)
+}
+
+/// [`campaign_via_tree`] for study reports.
+fn study_via_tree(text: &str) -> Result<StudyReport, String> {
+    StudyReport::from_json(&Json::parse(text)?)
+}
+
+/// Reads `text` with the streaming reader, checking that the tree path
+/// gives the same value or error.
+fn read_report(text: &str) -> Result<CampaignReport, String> {
+    let streamed = CampaignReport::parse(text);
+    assert_eq!(streamed, campaign_via_tree(text), "the tree path disagrees");
+    streamed
+}
+
+/// [`read_report`] for study reports.
+fn read_study(text: &str) -> Result<StudyReport, String> {
+    let streamed = StudyReport::parse(text);
+    assert_eq!(streamed, study_via_tree(text), "the tree path disagrees");
+    streamed
 }
 
 #[test]
@@ -72,6 +100,13 @@ fn multi_megabyte_report_roundtrips_in_linear_time() {
     let back = CampaignReport::from_json(&doc).expect("rendered report decodes");
     assert_eq!(back, report);
     assert_eq!(back.to_json().render(), text);
+
+    let start = Instant::now();
+    let streamed = CampaignReport::parse(&text).expect("rendered report reads");
+    let read = start.elapsed();
+    assert!(read < Duration::from_secs(1), "reading {} bytes took {read:?}", text.len());
+    assert_eq!(streamed, report);
+    assert_eq!(streamed.render(), text);
 }
 
 /// Applies one seeded byte mutation: flip, insert, delete, truncate or
@@ -104,14 +139,29 @@ fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>) {
     }
 }
 
-/// Reads `text` as a report, failing the test on a panic or when the read
-/// takes longer than `bound`.
+/// Reads `text` as a report, failing the test on a panic or when the
+/// streaming read takes longer than `bound`.
 fn read_within(text: &str, bound: Duration, what: &str) -> Result<CampaignReport, String> {
+    read_within_by(text, bound, what, CampaignReport::parse, campaign_via_tree)
+}
+
+/// [`read_within`] for any report: times the streaming `read`, then checks
+/// that the `tree` path agrees.
+fn read_within_by<T: PartialEq + std::fmt::Debug>(
+    text: &str,
+    bound: Duration,
+    what: &str,
+    read: fn(&str) -> Result<T, String>,
+    tree: fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
     let start = Instant::now();
-    let result = std::panic::catch_unwind(|| read_report(text));
+    let result = std::panic::catch_unwind(|| read(text));
     let elapsed = start.elapsed();
     let result = result.unwrap_or_else(|_| panic!("{what}: reader panicked"));
     assert!(elapsed < bound, "{what}: read took {elapsed:?}");
+    let via_tree = std::panic::catch_unwind(|| tree(text))
+        .unwrap_or_else(|_| panic!("{what}: tree reader panicked"));
+    assert_eq!(result, via_tree, "{what}: the tree path disagrees");
     result
 }
 
@@ -189,4 +239,139 @@ fn deeply_nested_resume_file_exits_with_an_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("nesting too deep"), "{stderr}");
+}
+
+/// A small study report: 2 benchmarks × 3 variants over synthetic
+/// campaigns, one of them partial and one with an empty shard.
+fn synthetic_study() -> StudyReport {
+    let mut campaign = synthetic_report(4, 12);
+    let variant = |criterion: &str, campaign: CampaignReport| VariantRecord {
+        criterion: criterion.to_owned(),
+        coverage_gated: criterion == "best",
+        permutation: vec![vec![2, 0, 1], Vec::new(), vec![u32::MAX]],
+        total_site_bits: 400,
+        masked_site_bits: 120,
+        live_surface: 1000,
+        total_surface: 4000,
+        equivalence: EquivalenceRecord {
+            cycles: 26,
+            outputs_match: true,
+            terminal_regs_match: true,
+            mem_digest_match: criterion != "worst",
+            reencode_outputs_match: (criterion == "best").then_some(true),
+        },
+        campaign,
+    };
+    let mut benchmarks = Vec::new();
+    for name in ["crc32", "sha/€"] {
+        let mut partial = campaign.clone();
+        partial.shards[1] = None;
+        partial.shards[3] = Some(ShardResult { shard: 3, outcomes: Vec::new() });
+        benchmarks.push(BenchmarkStudy {
+            name: name.to_owned(),
+            scoring: ScoringRecord {
+                analyses: 1,
+                points: 70,
+                solver_visits: 200,
+                coalesce_passes: 2,
+                uf_nodes: 1000,
+            },
+            variants: vec![
+                variant("original", campaign.clone()),
+                variant("best", partial),
+                variant("worst", campaign.clone()),
+            ],
+        });
+        campaign.program.push_str("/2");
+    }
+    StudyReport { rules: "paper".into(), seed: 3052, sample: Some(48), shards: 4, benchmarks }
+}
+
+#[test]
+fn mutated_study_reports_fail_cleanly_and_fast() {
+    let report = synthetic_study();
+    let base = report.render();
+    assert_eq!(read_study(&base), Ok(report));
+    let bound = Duration::from_millis(100);
+    let mut rng = Rng::seeded(0x57D1E5);
+    let (mut read, mut accepted) = (0, 0);
+    for case in 0..300 {
+        let seed = rng.state();
+        let mut bytes = base.clone().into_bytes();
+        for _ in 0..=rng.index(3) {
+            mutate(&mut rng, &mut bytes);
+        }
+        let Ok(text) = String::from_utf8(bytes) else { continue };
+        read += 1;
+        let what = format!("case {case} (seed {seed:#x})");
+        match read_within_by(&text, bound, &what, StudyReport::parse, study_via_tree) {
+            // An accepted mutant re-renders and reads back to itself.
+            Ok(report) => {
+                accepted += 1;
+                assert_eq!(read_study(&report.render()), Ok(report), "{what}");
+            }
+            Err(e) => assert!(!e.is_empty(), "{what}: empty error"),
+        }
+    }
+    assert!(read >= 200, "only {read} mutants were valid UTF-8");
+    assert!(accepted < read, "every mutant was accepted");
+}
+
+#[test]
+fn tree_adapters_agree_with_the_streaming_codec() {
+    // Complete, partial (missing shards) and with a zero-outcome shard;
+    // the synthetic rows use `v12`, `x31` and the program label is not
+    // ASCII.
+    let full = synthetic_report(6, 40);
+    let mut partial = full.clone();
+    partial.shards[0] = None;
+    partial.shards[4] = None;
+    partial.shards[2] = Some(ShardResult { shard: 2, outcomes: Vec::new() });
+    for report in [full, partial] {
+        let text = report.render();
+        assert_eq!(report.to_json().render(), text);
+        assert!(text.contains(":v12:") && text.contains(":t6:") && text.contains("€𝄞"));
+        assert_eq!(CampaignReport::parse(&text), Ok(report.clone()));
+        assert_eq!(campaign_via_tree(&text), Ok(report));
+    }
+
+    // A real study report, through both paths.
+    let spec = StudySpec { sample: Some(40), shards: 4, workers: 2, ..StudySpec::default() };
+    let cfg = StudyConfig { benchmarks: vec!["crc32".into()], ..StudyConfig::suite(spec) };
+    let study = run_study(&cfg, None, &Telemetry::disabled(), |_| {}).unwrap();
+    let text = study.render();
+    assert_eq!(study.to_json().render(), text);
+    assert_eq!(StudyReport::parse(&text), Ok(study.clone()));
+    assert_eq!(study_via_tree(&text), Ok(study));
+}
+
+#[test]
+fn every_register_roundtrips_through_the_row_codec() {
+    let regs: Vec<Reg> = (0..64).map(Reg::phys).chain([Reg::virt(0), Reg::virt(12)]).collect();
+    let outcomes = regs
+        .iter()
+        .enumerate()
+        .map(|(i, &reg)| FaultOutcome {
+            fault: SitedFault {
+                spec: FaultSpec { cycle: u64::MAX - i as u64, reg, bit: i as u32 % 32 },
+                func: u32::MAX,
+                point: PointId(i as u32),
+                occurrence: 0,
+                masked: i % 2 == 0,
+            },
+            class: FaultClass::ALL[i % FaultClass::ALL.len()],
+        })
+        .collect::<Vec<_>>();
+    let report = CampaignReport {
+        program: "regs".into(),
+        spec: CampaignSpec::exhaustive(1),
+        max_cycles: 10,
+        fault_space: regs.len() as u64,
+        shards: vec![Some(ShardResult { shard: 0, outcomes })],
+    };
+    let text = report.render();
+    for reg in &regs {
+        assert!(text.contains(&format!(":{}:", reg.abi_name())), "{reg:?} not written by name");
+    }
+    assert_eq!(read_report(&text), Ok(report));
 }
