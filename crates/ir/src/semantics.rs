@@ -82,6 +82,7 @@ fn min_signed(width: u32) -> i64 {
 }
 
 /// Evaluates a branch condition on `xlen`-bit values.
+#[inline]
 pub fn eval_cond(c: &MachineConfig, cond: Cond, a: u64, b: u64) -> bool {
     let a = c.truncate(a);
     let b = c.truncate(b);

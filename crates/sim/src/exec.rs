@@ -30,7 +30,9 @@
 //! * `run_tail` runs the tail of a forked bitsliced lane to its end. It
 //!   walks a dense op array decoded once per program (`Op`: absolute op
 //!   indices across functions, register-file slots, pre-truncated
-//!   immediates) over a local copy of the register file, with none of the
+//!   immediates, one variant per ALU operation and branch condition, so
+//!   each op costs one dispatch) over a local copy of the register file,
+//!   with none of the
 //!   capture, tape, profile, cycle-map, resume or digest machinery, and
 //!   may skip the trace hash of a lane whose trace already diverged.
 
@@ -201,10 +203,10 @@ impl<'p> FlatProgram<'p> {
                     FlatStep::Goto { target } => OpKind::Goto { target: base + target },
                     FlatStep::Inst { inst, .. } => match *inst {
                         Inst::Alu { op, rd: d, rs1, rs2 } => {
-                            OpKind::Alu { op, rd: rd(d), rs1: rs(rs1), rs2: rs(rs2) }
+                            OpKind::alu(op, rd(d), rs(rs1), rs(rs2))
                         }
                         Inst::AluImm { op, rd: d, rs1, imm } => {
-                            OpKind::AluImm { op, rd: rd(d), rs1: rs(rs1), imm: imm as u64 & mask }
+                            OpKind::alu_imm(op, rd(d), rs(rs1), imm as u64 & mask)
                         }
                         Inst::Li { rd: d, imm } => OpKind::Li { rd: rd(d), imm: imm as u64 & mask },
                         Inst::Mv { rd: d, rs: s } => OpKind::Mv { rd: rd(d), rs: rs(s) },
@@ -237,13 +239,13 @@ impl<'p> FlatProgram<'p> {
                         ret_pc: pc as u32 + 1,
                         seed: call_seed(point),
                     },
-                    FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => OpKind::Branch {
+                    FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => OpKind::branch(
                         cond,
-                        rs1: rs(rs1),
-                        rs2: rs2.map_or(ZERO_SLOT, rs),
-                        taken: base + taken,
-                        fall: base + fall,
-                    },
+                        rs(rs1),
+                        rs2.map_or(ZERO_SLOT, rs),
+                        base + taken,
+                        base + fall,
+                    ),
                     FlatStep::Exit { .. } => OpKind::Exit,
                     FlatStep::Ret { reads, .. } => {
                         let at = self.ret_reads.len() as u32;
@@ -374,85 +376,132 @@ struct Op {
     kind: OpKind,
 }
 
-/// What an [`Op`] does. Register operands are local register-file slots,
-/// control targets are absolute op indices, and immediates, offsets and
-/// `la` addresses (decoded as `Li`) are truncated to the machine word.
-#[derive(Clone, Copy, Debug)]
-enum OpKind {
-    Alu {
-        op: AluOp,
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    AluImm {
-        op: AluOp,
-        rd: u8,
-        rs1: u8,
-        imm: u64,
-    },
-    Li {
-        rd: u8,
-        imm: u64,
-    },
-    Mv {
-        rd: u8,
-        rs: u8,
-    },
-    Neg {
-        rd: u8,
-        rs: u8,
-    },
-    Seqz {
-        rd: u8,
-        rs: u8,
-    },
-    Snez {
-        rd: u8,
-        rs: u8,
-    },
-    Load {
-        rd: u8,
-        base: u8,
-        width: MemWidth,
-        signed: bool,
-        offset: u64,
-    },
-    Store {
-        rs: u8,
-        base: u8,
-        width: MemWidth,
-        offset: u64,
-    },
-    Print {
-        rs: u8,
-    },
-    Nop,
-    /// A call: the callee's entry op, then the caller function and return
-    /// pc a [`FrameSnap`] records, and the call's return-address token
-    /// seed (see [`call_token`]).
-    Call {
-        entry: u32,
-        func: u32,
-        ret_pc: u32,
-        seed: u32,
-    },
-    Goto {
-        target: u32,
-    },
-    Branch {
-        cond: Cond,
-        rs1: u8,
-        rs2: u8,
-        taken: u32,
-        fall: u32,
-    },
-    Exit,
-    /// A return; an entry return outputs `ret_reads[reads..][..count]`.
-    Ret {
-        reads: u32,
-        count: u32,
-    },
+/// Invokes `$then!` with the one list of ops [`run_tail`] dispatches on
+/// directly: every ALU op with the names of its register- and
+/// immediate-form [`OpKind`] variants, then every branch condition with
+/// its variant's. The op enum, its decoder and the tail loop's match are
+/// all generated from this list, so they cannot miss or mismatch an op,
+/// and each tail arm calls [`eval_alu`]/[`eval_cond`] with a constant op:
+/// one jump per op, and [`bec_ir::semantics`] stays the only definition
+/// of ALU and branch semantics.
+macro_rules! with_tail_ops {
+    ($then:ident! { $($args:tt)* }) => {
+        $then! {
+            $($args)*
+            alu: [
+                Add AddR AddI, Sub SubR SubI, And AndR AndI, Or OrR OrI, Xor XorR XorI,
+                Sll SllR SllI, Srl SrlR SrlI, Sra SraR SraI, Slt SltR SltI,
+                Sltu SltuR SltuI, Mul MulR MulI, Mulh MulhR MulhI, Mulhu MulhuR MulhuI,
+                Div DivR DivI, Divu DivuR DivuI, Rem RemR RemI, Remu RemuR RemuI
+            ]
+            cond: [Eq BrEq, Ne BrNe, Lt BrLt, Ge BrGe, Ltu BrLtu, Geu BrGeu]
+        }
+    };
+}
+
+/// Defines [`OpKind`] and its ALU and branch decoders from the list of
+/// [`with_tail_ops!`].
+macro_rules! define_op_kind {
+    (
+        alu: [$($op:ident $reg:ident $imm:ident),*]
+        cond: [$($cond:ident $br:ident),*]
+    ) => {
+        /// What an [`Op`] does. Register operands are local register-file
+        /// slots, control targets are absolute op indices, and immediates,
+        /// offsets and `la` addresses (decoded as `Li`) are truncated to the
+        /// machine word. ALU ops and branches name their operation in the
+        /// variant itself (`AddR`: `add rd, rs1, rs2`; `AddI`: `addi rd,
+        /// rs1, imm`; `BrEq`: `beq rs1, rs2`).
+        #[derive(Clone, Copy, Debug)]
+        enum OpKind {
+            $(
+                $reg { rd: u8, rs1: u8, rs2: u8 },
+                $imm { rd: u8, rs1: u8, imm: u64 },
+            )*
+            $($br { rs1: u8, rs2: u8, taken: u32, fall: u32 },)*
+            Li { rd: u8, imm: u64 },
+            Mv { rd: u8, rs: u8 },
+            Neg { rd: u8, rs: u8 },
+            Seqz { rd: u8, rs: u8 },
+            Snez { rd: u8, rs: u8 },
+            Load { rd: u8, base: u8, width: MemWidth, signed: bool, offset: u64 },
+            Store { rs: u8, base: u8, width: MemWidth, offset: u64 },
+            Print { rs: u8 },
+            Nop,
+            /// A call: the callee's entry op, then the caller function and
+            /// return pc a [`FrameSnap`] records, and the call's
+            /// return-address token seed (see [`call_token`]).
+            Call { entry: u32, func: u32, ret_pc: u32, seed: u32 },
+            Goto { target: u32 },
+            Exit,
+            /// A return; an entry return outputs `ret_reads[reads..][..count]`.
+            Ret { reads: u32, count: u32 },
+        }
+
+        impl OpKind {
+            /// `op rd, rs1, rs2`.
+            fn alu(op: AluOp, rd: u8, rs1: u8, rs2: u8) -> OpKind {
+                match op {
+                    $(AluOp::$op => OpKind::$reg { rd, rs1, rs2 },)*
+                }
+            }
+
+            /// `op rd, rs1, imm`.
+            fn alu_imm(op: AluOp, rd: u8, rs1: u8, imm: u64) -> OpKind {
+                match op {
+                    $(AluOp::$op => OpKind::$imm { rd, rs1, imm },)*
+                }
+            }
+
+            /// A branch on `cond rs1, rs2` to `taken`, else `fall`.
+            fn branch(cond: Cond, rs1: u8, rs2: u8, taken: u32, fall: u32) -> OpKind {
+                match cond {
+                    $(Cond::$cond => OpKind::$br { rs1, rs2, taken, fall },)*
+                }
+            }
+        }
+
+        /// Every ALU op, in list order (complete: the decoders match on
+        /// the list exhaustively).
+        #[cfg(test)]
+        const TAIL_ALU_OPS: &[AluOp] = &[$(AluOp::$op),*];
+
+        /// Every branch condition, in list order.
+        #[cfg(test)]
+        const TAIL_CONDS: &[Cond] = &[$(Cond::$cond),*];
+    };
+}
+
+with_tail_ops!(define_op_kind! {});
+
+/// The tail loop's match on `$kind`: the ALU and branch arms generated
+/// from the list of [`with_tail_ops!`] over the register file `$regs`,
+/// machine `$cfg` and op index `$pc`, then the hand-written `$rest` arms.
+macro_rules! tail_match {
+    (
+        $kind:expr, $cfg:ident, $regs:ident, $pc:ident, { $($rest:tt)* }
+        alu: [$($op:ident $reg:ident $imm:ident),*]
+        cond: [$($cond:ident $br:ident),*]
+    ) => {
+        match $kind {
+            $(
+                OpKind::$reg { rd, rs1, rs2 } => {
+                    let (a, b) = ($regs[rs1 as usize], $regs[rs2 as usize]);
+                    $regs[rd as usize] = eval_alu(&$cfg, AluOp::$op, a, b);
+                }
+                OpKind::$imm { rd, rs1, imm } => {
+                    $regs[rd as usize] = eval_alu(&$cfg, AluOp::$op, $regs[rs1 as usize], imm);
+                }
+            )*
+            $(
+                OpKind::$br { rs1, rs2, taken, fall } => {
+                    let (a, b) = ($regs[rs1 as usize], $regs[rs2 as usize]);
+                    $pc = if eval_cond(&$cfg, Cond::$cond, a, b) { taken } else { fall };
+                }
+            )*
+            $($rest)*
+        }
+    };
 }
 
 /// The effective address of a memory access: base plus offset, wrapped to
@@ -1149,13 +1198,8 @@ fn tail<const HASH: bool>(
         }
         cycle += 1;
         pc += 1;
-        match kind {
-            OpKind::Alu { op, rd, rs1, rs2 } => {
-                regs[rd as usize] = eval_alu(&cfg, op, regs[rs1 as usize], regs[rs2 as usize]);
-            }
-            OpKind::AluImm { op, rd, rs1, imm } => {
-                regs[rd as usize] = eval_alu(&cfg, op, regs[rs1 as usize], imm);
-            }
+        // One jump per op: the ALU and branch arms are generated per op.
+        with_tail_ops!(tail_match! { kind, cfg, regs, pc, {
             OpKind::Li { rd, imm } => regs[rd as usize] = imm,
             OpKind::Mv { rd, rs } => regs[rd as usize] = regs[rs as usize],
             OpKind::Neg { rd, rs } => {
@@ -1206,10 +1250,6 @@ fn tail<const HASH: bool>(
                 stack.push(FrameSnap { func, ret_pc, ra_token });
                 pc = entry;
             }
-            OpKind::Branch { cond, rs1, rs2, taken, fall } => {
-                let a = regs[rs1 as usize];
-                pc = if eval_cond(&cfg, cond, a, regs[rs2 as usize]) { taken } else { fall };
-            }
             OpKind::Exit => break ExecOutcome::Completed,
             OpKind::Ret { reads, count } => match stack.pop() {
                 None => {
@@ -1231,7 +1271,7 @@ fn tail<const HASH: bool>(
                 }
             },
             OpKind::Goto { .. } => unreachable!("handled above"),
-        }
+        }});
     };
     machine.restore_regs(&regs[..nregs]);
     RunResult { outcome, outputs, cycles: cycle, hash }

@@ -73,10 +73,11 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Publishes the execution metadata onto the metric registry. The
-    /// wall time goes in as a (nondeterministic) timing; everything else
-    /// is deterministic for a fixed plan and checkpoint interval.
+    /// wall time goes in as a (nondeterministic) timing, summed over every
+    /// campaign the registry sees; everything else is deterministic for a
+    /// fixed plan and checkpoint interval.
     pub fn record(&self, tel: &Telemetry) {
-        tel.time_ms("campaign.wall_ms", self.wall.as_secs_f64() * 1e3);
+        tel.add_time_ms("campaign.wall_ms", self.wall.as_secs_f64() * 1e3);
         tel.gauge("pool.workers", self.workers as u64);
         tel.gauge("pool.executed_shards", self.executed_shards as u64);
         tel.gauge("pool.resumed_shards", self.resumed_shards as u64);
@@ -349,8 +350,9 @@ fn run_report(
     });
 
     if use_batch {
-        // Tail time summed over workers: a timing, like the wall time.
-        tel.time_ms("campaign.tail_wall_ms", tail_ns.load(Ordering::Relaxed) as f64 / 1e6);
+        // Tail time summed over workers (and, like the wall time, over
+        // every campaign of the process): a timing.
+        tel.add_time_ms("campaign.tail_wall_ms", tail_ns.load(Ordering::Relaxed) as f64 / 1e6);
     }
     // Outcome tallies cover the whole (possibly resumed) report, matching
     // what the CLI prints — deterministic for a fixed plan.
@@ -495,6 +497,32 @@ exit:
         assert!(hists.windows(2).all(|w| w[0] == w[1]), "run_cycles histogram varies");
         // With checkpointing on, some runs restore mid-trace.
         assert!(snapshots[0].histogram("campaign.restore_distance").unwrap().count > 0);
+    }
+
+    /// A process running several campaigns (a study) reports their summed
+    /// pool and tail times, not the last campaign's.
+    #[test]
+    fn campaign_timings_add_up_over_campaigns() {
+        let p = toy();
+        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
+        let sim = Simulator::new(&p);
+        let (golden, ckpts) = sim.run_golden_checkpointed(4);
+        let plan =
+            ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(3));
+        let tel = Telemetry::enabled();
+        let timings = || {
+            let snap = tel.snapshot();
+            let time = |name| snap.time_ms(name).expect("recorded");
+            (time("campaign.wall_ms"), time("campaign.tail_wall_ms"))
+        };
+        let run = || run_sharded_with(&sim, &golden, &ckpts, &plan, 2, None, "toy", &tel).unwrap();
+        let (_, first) = run();
+        let (wall1, tail1) = timings();
+        assert_eq!(wall1, first.wall.as_secs_f64() * 1e3);
+        let (_, second) = run();
+        let (wall2, tail2) = timings();
+        assert_eq!(wall2, wall1 + second.wall.as_secs_f64() * 1e3);
+        assert!(tail1 > 0.0 && tail2 > tail1, "tail times {tail1} then {tail2}");
     }
 
     #[test]

@@ -534,14 +534,17 @@ impl StudyReport {
         self.benchmarks.iter().find(|b| b.name == name)
     }
 
-    /// A previously recorded campaign for `(benchmark, criterion)` — the
-    /// per-variant resume seed.
-    pub fn prior_campaign(&self, benchmark: &str, criterion: &str) -> Option<&CampaignReport> {
-        self.benchmark(benchmark)?
-            .variants
-            .iter()
-            .find(|v| v.criterion == criterion)
-            .map(|v| &v.campaign)
+    /// Moves the previously recorded campaign for `(benchmark, criterion)`
+    /// out of this report — the per-variant resume seed — removing its
+    /// variant record.
+    pub fn take_prior_campaign(
+        &mut self,
+        benchmark: &str,
+        criterion: &str,
+    ) -> Option<CampaignReport> {
+        let variants = &mut self.benchmarks.iter_mut().find(|b| b.name == benchmark)?.variants;
+        let at = variants.iter().position(|v| v.criterion == criterion)?;
+        Some(variants.remove(at).campaign)
     }
 
     /// Whether every variant campaign of every benchmark is complete.
@@ -1031,8 +1034,12 @@ exit:
         let back = StudyReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.to_json().render(), text);
-        assert_eq!(report.prior_campaign("toy", "best").map(|c| c.runs()), Some(run.report.runs()));
-        assert!(report.prior_campaign("toy", "worst").is_none());
+        let mut resume = report.clone();
+        let prior = resume.take_prior_campaign("toy", "best");
+        assert_eq!(prior.map(|c| c.runs()), Some(run.report.runs()));
+        assert!(resume.take_prior_campaign("toy", "best").is_none(), "moved out, not copied");
+        assert!(resume.take_prior_campaign("toy", "worst").is_none());
+        assert!(resume.take_prior_campaign("toy", "original").is_some());
     }
 
     #[test]

@@ -162,6 +162,21 @@ impl Telemetry {
         self.with_metric(name, |m| *m = Metric::TimeMs(ms), || Metric::TimeMs(ms));
     }
 
+    /// Adds `ms` to the timing `name` (creating it at 0): the sum over
+    /// every call, for a phase one process runs more than once (each
+    /// campaign of a study).
+    pub fn add_time_ms(&self, name: &str, ms: f64) {
+        self.with_metric(
+            name,
+            |m| {
+                if let Metric::TimeMs(v) = m {
+                    *v += ms;
+                }
+            },
+            || Metric::TimeMs(0.0),
+        );
+    }
+
     /// Records one observation into the histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
         self.with_metric(
@@ -288,6 +303,7 @@ mod tests {
         tel.gauge("g", 2);
         tel.observe("h", 3);
         tel.time_ms("t", 1.0);
+        tel.add_time_ms("t", 1.0);
         drop(tel.span("s").arg("k", "v"));
         assert!(!tel.is_enabled());
         assert!(tel.snapshot().is_empty());
@@ -309,6 +325,18 @@ mod tests {
         let h = snap.histogram("cycles").unwrap();
         assert_eq!((h.count, h.sum, h.min, h.max), (2, 9, 0, 9));
         assert_eq!(snap.counter("missing"), None);
+    }
+
+    #[test]
+    fn added_timings_accumulate_and_set_timings_overwrite() {
+        let tel = Telemetry::enabled();
+        tel.add_time_ms("sum", 1.5);
+        tel.add_time_ms("sum", 2.25);
+        tel.time_ms("last", 1.5);
+        tel.time_ms("last", 2.25);
+        let snap = tel.snapshot();
+        assert_eq!(snap.time_ms("sum"), Some(3.75));
+        assert_eq!(snap.time_ms("last"), Some(2.25));
     }
 
     #[test]

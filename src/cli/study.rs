@@ -160,7 +160,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // stdout stays byte-reproducible. The campaign events also carry the
     // per-variant early-exit counts the JSON summary includes.
     let mut early_exits = EarlyExits::new();
-    let report = run_study(&flags.cfg, resume.as_ref(), &tel, |event| {
+    let report = run_study(&flags.cfg, resume, &tel, |event| {
         if event.phase == Phase::Campaign {
             if let Some(n) = event.counter("early_exits") {
                 early_exits.insert((event.benchmark.clone(), event.variant.clone()), n);

@@ -95,7 +95,7 @@ impl StudyConfig {
 }
 
 /// Runs the study described by `cfg`, resuming completed variant
-/// campaigns from `resume` when given.
+/// campaigns from `resume` when given (each campaign is moved out of it).
 ///
 /// `progress` receives typed [`ProgressEvent`]s as the pipeline advances:
 /// one [`Phase::Schedule`] event per benchmark (variant count, scoring
@@ -113,11 +113,11 @@ impl StudyConfig {
 /// variant, or a campaign-level error.
 pub fn run_study(
     cfg: &StudyConfig,
-    resume: Option<&StudyReport>,
+    mut resume: Option<StudyReport>,
     tel: &Telemetry,
     mut progress: impl FnMut(&ProgressEvent),
 ) -> Result<StudyReport, String> {
-    if let Some(prev) = resume {
+    if let Some(prev) = &resume {
         if !prev.matches(&cfg.rules, &cfg.spec) {
             return Err(
                 "resume report was recorded for a different study (rules/seed/sample/shards)"
@@ -143,7 +143,7 @@ pub fn run_study(
             &name,
             &bench.expected,
             &program,
-            resume,
+            resume.as_mut(),
             store.as_ref(),
             tel,
             &mut progress,
@@ -160,7 +160,7 @@ fn study_benchmark(
     name: &str,
     expected: &[u64],
     program: &Program,
-    resume: Option<&StudyReport>,
+    mut resume: Option<&mut StudyReport>,
     store: Option<&ArtifactStore>,
     tel: &Telemetry,
     progress: &mut impl FnMut(&ProgressEvent),
@@ -240,7 +240,8 @@ fn study_benchmark(
             &fresh
         };
         let label = format!("study:{name}:{}", criterion.name());
-        let prior = resume.and_then(|r| r.prior_campaign(name, criterion.name())).cloned();
+        let prior =
+            resume.as_deref_mut().and_then(|r| r.take_prior_campaign(name, criterion.name()));
         let shared = substrate
             .as_ref()
             .map(|s| SharedGolden { substrate: s, permutation: &variant.permutation });
@@ -453,7 +454,7 @@ mod tests {
         let mut partial = full.clone();
         partial.benchmarks[0].variants[1].campaign.shards[2] = None;
         partial.benchmarks[0].variants[1].campaign.shards[4] = None;
-        let resumed = run_study(&cfg, Some(&partial), &Telemetry::disabled(), |_| {}).unwrap();
+        let resumed = run_study(&cfg, Some(partial), &Telemetry::disabled(), |_| {}).unwrap();
         assert_eq!(resumed, full);
         assert_eq!(resumed.to_json().render(), full.to_json().render());
         // A mismatched spec is rejected.
@@ -461,7 +462,7 @@ mod tests {
             benchmarks: vec!["crc32".into()],
             ..StudyConfig::suite(StudySpec { seed: 1, ..spec })
         };
-        assert!(run_study(&other, Some(&full), &Telemetry::disabled(), |_| {}).is_err());
+        assert!(run_study(&other, Some(full), &Telemetry::disabled(), |_| {}).is_err());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The campaign- and study-report codecs on large and hostile inputs.
+//! The campaign- and study-report codecs, and the program parsers, on
+//! large and hostile inputs.
 //!
 //! `--resume`, the `--spawn` partial merge and every other reader of an
 //! outside report go through the streaming `CampaignReport::parse` /
@@ -7,7 +8,10 @@
 //! unoptimised), that mutated or hostile bytes yield a clean error, never
 //! a panic, a stack overflow or a superlinear stall, and that the `Json`
 //! tree adapters (`to_json`, `from_json`) agree with the streaming path
-//! byte for byte and value for value.
+//! byte for byte and value for value. The same seeded mutator drives the
+//! assembler (`bec_rv32::parse_asm`) and the IR reader
+//! (`bec_ir::parse_program` then `verify_program`), which every `bec`
+//! command taking a program file runs.
 
 use bec::study::{run_study, StudyConfig};
 use bec_ir::{PointId, Reg};
@@ -109,12 +113,15 @@ fn multi_megabyte_report_roundtrips_in_linear_time() {
     assert_eq!(streamed.render(), text);
 }
 
-/// Applies one seeded byte mutation: flip, insert, delete, truncate or
-/// duplicate a span.
-fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>) {
-    const INTERESTING: &[u8] = b"[]{}\":,\\-.0123456789aeflmtu \n\xc3\xa9\xe2\x82\xac";
+/// Bytes the report mutator likes to insert: JSON syntax, digits, the
+/// letters of `true`/`false`/`null` and multi-byte UTF-8.
+const JSON_BYTES: &[u8] = b"[]{}\":,\\-.0123456789aeflmtu \n\xc3\xa9\xe2\x82\xac";
+
+/// Applies one seeded byte mutation: flip, insert (one of `interesting`
+/// half the time), delete, truncate or duplicate a span.
+fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>, interesting: &[u8]) {
     if bytes.is_empty() {
-        bytes.push(*rng.choose(INTERESTING));
+        bytes.push(*rng.choose(interesting));
         return;
     }
     let at = rng.index(bytes.len());
@@ -122,7 +129,7 @@ fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>) {
     match rng.index(5) {
         0 => bytes[at] ^= 1 << rng.index(8),
         1 => {
-            let b = if rng.bool() { *rng.choose(INTERESTING) } else { rng.index(256) as u8 };
+            let b = if rng.bool() { *rng.choose(interesting) } else { rng.index(256) as u8 };
             bytes.insert(at, b);
         }
         2 => {
@@ -178,7 +185,7 @@ fn mutated_reports_fail_cleanly_and_fast() {
         let seed = rng.state();
         let mut bytes = base.clone().into_bytes();
         for _ in 0..=rng.index(3) {
-            mutate(&mut rng, &mut bytes);
+            mutate(&mut rng, &mut bytes, JSON_BYTES);
         }
         // `read_to_string` rejects non-UTF-8 files before the parser runs.
         let Ok(text) = String::from_utf8(bytes) else { continue };
@@ -299,7 +306,7 @@ fn mutated_study_reports_fail_cleanly_and_fast() {
         let seed = rng.state();
         let mut bytes = base.clone().into_bytes();
         for _ in 0..=rng.index(3) {
-            mutate(&mut rng, &mut bytes);
+            mutate(&mut rng, &mut bytes, JSON_BYTES);
         }
         let Ok(text) = String::from_utf8(bytes) else { continue };
         read += 1;
@@ -374,4 +381,100 @@ fn every_register_roundtrips_through_the_row_codec() {
         assert!(text.contains(&format!(":{}:", reg.abi_name())), "{reg:?} not written by name");
     }
     assert_eq!(read_report(&text), Ok(report));
+}
+
+/// Bytes the program mutator likes to insert: assembler and IR syntax,
+/// register and mnemonic letters, digits and multi-byte UTF-8.
+const PROGRAM_BYTES: &[u8] =
+    b"()[]{}@%#:;,.=-+0123456789abdefgilmnorstwxz_ \n\t\xc3\xa9\xe2\x82\xac";
+
+/// Feeds `cases` seeded mutants of the `bases` to `read`, failing the test
+/// on a panic, on a read that takes longer than the report bound, or when
+/// `read` accepts every mutant.
+fn mutated_programs_read_cleanly(
+    bases: &[String],
+    seed: u64,
+    cases: usize,
+    read: impl Fn(&str) -> Result<(), String>,
+) {
+    let bound = Duration::from_millis(100);
+    let mut rng = Rng::seeded(seed);
+    let (mut read_count, mut accepted) = (0, 0);
+    for case in 0..cases {
+        let state = rng.state();
+        let mut bytes = rng.choose(bases).clone().into_bytes();
+        for _ in 0..=rng.index(4) {
+            mutate(&mut rng, &mut bytes, PROGRAM_BYTES);
+        }
+        let Ok(text) = String::from_utf8(bytes) else { continue };
+        read_count += 1;
+        let what = format!("case {case} (seed {state:#x})");
+        let start = Instant::now();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&text)))
+            .unwrap_or_else(|_| panic!("{what}: reader panicked on\n{text}"));
+        let elapsed = start.elapsed();
+        assert!(elapsed < bound, "{what}: read took {elapsed:?}");
+        match result {
+            Ok(()) => accepted += 1,
+            Err(e) => assert!(!e.is_empty(), "{what}: empty error"),
+        }
+    }
+    assert!(read_count >= cases * 2 / 3, "only {read_count} mutants were valid UTF-8");
+    assert!(accepted < read_count, "every mutant was accepted");
+}
+
+/// Every `.s` file under `examples/`.
+fn example_sources() -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "s"))
+        .collect();
+    paths.sort();
+    paths.iter().map(|p| std::fs::read_to_string(p).expect("example reads")).collect()
+}
+
+#[test]
+fn mutated_assembly_fails_cleanly_and_fast() {
+    let bases = example_sources();
+    assert!(bases.len() >= 4, "examples missing");
+    for base in &bases {
+        bec_rv32::parse_asm(base).expect("example assembles");
+    }
+    mutated_programs_read_cleanly(&bases, 0xA5E3B1, 600, |text| {
+        bec_rv32::parse_asm(text).map(drop).map_err(|e| e.to_string())
+    });
+}
+
+#[test]
+fn mutated_ir_fails_cleanly_and_fast() {
+    // Printed examples (rv32), generated programs (globals, calls, loops)
+    // and a 4-bit machine without a zero register.
+    let mut bases: Vec<String> = example_sources()
+        .iter()
+        .map(|s| bec_ir::print_program(&bec_rv32::parse_asm(s).expect("example assembles")))
+        .collect();
+    for seed in 0..3 {
+        let generated = bec_fuzzgen::generate(seed, &bec_fuzzgen::GenConfig::full());
+        bases.push(bec_ir::print_program(&generated.program));
+    }
+    bases.push(
+        "machine xlen=4 regs=4 zero=none\n\
+         global g: byte[3] = { 1, 2, 3 }\n\
+         func @main(args=0, ret=none) {\n\
+         entry:\n    li r1, 6\n    j loop\n\
+         loop:\n    andi r2, r1, 1\n    add r0, r0, r2\n    addi r1, r1, -1\n    \
+         bnez r1, loop, exit\n\
+         exit:\n    ret r0\n}\n"
+            .to_owned(),
+    );
+    for base in &bases {
+        let p = bec_ir::parse_program(base).expect("base parses");
+        bec_ir::verify_program(&p).expect("base verifies");
+    }
+    mutated_programs_read_cleanly(&bases, 0x1EB0B5, 600, |text| {
+        let program = bec_ir::parse_program(text).map_err(|e| e.to_string())?;
+        bec_ir::verify_program(&program).map_err(|e| e.to_string())
+    });
 }
