@@ -53,9 +53,16 @@
 //! verdict at Deviation (Sdc once outputs differ). A batch whose only
 //! remaining lane is trace-diverged, with no lane pending, hands that lane
 //! to the scalar tail at once: it can no longer converge, and one lane
-//! replays faster scalar-ly. Per-lane convergence applies the scalar
-//! engine's own per-bit dynamic-liveness check at every aligned checkpoint
-//! cycle strictly after the lane's injection cycle, and each lane accounts
+//! replays faster scalar-ly. A trace-diverged lane that holds no overlay
+//! word and whose registers match the golden run's at an aligned
+//! checkpoint retires there: its control position, stack, memory and
+//! live register bits are golden, so it completes exactly like the golden
+//! run — an SDC if it printed a divergent value, else a Deviation — and
+//! accounts its cycles to the golden run's end, as its scalar run (which
+//! never converges: its trace hash differs) does. Per-lane convergence
+//! applies the scalar engine's own per-bit dynamic-liveness check at
+//! every aligned checkpoint cycle strictly after the lane's injection
+//! cycle, and each lane accounts
 //! its cycles from the checkpoint its own scalar run restores, so
 //! verdicts, early-exit counts and per-fault cycle accounting are
 //! identical to the scalar engine's — `tests/bitslice_equivalence.rs` pins
@@ -280,6 +287,18 @@ impl Lanes<'_> {
         self.retire(out, mask, class, cycle + 1, false);
     }
 
+    /// Retires the trace-diverged lanes of `mask`, whose state matches
+    /// the golden run's: each completes exactly like the golden run, at
+    /// its final cycle `end`, with a trace that cannot be Benign. A lane
+    /// that printed a divergent value is an SDC, any other a Deviation.
+    /// They are not early exits: their scalar runs never converge (the
+    /// trace hash differs), so they account every cycle up to `end`.
+    fn settle(&mut self, out: &mut [LaneRun], mask: u64, end: u64) {
+        let diverged = mask & self.active & (self.sdc | self.hash_div);
+        self.retire(out, diverged & self.sdc, FaultClass::Sdc, end, false);
+        self.retire(out, diverged & !self.sdc, FaultClass::Deviation, end, false);
+    }
+
     /// Program completion with the step at `cycle`, where the lanes of
     /// `bad` emit divergent output. Lanes still pending inject at a
     /// boundary the run never reaches: their scalar runs are the golden
@@ -332,6 +351,14 @@ impl Overlay {
     /// Position in `words` of the entry of the word at `widx`, if any.
     fn slot(&self, widx: u32) -> Option<usize> {
         (self.index[widx as usize] as usize).checked_sub(1)
+    }
+
+    /// Lanes holding their own word anywhere.
+    fn holding(&self) -> u64 {
+        if self.lanes == 0 {
+            return 0;
+        }
+        self.words.iter().fold(0, |acc, w| acc | w.1)
     }
 
     /// Lanes holding their own word at `widx`.
@@ -715,7 +742,10 @@ impl<'p, 's> BatchRunner<'p, 's> {
             if ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle == st.cycle) {
                 let ck = &ckpts.checkpoints[next_ck];
                 next_ck += 1;
-                let mut ok = lanes.candidates();
+                // Trace-diverged lanes are checked too, unless they hold
+                // an overlay word: one whose registers match finishes
+                // exactly like the golden run from here.
+                let mut ok = lanes.active & !self.overlay.holding();
                 let mut t = self.tainted_regs;
                 while ok != 0 && t != 0 {
                     let r = t.trailing_zeros() as usize;
@@ -732,7 +762,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     }
                 }
                 if ok != 0 {
-                    lanes.retire(out, ok, FaultClass::Benign, st.cycle, true);
+                    lanes.retire(out, ok & lanes.candidates(), FaultClass::Benign, st.cycle, true);
+                    lanes.settle(out, ok, ckpts.final_cycles);
                     self.clear_lanes(ok);
                 }
             }
