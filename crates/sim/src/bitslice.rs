@@ -62,57 +62,54 @@
 //! never converges: its trace hash differs) does. Per-lane convergence
 //! applies the scalar engine's own per-bit dynamic-liveness check at
 //! every aligned checkpoint cycle strictly after the lane's injection
-//! cycle, and each lane accounts
-//! its cycles from the checkpoint its own scalar run restores, so
-//! verdicts, early-exit counts and per-fault cycle accounting are
-//! identical to the scalar engine's — `tests/bitslice_equivalence.rs` pins
-//! report byte-identity across engines and worker counts.
+//! cycle, and each lane accounts its cycles from the checkpoint its own
+//! scalar run restores, so verdicts, early-exit counts and per-fault cycle
+//! accounting are identical to the scalar engine's —
+//! `tests/bitslice_equivalence.rs` pins report byte-identity across
+//! engines and worker counts.
 //!
-//! **Lane kernels.** The per-lane work of a replay step is one loop over
-//! the lanes the step affects. An ALU step matches its op once and then
-//! runs a loop specialised to that op: each loop calls [`eval_alu`], the
-//! one definition of ALU semantics, inlined with a constant op, reads lane
-//! values straight from the value array, and takes its operands' taint
-//! masks once per step.
-//! Overlay lookups hash nothing: a dense index maps every memory word to
-//! its overlay entry, and a batch's end resets only the slots it used.
-//! `docs/oracle.md` records the before/after cost per replay step.
+//! **The replay loop.** The replay runs on the op array the tail
+//! interpreter decodes (`exec::FlatProgram::ops`), over its own register
+//! file indexed by register-file slot, and executes every op through the
+//! tail's own `FlatProgram::exec`: the golden side of a step is one
+//! dispatch. Each op carries masks of the registers it reads and writes
+//! (`exec::OpRegs`). A step whose reads miss every tainted register —
+//! and, for a load or store, whose golden word no resident lane holds in
+//! its overlay — is the same in every lane: the *clean fast path* runs it
+//! golden only and clears its destination's taint with one mask
+//! operation. Only the other steps run lane kernels: one loop over the
+//! lanes the step affects, generated per ALU op and branch condition from
+//! the same `with_tail_ops!` list as the tail's arms, each calling
+//! [`eval_alu`] or [`eval_cond`] with a constant op, and fused: a lane
+//! computes its result and keeps its taint in one pass, exactly where its
+//! result differs from the golden one. Lane bookkeeping — convergence and
+//! settling, gap skips, the single-lane handoff, joins and the budget
+//! check — runs on *event* boundaries only: an event cursor holds the
+//! nearer of the next checkpoint and the next pending lane's cycle, and
+//! the boundary after a step that retired or flagged a lane is an event
+//! too. Between events, the loop is ops only. `campaign.replay_clean_steps`
+//! counts the fast path's steps. Overlay lookups hash nothing: a dense
+//! index maps every memory word to its overlay entry, and a batch's end
+//! resets only the slots it used. `docs/oracle.md` records the cost per
+//! replay step.
 
-use crate::checkpoint::CheckpointLog;
+use crate::checkpoint::{Checkpoint, CheckpointLog};
 use crate::exec::{
-    call_seed, call_token, effective_address, extend_load, run_tail, step_inst, trace_token,
-    width_mask, Edges, ExecState, FlatStep, StepResult, MAX_CALL_DEPTH,
+    effective_address, extend_load, read_slot, run_tail, width_mask, with_tail_ops, ExecState, Op,
+    OpKind, OpState, SINK_SLOT,
 };
 use crate::machine::{Machine, Memory};
-use crate::runner::{GoldenRun, Simulator};
+use crate::runner::{GoldenRun, RunResult, Simulator};
 use crate::shard::SitedFault;
 use crate::trace::FaultClass;
 use crate::ExecOutcome;
 use bec_ir::semantics::{eval_alu, eval_cond};
-use bec_ir::{AluOp, Inst, Reg};
+use bec_ir::{AluOp, Cond, Reg};
 use bec_telemetry::Histogram;
 use std::time::{Duration, Instant};
 
 /// Lanes per batch: one per bit of the `u64` taint masks.
 const LANES: usize = 64;
-
-/// Evaluates `$body` with `$k` bound to the constant [`AluOp`] equal to
-/// `$op`: one copy of `$body` per op, so a lane loop that calls
-/// [`eval_alu`] with `$k` inlines it with the op match folded away.
-macro_rules! with_alu_op {
-    ($op:expr, |$k:ident| $body:block) => {
-        with_alu_op!(@arms $op, $k, $body,
-            Add Sub And Or Xor Sll Srl Sra Slt Sltu Mul Mulh Mulhu Div Divu Rem Remu)
-    };
-    (@arms $op:expr, $k:ident, $body:block, $($v:ident)*) => {
-        match $op {
-            $(AluOp::$v => {
-                let $k = AluOp::$v;
-                $body
-            })*
-        }
-    };
-}
 
 /// Which per-fault execution engine the campaign pool runs. Never changes
 /// a report byte — the bitsliced engine is a wall-clock lever, exactly
@@ -179,6 +176,9 @@ pub(crate) struct BatchCounters {
     /// Cycles the shared batch replays executed (once per batch, however
     /// many lanes rode along).
     pub replay_steps: u64,
+    /// Those of `replay_steps` that read no tainted register and touched
+    /// no word a resident lane holds: executed golden only.
+    pub replay_clean_steps: u64,
     /// Lanes-per-batch distribution.
     pub occupancy: Histogram,
 }
@@ -405,34 +405,101 @@ impl Overlay {
     }
 }
 
+/// [`BatchRunner::tainted_step`]'s match on `$kind`: the lane arms of
+/// every ALU op and branch condition, generated from the list of
+/// [`with_tail_ops!`] over the runner `$runner`, the golden register file
+/// `$regs`, the resident lanes `$active` and machine `$cfg`, then the
+/// hand-written `$rest` arms. Each generated arm calls a lane kernel with
+/// a constant op, as the tail's arms do, so [`eval_alu`] and
+/// [`eval_cond`] inline with the op match folded away. ALU arms evaluate
+/// to no lanes, branch arms to the lanes whose condition flips.
+macro_rules! lane_match {
+    (
+        $kind:expr, $runner:ident, $regs:ident, $active:expr, $cfg:ident, { $($rest:tt)* }
+        alu: [$($op:ident $reg:ident $imm:ident),*]
+        cond: [$($cond:ident $br:ident),*]
+    ) => {
+        match $kind {
+            $(
+                OpKind::$reg { rd, rs1, rs2 } => {
+                    $runner.lane_binary($regs, rd, rs1, rs2, |a, b| {
+                        eval_alu(&$cfg, AluOp::$op, a, b)
+                    });
+                    0
+                }
+                OpKind::$imm { rd, rs1, imm } => {
+                    $runner.lane_unary($regs, rd, rs1, |v| eval_alu(&$cfg, AluOp::$op, v, imm));
+                    0
+                }
+            )*
+            $(
+                OpKind::$br { rs1, rs2, .. } => {
+                    $runner.flips($regs, $active, rs1, rs2, |a, b| {
+                        eval_cond(&$cfg, Cond::$cond, a, b)
+                    })
+                }
+            )*
+            $($rest)*
+        }
+    };
+}
+
+/// Lane `lane`'s value of a register whose lane values are `vals` and
+/// taint mask `taint`, given its golden value.
+#[inline(always)]
+fn pick(taint: u64, lane: usize, vals: &[u64; LANES], golden: u64) -> u64 {
+    if taint >> lane & 1 != 0 {
+        vals[lane]
+    } else {
+        golden
+    }
+}
+
+/// What a tainted step leaves to do after the shared golden execution.
+enum Commit {
+    /// Nothing: its lanes are done.
+    None,
+    /// A load into slot `rd`, where the lanes of `divergent` read their
+    /// own views of memory (their values are in `lane_results`) and every
+    /// other lane reads the golden value.
+    Load { rd: u8, divergent: u64 },
+    /// A store whose divergent lanes' views of the touched words are in
+    /// `store_views`.
+    Store,
+}
+
 /// The reusable batch execution context of one worker: one scratch
 /// machine, the dirty-word undo log, and the lane state arrays, reused
 /// across every batch the worker runs.
 pub(crate) struct BatchRunner<'p, 's> {
     sim: &'s Simulator<'p>,
+    golden: &'s GoldenRun,
+    ckpts: &'s CheckpointLog,
+    /// The scratch machine: its memory is the replay's shared memory; its
+    /// register file only carries checkpoint restores into the replay's
+    /// own register file.
     machine: Machine,
     initial_regs: Vec<u64>,
     dirty: Vec<(u32, u32)>,
-    /// `taint[r]` bit L set ⇔ lane L's value of register `r` differs from
-    /// the golden value currently in the machine.
-    taint: Vec<u64>,
+    /// `taint[r]` bit L set ⇔ lane L's value of the register in
+    /// register-file slot `r` differs from the golden value in the
+    /// replay's register file. The zero register's slots are never
+    /// tainted, so byte slots index this with no bounds checks.
+    taint: [u64; 256],
     /// Bit `r` set ⇔ `taint[r] != 0` (fast iteration over tainted regs).
     tainted_regs: u64,
-    /// Lane values, `vals[r * LANES + lane]`, valid iff the taint bit is
-    /// set. Always truncated to xlen.
-    vals: Vec<u64>,
+    /// Lane values, `vals[r][lane]` for register-file slot `r`, valid iff
+    /// the taint bit is set. Always truncated to xlen. One row per slot,
+    /// so byte slots index it with no bounds checks.
+    vals: Box<[[u64; LANES]; 256]>,
     /// Per-lane memory words that differ from the shared memory.
     overlay: Overlay,
-    /// Register-file snapshot scratch used around lane forks.
-    reg_snap: Vec<u64>,
     /// `(output index, lane, value)` patches of SDC-flagged lanes: outputs
     /// whose lane value differs from the golden value printed there.
     out_patches: Vec<(u32, u8, u64)>,
-    /// Per-lane results of the current instruction, valid for the lanes
-    /// it affects (loads fill them during detection).
+    /// Per-lane values the current `Load` reads from the lanes' own views
+    /// of memory.
     lane_results: [u64; LANES],
-    /// Lanes of the current `Load` reading their own view of memory.
-    load_divergent: u64,
     /// `(lane, word index, word)` views the current `Store` leaves its
     /// divergent lanes with, applied to the overlay after the shared
     /// store.
@@ -440,22 +507,27 @@ pub(crate) struct BatchRunner<'p, 's> {
 }
 
 impl<'p, 's> BatchRunner<'p, 's> {
-    pub(crate) fn new(sim: &'s Simulator<'p>) -> BatchRunner<'p, 's> {
+    /// A runner for the campaign whose golden run and checkpoints are
+    /// `golden` and `ckpts`.
+    pub(crate) fn new(
+        sim: &'s Simulator<'p>,
+        golden: &'s GoldenRun,
+        ckpts: &'s CheckpointLog,
+    ) -> BatchRunner<'p, 's> {
         let machine = Machine::new(sim.program());
-        let nregs = machine.regs().len();
         BatchRunner {
             sim,
+            golden,
+            ckpts,
             initial_regs: machine.regs().to_vec(),
             overlay: Overlay::new(&machine.memory),
             machine,
             dirty: Vec::new(),
-            taint: vec![0; nregs],
+            taint: [0; 256],
             tainted_regs: 0,
-            vals: vec![0; nregs * LANES],
-            reg_snap: vec![0; nregs],
+            vals: vec![[0; LANES]; 256].into_boxed_slice().try_into().expect("256 rows"),
             out_patches: Vec::new(),
             lane_results: [0; LANES],
-            load_divergent: 0,
             store_views: Vec::new(),
         }
     }
@@ -467,8 +539,6 @@ impl<'p, 's> BatchRunner<'p, 's> {
     /// cut into consecutive batches of [`LANES`] lanes.
     pub(crate) fn run_shard(
         &mut self,
-        golden: &GoldenRun,
-        ckpts: &CheckpointLog,
         faults: &[SitedFault],
         counters: &mut BatchCounters,
         out: &mut Vec<LaneRun>,
@@ -499,38 +569,22 @@ impl<'p, 's> BatchRunner<'p, 's> {
             counters.batches += 1;
             counters.batched_lanes += chunk.len() as u64;
             counters.occupancy.observe(chunk.len() as u64);
-            self.run_batch(golden, ckpts, chunk, counters, out);
+            self.run_batch(chunk, counters, out);
         }
     }
 
-    /// Bits of `taint[r]`, tolerating the hardwired zero register (whose
-    /// taint is never set).
-    fn taint_of(&self, r: Reg) -> u64 {
-        self.taint[r.index() as usize]
-    }
-
-    /// Lane L's value of `r`, given the golden value in the machine.
-    fn lane_value(&self, r: Reg, lane: usize, golden: u64) -> u64 {
-        if self.taint_of(r) >> lane & 1 != 0 {
-            self.vals[r.index() as usize * LANES + lane]
-        } else {
-            golden
-        }
-    }
-
-    /// Replaces the taint of `rd` with `mask` (callers store the lane
+    /// Replaces the taint of slot `rd` with `mask` (callers store the lane
     /// values first). Writes to the zero register vanish, so its taint
     /// stays empty.
-    fn set_taint(&mut self, rd: Reg, mask: u64) {
-        if self.machine.config().is_zero_reg(rd) {
+    fn set_taint(&mut self, rd: u8, mask: u64) {
+        if rd == SINK_SLOT {
             return;
         }
-        let i = rd.index() as usize;
-        self.taint[i] = mask;
+        self.taint[rd as usize] = mask;
         if mask == 0 {
-            self.tainted_regs &= !(1u64 << i);
+            self.tainted_regs &= !(1u64 << rd);
         } else {
-            self.tainted_regs |= 1u64 << i;
+            self.tainted_regs |= 1u64 << rd;
         }
     }
 
@@ -550,36 +604,38 @@ impl<'p, 's> BatchRunner<'p, 's> {
     /// The effective address of a memory access in lane `lane`, and
     /// whether the access traps there (misaligned or out of bounds).
     /// `golden` is the golden replay's address, which never traps.
-    fn lane_addr(
-        &self,
-        base: Reg,
-        offset: i64,
-        size: u64,
-        lane: usize,
-        golden: u64,
-    ) -> (u64, bool) {
-        if self.taint_of(base) >> lane & 1 == 0 {
+    fn lane_addr(&self, base: u8, offset: u64, size: u64, lane: usize, golden: u64) -> (u64, bool) {
+        if self.taint[base as usize] >> lane & 1 == 0 {
             return (golden, false);
         }
         let mask = self.machine.config().mask();
-        let addr =
-            effective_address(self.vals[base.index() as usize * LANES + lane], offset as u64, mask);
+        let addr = effective_address(self.vals[base as usize][lane], offset, mask);
         let trap = !addr.is_multiple_of(size)
             || addr.checked_add(size).is_none_or(|end| end > self.machine.memory.len() as u64);
         (addr, trap)
     }
 
-    /// Forks lane `lane` out of the batch at the boundary state `st`: the
+    /// Whether a resident lane holds its own word where the memory op
+    /// `kind` accesses golden memory (false for any other op).
+    fn holds_golden_word(&self, kind: OpKind, regs: &[u64; 256], active: u64) -> bool {
+        let (OpKind::Load { base, offset, .. } | OpKind::Store { base, offset, .. }) = kind else {
+            return false;
+        };
+        let addr = effective_address(regs[base as usize], offset, self.machine.config().mask());
+        self.overlay.holders((addr >> 2) as u32) & active != 0
+    }
+
+    /// Forks lane `lane` out of the batch at the boundary state `s`: the
     /// lane's scalar state — its tainted registers and overlay words — is
-    /// materialized on the shared machine, its tail runs to a terminal
-    /// outcome through the scalar tail interpreter, and the machine is
-    /// restored for the replay to continue. `split` marks a fork at a
-    /// branch whose edges lead to different steps. Returns the lane's
-    /// class and the cycle its run stopped at.
+    /// patched onto a copy of the replay state and the shared memory, its
+    /// tail runs to a terminal outcome through the scalar tail
+    /// interpreter, and the memory is restored for the replay to
+    /// continue. `split` marks a fork at a branch whose edges lead to
+    /// different steps. Returns the lane's class and the cycle its run
+    /// stopped at.
     fn fork_lane(
         &mut self,
-        golden: &GoldenRun,
-        st: &ExecState,
+        s: &OpState,
         lanes: &Lanes<'_>,
         lane: usize,
         split: bool,
@@ -587,13 +643,16 @@ impl<'p, 's> BatchRunner<'p, 's> {
     ) -> (FaultClass, u64) {
         let bit = 1u64 << lane;
         let mark = self.dirty.len();
-        self.reg_snap.copy_from_slice(self.machine.regs());
+        let mut tail = s.clone();
+        // The scalar loop-top increment reproduces this boundary's step
+        // count exactly.
+        tail.steps -= 1;
         let mut t = self.tainted_regs;
         while t != 0 {
             let r = t.trailing_zeros() as usize;
             t &= t - 1;
             if self.taint[r] & bit != 0 {
-                self.machine.write(Reg::phys(r as u32), self.vals[r * LANES + lane]);
+                tail.regs[r] = self.vals[r][lane];
             }
         }
         // Overlay words go through the dirty log, so the undo below
@@ -607,11 +666,10 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
         }
         let sdc = lanes.sdc & bit != 0;
-        let mut outputs = st.outputs.clone();
         if sdc {
             for &(idx, l, v) in &self.out_patches {
                 if l as usize == lane {
-                    outputs[idx as usize] = v;
+                    tail.outputs[idx as usize] = v;
                 }
             }
         }
@@ -619,38 +677,26 @@ impl<'p, 's> BatchRunner<'p, 's> {
         // divergent print, load or store, or a branch onto another path —
         // cannot end Benign, so its tail skips the trace hash.
         let trace_diverged = sdc || lanes.hash_div & bit != 0 || split;
-        let state = ExecState {
-            hash: st.hash,
-            outputs,
-            cycle: st.cycle,
-            // The scalar loop-top increment reproduces this boundary's
-            // step count exactly.
-            steps: st.steps - 1,
-            func: st.func,
-            pc: st.pc,
-            stack: st.stack.clone(),
-            // Tails track no digest: they never check convergence.
-            mem_digest: 0,
-        };
         let started = Instant::now();
-        let result = run_tail(
+        let outcome = run_tail(
             &self.sim.flat,
+            *self.machine.config(),
             self.sim.limits.max_cycles,
-            state,
-            &mut self.machine,
+            &mut tail,
+            &mut self.machine.memory,
             &mut self.dirty,
             !trace_diverged,
         );
         counters.tail_time += started.elapsed();
-        // Undo the tail: pop its dirty words in reverse and restore the
-        // replay's register file, leaving the shared state exactly at the
-        // boundary again.
+        // Undo the tail: pop its dirty words in reverse, leaving the
+        // shared memory exactly at the boundary again.
         while self.dirty.len() > mark {
             let (w, old) = self.dirty.pop().expect("watermarked");
             self.machine.memory.set_word(w, old);
         }
-        self.machine.restore_regs(&self.reg_snap);
-        counters.tail_cycles += result.cycles - st.cycle;
+        counters.tail_cycles += tail.cycle - s.cycle;
+        let result =
+            RunResult { outcome, outputs: tail.outputs, cycles: tail.cycle, hash: tail.hash };
         let class = if trace_diverged {
             // Classify from the outcome and the outputs alone: a completed
             // run cannot be Benign (its trace differs), and is a Deviation
@@ -660,7 +706,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 ExecOutcome::Crashed(_) => FaultClass::Crash,
                 ExecOutcome::Timeout => FaultClass::Hang,
                 ExecOutcome::Completed => {
-                    if result.outputs == golden.result.outputs {
+                    if result.outputs == self.golden.result.outputs {
                         FaultClass::Deviation
                     } else {
                         FaultClass::Sdc
@@ -668,7 +714,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 }
             }
         } else {
-            result.classify(&golden.result)
+            result.classify(&self.golden.result)
         };
         (class, result.cycles)
     }
@@ -685,33 +731,90 @@ impl<'p, 's> BatchRunner<'p, 's> {
 
     /// Restores checkpoint `idx` onto the scratch machine, which must be in
     /// initial state (its cumulative memory image applies onto the
-    /// initial memory), with no lane resident.
-    fn restore(&mut self, golden: &GoldenRun, ckpts: &CheckpointLog, idx: usize) -> ExecState {
+    /// initial memory), with no lane resident; returns the replay state
+    /// there.
+    fn restore(&mut self, idx: usize) -> OpState {
         debug_assert!(self.dirty.is_empty(), "restore onto a rewound machine");
         debug_assert_eq!(self.tainted_regs, 0, "no lane resident");
         self.out_patches.clear();
         self.overlay.clear();
-        ExecState::restore(ckpts, idx, golden.outputs(), &mut self.machine, &mut self.dirty)
+        let st = ExecState::restore(
+            self.ckpts,
+            idx,
+            self.golden.outputs(),
+            &mut self.machine,
+            &mut self.dirty,
+        );
+        OpState::new(&self.sim.flat, st, self.machine.regs())
+    }
+
+    /// Per-lane convergence at the aligned checkpoint `ck`, exactly like
+    /// the scalar engine's: the lanes whose live register bits match the
+    /// golden run's retire. All non-register state of a convergence
+    /// candidate equals the golden replay's (a lane with overlay words is
+    /// trace-diverged), so the check reduces to the per-bit register
+    /// comparison. Candidates converge Benign; trace-diverged lanes that
+    /// hold no overlay word settle (see [`Lanes::settle`]).
+    fn converge(
+        &mut self,
+        ck: &Checkpoint,
+        s: &OpState,
+        lanes: &mut Lanes<'_>,
+        out: &mut [LaneRun],
+    ) {
+        let mut ok = lanes.active & !self.overlay.holding();
+        let mut t = self.tainted_regs;
+        while ok != 0 && t != 0 {
+            let r = t.trailing_zeros() as usize;
+            t &= t - 1;
+            let live = ck.live_bits[r];
+            let g = s.regs[r];
+            let mut m = self.taint[r] & ok;
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if (self.vals[r][lane] ^ g) & live != 0 {
+                    ok &= !(1u64 << lane);
+                }
+            }
+        }
+        if ok != 0 {
+            lanes.retire(out, ok & lanes.candidates(), FaultClass::Benign, s.cycle, true);
+            lanes.settle(out, ok, self.ckpts.final_cycles);
+            self.clear_lanes(ok);
+        }
     }
 
     /// Runs one batch: `faults` in injection-cycle order, each joining the
     /// shared replay at its own cycle.
+    ///
+    /// The replay walks the decoded ops over its own register file. A
+    /// step that reads no tainted register — and, for a load or store,
+    /// touches no word a resident lane holds in its overlay — is the same
+    /// in every lane: it runs golden only and clears its destination's
+    /// taint. Every other step first runs its lane kernels
+    /// ([`Self::tainted_step`]). Lane bookkeeping — convergence, gap
+    /// skips, the single-lane handoff, joins and the budget check — runs
+    /// only on the boundaries that can need it: the next checkpoint, the
+    /// next pending lane's cycle, and the boundary after a step that
+    /// retired or flagged a lane.
     fn run_batch(
         &mut self,
-        golden: &GoldenRun,
-        ckpts: &CheckpointLog,
         faults: &[LaneFault],
         counters: &mut BatchCounters,
         out: &mut [LaneRun],
     ) {
+        let (sim, ckpts) = (self.sim, self.ckpts);
+        let flat = &sim.flat;
+        assert!(!flat.ops.is_empty(), "batches run on machines with decoded ops");
         let cfg = *self.machine.config();
-        let max_cycles = self.sim.limits.max_cycles;
+        let max_cycles = sim.limits.max_cycles;
         let step_limit = max_cycles.saturating_mul(2) + 1024;
         let idx = ckpts.nearest_at_or_before(faults[0].cycle);
-        let mut st = self.restore(golden, ckpts, idx);
+        let mut s = self.restore(idx);
         // First cycle of the replay segment in flight (a gap skip starts
         // a new one).
-        let mut segment = st.cycle;
+        let mut segment = s.cycle;
         let mut lanes =
             Lanes { faults, next: 0, restored_at: [0; LANES], active: 0, sdc: 0, hash_div: 0 };
         // Forward cursor over the checkpoints: the replay visits every
@@ -719,234 +822,191 @@ impl<'p, 's> BatchRunner<'p, 's> {
         // checkpoint it reaches, so between boundaries it points at the
         // first checkpoint ahead.
         let mut next_ck = idx;
+        // The next boundary lane bookkeeping must visit: the nearer of the
+        // next checkpoint and the next pending lane's cycle, or the
+        // boundary after a step that retired or flagged a lane.
+        let mut next_event = s.cycle;
+        let mut clean_steps = 0;
 
-        'replay: loop {
-            st.steps += 1;
-            assert!(
-                st.cycle < max_cycles && st.steps < step_limit,
-                "golden replay exceeded the budget it was recorded under"
-            );
-            let step = &self.sim.flat.funcs[st.func as usize].steps[st.pc as usize];
-            if let FlatStep::Goto { target } = step {
-                st.pc = *target;
+        let end = 'replay: loop {
+            s.steps += 1;
+            let op = flat.ops[s.pc as usize];
+            if let OpKind::Goto { target } = op.kind {
+                s.pc = target;
                 continue;
             }
 
-            // Cycle boundary. Per-lane convergence first, exactly like the
-            // scalar engine: at checkpoint-aligned cycles only, before this
-            // boundary's lanes join — so a lane is checked strictly after
-            // its injection cycle. All non-register state of a
-            // convergence candidate equals the golden replay's (a lane with
-            // overlay words is trace-diverged), so the check reduces to the
-            // per-bit register comparison.
-            if ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle == st.cycle) {
-                let ck = &ckpts.checkpoints[next_ck];
-                next_ck += 1;
-                // Trace-diverged lanes are checked too, unless they hold
-                // an overlay word: one whose registers match finishes
-                // exactly like the golden run from here.
-                let mut ok = lanes.active & !self.overlay.holding();
-                let mut t = self.tainted_regs;
-                while ok != 0 && t != 0 {
-                    let r = t.trailing_zeros() as usize;
-                    t &= t - 1;
-                    let live = ck.live_bits[r];
-                    let g = self.machine.regs()[r];
-                    let mut m = self.taint[r] & ok;
-                    while m != 0 {
-                        let lane = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        if (self.vals[r * LANES + lane] ^ g) & live != 0 {
-                            ok &= !(1u64 << lane);
-                        }
+            if s.cycle == next_event {
+                // The replay follows the golden run, which completed
+                // within the budget (`batch_eligible`).
+                assert!(
+                    s.cycle < max_cycles && s.steps < step_limit,
+                    "golden replay exceeded the budget it was recorded under"
+                );
+                // Per-lane convergence first, exactly like the scalar
+                // engine: at checkpoint-aligned cycles only, before this
+                // boundary's lanes join — so a lane is checked strictly
+                // after its injection cycle.
+                if ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle == s.cycle) {
+                    self.converge(&ckpts.checkpoints[next_ck], &s, &mut lanes, out);
+                    next_ck += 1;
+                }
+                if lanes.active == 0 {
+                    let Some(pending) = faults.get(lanes.next) else { break 'replay s.cycle };
+                    debug_assert!(pending.cycle >= s.cycle, "the replay never passes a lane");
+                    // Gap skip: with no lane resident, the golden cycles
+                    // up to the next pending lane's checkpoint are needed
+                    // by nobody. Rewind and restore that checkpoint
+                    // instead of replaying.
+                    if ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle <= pending.cycle) {
+                        counters.replay_steps += s.cycle - segment;
+                        let idx = ckpts.nearest_at_or_before(pending.cycle);
+                        self.rewind();
+                        s = self.restore(idx);
+                        segment = s.cycle;
+                        next_ck = idx;
+                        next_event = s.cycle;
+                        continue 'replay;
                     }
                 }
-                if ok != 0 {
-                    lanes.retire(out, ok & lanes.candidates(), FaultClass::Benign, st.cycle, true);
-                    lanes.settle(out, ok, ckpts.final_cycles);
-                    self.clear_lanes(ok);
+                // Single-lane handoff: a lone lane that can no longer
+                // converge, with no lane left to join, gains nothing from
+                // the batch, and the scalar interpreter runs one lane
+                // faster than the replay does.
+                if lanes.next == faults.len()
+                    && lanes.active.is_power_of_two()
+                    && lanes.candidates() == 0
+                {
+                    let lane = lanes.active.trailing_zeros() as usize;
+                    let (class, stop) = self.fork_lane(&s, &lanes, lane, false, counters);
+                    counters.handoff_lanes += 1;
+                    lanes.retire(out, lanes.active, class, stop, false);
+                    break 'replay s.cycle;
                 }
-            }
-
-            if lanes.active == 0 {
-                let Some(pending) = faults.get(lanes.next) else { break 'replay };
-                debug_assert!(pending.cycle >= st.cycle, "the replay never passes a lane");
-                // Gap skip: with no lane resident, the golden cycles up to
-                // the next pending lane's checkpoint are needed by nobody.
-                // Rewind and restore that checkpoint instead of replaying.
-                if ckpts.checkpoints.get(next_ck).is_some_and(|c| c.cycle <= pending.cycle) {
-                    counters.replay_steps += st.cycle - segment;
-                    let idx = ckpts.nearest_at_or_before(pending.cycle);
-                    self.rewind();
-                    st = self.restore(golden, ckpts, idx);
-                    segment = st.cycle;
-                    next_ck = idx;
-                    continue 'replay;
-                }
-            }
-
-            // Single-lane handoff: a lone lane that can no longer converge,
-            // with no lane left to join, gains nothing from the batch, and
-            // the scalar interpreter runs one lane faster than the replay
-            // does.
-            if lanes.next == faults.len()
-                && lanes.active.is_power_of_two()
-                && lanes.candidates() == 0
-            {
-                let lane = lanes.active.trailing_zeros() as usize;
-                let (class, stop) = self.fork_lane(golden, &st, &lanes, lane, false, counters);
-                counters.handoff_lanes += 1;
-                lanes.retire(out, lanes.active, class, stop, false);
-                break 'replay;
-            }
-
-            // Fault injection on the boundary: the lanes of this cycle
-            // join, mirroring `Machine::flip`: flips into the zero
-            // register or past xlen are physically impossible and leave
-            // the lane clean. Lanes may fault different registers; a
-            // flipped bit always differs from the golden value, so the
-            // taint bit is always set.
-            while faults.get(lanes.next).is_some_and(|f| f.cycle == st.cycle) {
-                let lane = lanes.admit(ckpts);
-                let LaneFault { reg, bit, .. } = faults[lane];
-                if cfg.is_zero_reg(reg) || bit >= cfg.xlen {
-                    continue;
-                }
-                let i = reg.index() as usize;
-                self.vals[i * LANES + lane] = self.machine.read(reg) ^ (1u64 << bit);
-                self.taint[i] |= 1u64 << lane;
-                self.tainted_regs |= 1u64 << i;
-            }
-
-            // Divergence detection, *before* the shared execution mutates
-            // anything: a diverging lane's scalar state is exactly this
-            // boundary state, so it forks (or retires) here and the shared
-            // step then executes the golden behavior for the rest.
-            match step {
-                FlatStep::Goto { .. } => unreachable!("handled above"),
-                FlatStep::Exit { .. } => {
-                    lanes.finish(out, ckpts, 0, st.cycle);
-                    break 'replay;
-                }
-                FlatStep::Ret { reads, .. } if st.stack.is_empty() => {
-                    // Entry return: the read registers become outputs, so a
-                    // lane with any of them tainted emits divergent output.
-                    let mut bad = 0;
-                    for r in *reads {
-                        bad |= self.taint_of(*r);
+                // Fault injection on the boundary: the lanes of this cycle
+                // join, mirroring `Machine::flip`: flips into the zero
+                // register or past xlen are physically impossible and
+                // leave the lane clean. Lanes may fault different
+                // registers; a flipped bit always differs from the golden
+                // value, so the taint bit is always set.
+                while faults.get(lanes.next).is_some_and(|f| f.cycle == s.cycle) {
+                    let lane = lanes.admit(ckpts);
+                    let LaneFault { reg, bit, .. } = faults[lane];
+                    if cfg.is_zero_reg(reg) || bit >= cfg.xlen {
+                        continue;
                     }
-                    lanes.finish(out, ckpts, bad, st.cycle);
-                    break 'replay;
+                    let i = reg.index() as usize;
+                    self.vals[i][lane] = s.regs[i] ^ (1u64 << bit);
+                    self.taint[i] |= 1u64 << lane;
+                    self.tainted_regs |= 1u64 << i;
                 }
-                FlatStep::Ret { .. } => {
-                    // Non-entry return: the golden RA holds the frame's
-                    // token, so a tainted RA *is* a wild return.
-                    if cfg.num_regs == 32 {
-                        let bad = self.taint_of(Reg::RA) & lanes.active;
-                        if bad != 0 {
-                            lanes.end(out, bad, FaultClass::Crash, st.cycle);
-                            self.clear_lanes(bad);
-                        }
-                    }
-                }
-                // A flipped condition changes nothing when both edges are
-                // the same path: the lane stays batched.
-                FlatStep::Branch { edges: Edges::Same, .. } => {}
-                FlatStep::Branch { cond, rs1, rs2, edges, .. } => {
-                    let a_g = self.machine.read(*rs1);
-                    let b_g = rs2.map(|r| self.machine.read(r)).unwrap_or(0);
-                    let taken_g = eval_cond(&cfg, *cond, a_g, b_g);
-                    let mut m = (self.taint_of(*rs1) | rs2.map(|r| self.taint_of(r)).unwrap_or(0))
-                        & lanes.active;
-                    while m != 0 {
-                        let lane = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let a = self.lane_value(*rs1, lane, a_g);
-                        let b = rs2.map(|r| self.lane_value(r, lane, b_g)).unwrap_or(0);
-                        if eval_cond(&cfg, *cond, a, b) != taken_g {
-                            // On split edges the lane's next trace token
-                            // already differs from the golden run's.
-                            let split = *edges == Edges::Split;
-                            let (class, stop) =
-                                self.fork_lane(golden, &st, &lanes, lane, split, counters);
-                            counters.forked_lanes += 1;
-                            lanes.retire(out, 1u64 << lane, class, stop, false);
-                        }
+                let ck = ckpts.checkpoints.get(next_ck).map_or(u64::MAX, |c| c.cycle);
+                next_event = faults.get(lanes.next).map_or(ck, |f| f.cycle.min(ck));
+            }
+
+            let regs = flat.regs[s.pc as usize];
+            let clean = regs.reads & self.tainted_regs == 0
+                && (self.overlay.lanes & lanes.active == 0
+                    || !self.holds_golden_word(op.kind, &s.regs, lanes.active));
+            let commit = if clean {
+                Commit::None
+            } else {
+                // The lane side of the step, *before* the shared
+                // execution mutates anything: a diverging lane's scalar
+                // state is exactly this boundary state, so it forks (or
+                // retires) here and the shared step then executes the
+                // golden behavior for the rest.
+                let before = (lanes.active, lanes.sdc | lanes.hash_div);
+                let commit = self.tainted_step(op, regs.split, &s, &mut lanes, out, counters);
+                if (lanes.active, lanes.sdc | lanes.hash_div) != before {
+                    if lanes.done() {
+                        break 'replay s.cycle;
                     }
                     self.clear_lanes(!lanes.active);
+                    next_event = s.cycle + 1;
                 }
-                FlatStep::Inst { inst, .. } => self.detect_inst(inst, &st, &mut lanes, out),
-                FlatStep::Call { .. } | FlatStep::La { .. } => {}
-            }
-            if lanes.done() {
-                break 'replay;
-            }
+                commit
+            };
 
-            // Shared golden execution of the step — the scalar
-            // interpreter's own code wherever possible, so hash, outputs
-            // and dirty accounting stay bit-identical.
-            let point = step.point();
-            st.hash.update(trace_token(st.func, point));
-            st.cycle += 1;
-            match step {
-                FlatStep::Goto { .. } | FlatStep::Exit { .. } => unreachable!("handled above"),
-                FlatStep::Inst { inst, .. } => {
-                    self.exec_inst(inst, &mut st);
-                }
-                FlatStep::La { rd, addr, .. } => {
-                    self.machine.write(*rd, *addr);
-                    self.set_taint(*rd, 0);
-                    st.pc += 1;
-                }
-                FlatStep::Call { callee, .. } => {
-                    // The golden run cannot overflow the stack (it
-                    // completed), and the token only depends on shared
-                    // state, so every lane's RA becomes the same token.
-                    debug_assert!(st.stack.len() < MAX_CALL_DEPTH, "golden replay cannot overflow");
-                    let token = call_token(call_seed(point), st.stack.len(), cfg.mask());
-                    self.machine.write(Reg::RA, token);
-                    self.set_taint(Reg::RA, 0);
-                    st.stack.push(crate::checkpoint::FrameSnap {
-                        func: st.func,
-                        ret_pc: st.pc + 1,
-                        ra_token: token,
-                    });
-                    st.func = *callee;
-                    st.pc = self.sim.flat.funcs[*callee as usize].entry_pc;
-                }
-                FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => {
-                    let a = self.machine.read(*rs1);
-                    let b = rs2.map(|r| self.machine.read(r)).unwrap_or(0);
-                    st.pc = if eval_cond(&cfg, *cond, a, b) { *taken } else { *fall };
-                }
-                FlatStep::Ret { .. } => {
-                    let frame = st.stack.pop().expect("entry returns retired the batch");
-                    st.func = frame.func;
-                    st.pc = frame.ret_pc;
-                }
+            // The shared golden execution: the tail interpreter's own op
+            // semantics, so hash, outputs and dirty accounting stay
+            // bit-identical. No memory digest: nothing reads it — batch
+            // convergence compares registers only, and tails never check
+            // convergence.
+            let at = s.cycle;
+            s.cycle += 1;
+            let memory = &mut self.machine.memory;
+            if let Some(outcome) = flat.exec::<true>(cfg, op, &mut s, memory, &mut self.dirty) {
+                // The program ends here (the golden run cannot trap). An
+                // entry return's read registers become outputs, so a lane
+                // with any of them tainted emits divergent output.
+                debug_assert_eq!(outcome, ExecOutcome::Completed, "the golden replay cannot trap");
+                let bad = match op.kind {
+                    OpKind::Ret { reads, count } => flat.ret_reads[reads as usize..]
+                        [..count as usize]
+                        .iter()
+                        .fold(0, |bad, &slot| bad | self.taint[slot as usize]),
+                    _ => 0,
+                };
+                lanes.finish(out, ckpts, bad, at);
+                break 'replay at;
             }
-        }
-        counters.replay_steps += st.cycle - segment;
+            if clean {
+                clean_steps += 1;
+                let w = regs.writes & self.tainted_regs;
+                if w != 0 {
+                    self.tainted_regs &= !w;
+                    self.taint[w.trailing_zeros() as usize] = 0;
+                }
+            } else {
+                self.commit(commit, &s);
+            }
+        };
+        counters.replay_steps += end - segment;
+        counters.replay_clean_steps += clean_steps;
 
         // Undo the batch, leaving the scratch machine in initial state.
         self.rewind();
         self.clear_lanes(u64::MAX);
     }
 
-    /// Divergence detection of one ordinary instruction: retires lanes
-    /// whose memory access traps, routes divergent loads and stores
-    /// through the lanes' own views of memory, and flags lanes printing a
-    /// divergent value.
-    fn detect_inst(
+    /// The lane side of a step that reads a tainted register or touches a
+    /// word a resident lane holds: runs the step's lane kernel, forks the
+    /// lanes whose branch condition flips, retires lanes whose memory
+    /// access traps or whose return address is corrupt, routes divergent
+    /// loads and stores through the lanes' own views of memory, and flags
+    /// lanes printing a divergent value. Returns what is left to do after
+    /// the shared execution.
+    fn tainted_step(
         &mut self,
-        inst: &Inst,
-        st: &ExecState,
+        op: Op,
+        split: bool,
+        s: &OpState,
         lanes: &mut Lanes<'_>,
         out: &mut [LaneRun],
-    ) {
+        counters: &mut BatchCounters,
+    ) -> Commit {
         let cfg = *self.machine.config();
-        match inst {
-            Inst::Load { base, offset, width, signed, .. } => {
+        let mask = cfg.mask();
+        let regs = &s.regs;
+        let flips = with_tail_ops!(lane_match! { op.kind, self, regs, lanes.active, cfg, {
+            OpKind::Mv { rd, rs } => {
+                self.lane_unary(regs, rd, rs, |v| v);
+                0
+            }
+            OpKind::Neg { rd, rs } => {
+                self.lane_unary(regs, rd, rs, |v| 0u64.wrapping_sub(v) & mask);
+                0
+            }
+            OpKind::Seqz { rd, rs } => {
+                self.lane_unary(regs, rd, rs, |v| u64::from(v == 0));
+                0
+            }
+            OpKind::Snez { rd, rs } => {
+                self.lane_unary(regs, rd, rs, |v| u64::from(v != 0));
+                0
+            }
+            OpKind::Load { rd, base, width, signed, offset } => {
                 // A tainted base yields a *different* effective address in
                 // that lane (truncation is injective on xlen-bit values):
                 // the lane either traps right here — retired as the crash
@@ -954,31 +1014,31 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 // and its trace hash diverges for good (the load event
                 // records the address). A lane holding its own word at the
                 // golden address reads that word instead.
-                self.load_divergent = 0;
                 let size = width.bytes();
-                let g_addr =
-                    effective_address(self.machine.read(*base), *offset as u64, cfg.mask());
+                let g_addr = effective_address(regs[base as usize], offset, mask);
                 let held = self.overlay.holders((g_addr >> 2) as u32);
-                let mut m = (self.taint_of(*base) | held) & lanes.active;
+                let mut divergent = 0;
+                let mut m = (self.taint[base as usize] | held) & lanes.active;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
+                    let bit = 1u64 << lane;
                     m &= m - 1;
-                    let (addr, trap) = self.lane_addr(*base, *offset, size, lane, g_addr);
+                    let (addr, trap) = self.lane_addr(base, offset, size, lane, g_addr);
                     if trap {
-                        lanes.end(out, 1u64 << lane, FaultClass::Crash, st.cycle);
+                        lanes.end(out, bit, FaultClass::Crash, s.cycle);
                         continue;
                     }
                     let word = self.overlay.view(&self.machine.memory, (addr >> 2) as u32, lane);
                     let raw = (word as u64 >> ((addr & 3) * 8)) & width_mask(size);
-                    self.lane_results[lane] = cfg.truncate(extend_load(raw, *signed, size));
-                    self.load_divergent |= 1u64 << lane;
+                    self.lane_results[lane] = extend_load(raw, signed, size) & mask;
+                    divergent |= bit;
                     if addr != g_addr {
-                        lanes.hash_div |= 1u64 << lane;
+                        lanes.hash_div |= bit;
                     }
                 }
-                self.clear_lanes(!lanes.active);
+                return Commit::Load { rd, divergent };
             }
-            Inst::Store { rs, base, offset, width } => {
+            OpKind::Store { rs, base, width, offset } => {
                 // A lane whose store differs from the golden one — in
                 // address or in the stored low `width` bytes — or that
                 // holds its own word at the golden address keeps its
@@ -988,24 +1048,25 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 // word unchanged in the lane.
                 self.store_views.clear();
                 let size = width.bytes();
-                let mask = width_mask(size);
-                let g_rs = self.machine.read(*rs);
-                let g_val = g_rs & mask;
-                let g_addr =
-                    effective_address(self.machine.read(*base), *offset as u64, cfg.mask());
+                let wmask = width_mask(size);
+                let g_rs = regs[rs as usize];
+                let g_val = g_rs & wmask;
+                let g_addr = effective_address(regs[base as usize], offset, mask);
                 let g_widx = (g_addr >> 2) as u32;
                 let held = self.overlay.holders(g_widx);
-                let mut m = (self.taint_of(*base) | self.taint_of(*rs) | held) & lanes.active;
+                let t_rs = self.taint[rs as usize];
+                let mut m = (self.taint[base as usize] | t_rs | held) & lanes.active;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
                     let bit = 1u64 << lane;
                     m &= m - 1;
-                    let (addr, trap) = self.lane_addr(*base, *offset, size, lane, g_addr);
+                    let (addr, trap) = self.lane_addr(base, offset, size, lane, g_addr);
                     if trap {
-                        lanes.end(out, bit, FaultClass::Crash, st.cycle);
+                        lanes.end(out, bit, FaultClass::Crash, s.cycle);
                         continue;
                     }
-                    let val = self.lane_value(*rs, lane, g_rs) & mask;
+                    let v = if t_rs & bit != 0 { self.vals[rs as usize][lane] } else { g_rs };
+                    let val = v & wmask;
                     if (addr, val) != (g_addr, g_val) {
                         // The store event hashes address and value.
                         lanes.hash_div |= bit;
@@ -1020,140 +1081,171 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     }
                     let shift = (addr & 3) * 8;
                     let old = self.overlay.view(mem, widx, lane);
-                    let new = (old & !((mask << shift) as u32)) | (val << shift) as u32;
+                    let new = (old & !((wmask << shift) as u32)) | (val << shift) as u32;
                     self.store_views.push((lane as u8, widx, new));
                 }
-                self.clear_lanes(!lanes.active);
+                return Commit::Store;
             }
-            Inst::Print { rs } => {
+            OpKind::Print { rs } => {
                 // Printing doesn't mutate machine state, so divergent
                 // lanes stay batched — flagged, with the output recorded
                 // for an eventual fork.
-                let mut m = self.taint_of(*rs) & lanes.active;
+                let mut m = self.taint[rs as usize] & lanes.active;
                 lanes.sdc |= m;
                 lanes.hash_div |= m;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let v = self.vals[rs.index() as usize * LANES + lane];
-                    self.out_patches.push((st.outputs.len() as u32, lane as u8, v));
+                    let v = self.vals[rs as usize][lane];
+                    self.out_patches.push((s.outputs.len() as u32, lane as u8, v));
                 }
+                0
             }
-            _ => {}
-        }
-    }
-
-    /// Shared execution of one ordinary instruction plus the lane taint
-    /// and overlay update: tainted lanes recompute the result from their
-    /// own source values; a lane whose result equals the golden one drops
-    /// its taint.
-    fn exec_inst(&mut self, inst: &Inst, st: &mut ExecState) {
-        let cfg = *self.machine.config();
-        // (rd, lanes-with-a-possibly-divergent-result) of arithmetic steps.
-        let pending: Option<(Reg, u64)> = match inst {
-            Inst::Li { rd, .. } | Inst::La { rd, .. } => Some((*rd, 0)),
-            // Lanes reading their own view of memory got their (extended)
-            // values during detection; everyone else gets the golden load
-            // and drops any stale `rd` taint.
-            Inst::Load { rd, .. } => Some((*rd, self.load_divergent)),
-            Inst::Mv { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| v))),
-            Inst::Neg { rd, rs } => {
-                Some((*rd, self.lane_unary(*rs, |v| cfg.truncate(0u64.wrapping_sub(v)))))
-            }
-            Inst::Seqz { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v == 0)))),
-            Inst::Snez { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v != 0)))),
-            // One lane loop per op: the op is matched once per step, not
-            // once per lane.
-            Inst::AluImm { op, rd, rs1, imm } => {
-                let imm = *imm as u64;
-                let affected =
-                    with_alu_op!(*op, |k| { self.lane_unary(*rs1, |v| eval_alu(&cfg, k, v, imm)) });
-                Some((*rd, affected))
-            }
-            Inst::Alu { op, rd, rs1, rs2 } => {
-                let affected = with_alu_op!(*op, |k| {
-                    self.lane_binary(*rs1, *rs2, |a, b| eval_alu(&cfg, k, a, b))
-                });
-                Some((*rd, affected))
-            }
-            Inst::Store { .. } | Inst::Print { .. } | Inst::Nop => None,
-            Inst::Call { .. } => unreachable!("pre-resolved during flattening"),
-        };
-
-        // No memory digest: nothing reads it — batch convergence compares
-        // registers only, and tails never check convergence.
-        let step = step_inst(
-            &mut self.machine,
-            inst,
-            &mut st.hash,
-            &mut st.outputs,
-            None,
-            None,
-            &mut self.dirty,
-        );
-        let StepResult::Next = step else {
-            unreachable!("the golden replay cannot trap");
-        };
-        st.pc += 1;
-
-        if let Inst::Store { .. } = inst {
-            for &(lane, widx, word) in &self.store_views {
-                let shared = self.machine.memory.word(widx);
-                self.overlay.set(widx, lane as usize, word, shared);
-            }
-        }
-        if let Some((rd, affected)) = pending {
-            // A write to the zero register vanishes: `set_taint` keeps
-            // its taint empty.
-            let g_rd = self.machine.read(rd);
-            let mut taint = 0u64;
-            let mut m = affected;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if self.lane_results[lane] != g_rd {
-                    self.vals[rd.index() as usize * LANES + lane] = self.lane_results[lane];
-                    taint |= 1u64 << lane;
+            OpKind::Ret { .. } => {
+                // Non-entry return: the golden RA holds the frame's token,
+                // so a tainted RA *is* a wild return. (An entry return's
+                // outputs are checked when the program ends.)
+                if !s.stack.is_empty() && cfg.num_regs == 32 {
+                    let bad = self.taint[read_slot(&cfg, Reg::RA) as usize] & lanes.active;
+                    lanes.end(out, bad, FaultClass::Crash, s.cycle);
                 }
+                0
             }
-            self.set_taint(rd, taint);
-        }
-    }
-
-    /// Computes lane results of a unary operation over the tainted lanes
-    /// of `rs`; returns the affected-lane mask.
-    #[inline(always)]
-    fn lane_unary(&mut self, rs: Reg, f: impl Fn(u64) -> u64) -> u64 {
-        let affected = self.taint_of(rs);
-        let base = rs.index() as usize * LANES;
-        let mut m = affected;
+            // These read no register: never tainted.
+            OpKind::Li { .. }
+            | OpKind::Nop
+            | OpKind::Call { .. }
+            | OpKind::Goto { .. }
+            | OpKind::Exit => 0,
+        }});
+        // A lane whose branch condition flips forks; on split edges its
+        // next trace token already differs from the golden run's.
+        let mut m = flips;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            self.lane_results[lane] = f(self.vals[base + lane]);
+            let (class, stop) = self.fork_lane(s, lanes, lane, split, counters);
+            counters.forked_lanes += 1;
+            lanes.retire(out, 1u64 << lane, class, stop, false);
         }
-        affected
+        Commit::None
     }
 
-    /// Computes lane results of a binary operation over the lanes where
-    /// `rs1` or `rs2` is tainted, each reading its own value of a tainted
-    /// source and the golden value of a clean one; returns the
-    /// affected-lane mask.
+    /// Finishes a tainted step after the shared execution `s` ran it: a
+    /// load's lanes keep their own values where they differ from the
+    /// golden one, a store's divergent lanes their views in the overlay.
+    fn commit(&mut self, commit: Commit, s: &OpState) {
+        match commit {
+            Commit::None => {}
+            Commit::Load { rd, .. } if rd == SINK_SLOT => {}
+            Commit::Load { rd, divergent } => {
+                let g = s.regs[rd as usize];
+                let mut taint = 0u64;
+                let mut m = divergent;
+                while m != 0 {
+                    let lane = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    if self.lane_results[lane] != g {
+                        self.vals[rd as usize][lane] = self.lane_results[lane];
+                        taint |= 1u64 << lane;
+                    }
+                }
+                self.set_taint(rd, taint);
+            }
+            Commit::Store => {
+                for &(lane, widx, word) in &self.store_views {
+                    let shared = self.machine.memory.word(widx);
+                    self.overlay.set(widx, lane as usize, word, shared);
+                }
+            }
+        }
+    }
+
+    /// The lane kernel of a unary operation `f` from slot `rs` into slot
+    /// `rd` over the golden register file `regs`: each lane tainted in
+    /// `rs` computes its own result and stays tainted in `rd` exactly
+    /// where that result differs from the golden one; every other lane
+    /// gets the golden result.
     #[inline(always)]
-    fn lane_binary(&mut self, rs1: Reg, rs2: Reg, f: impl Fn(u64, u64) -> u64) -> u64 {
-        let (ta, tb) = (self.taint_of(rs1), self.taint_of(rs2));
-        let (a_g, b_g) = (self.machine.read(rs1), self.machine.read(rs2));
-        let va = &self.vals[rs1.index() as usize * LANES..][..LANES];
-        let vb = &self.vals[rs2.index() as usize * LANES..][..LANES];
-        let mut m = ta | tb;
+    fn lane_unary(&mut self, regs: &[u64; 256], rd: u8, rs: u8, f: impl Fn(u64) -> u64) {
+        let src = rs as usize;
+        self.kernel(rd, self.taint[src], f(regs[src]), |vals, lane| f(vals[src][lane]));
+    }
+
+    /// The lane kernel of a binary operation `f` of slots `rs1` and `rs2`
+    /// into slot `rd`, as [`Self::lane_unary`]: the lanes where either
+    /// source is tainted read their own value of a tainted source and the
+    /// golden value of a clean one.
+    #[inline(always)]
+    fn lane_binary(
+        &mut self,
+        regs: &[u64; 256],
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+        f: impl Fn(u64, u64) -> u64,
+    ) {
+        let (s1, s2) = (rs1 as usize, rs2 as usize);
+        let (a_g, b_g) = (regs[s1], regs[s2]);
+        let (ta, tb) = (self.taint[s1], self.taint[s2]);
+        self.kernel(rd, ta | tb, f(a_g, b_g), |vals, lane| {
+            f(pick(ta, lane, &vals[s1], a_g), pick(tb, lane, &vals[s2], b_g))
+        });
+    }
+
+    /// The loop of every lane kernel: each lane of `lanes` computes its
+    /// `value` of slot `rd` and stays tainted there exactly where it
+    /// differs from the golden value `g`; every other lane gets `g`.
+    #[inline(always)]
+    fn kernel(
+        &mut self,
+        rd: u8,
+        lanes: u64,
+        g: u64,
+        value: impl Fn(&[[u64; LANES]; 256], usize) -> u64,
+    ) {
+        // Writes to the zero register vanish: its taint stays empty.
+        if rd == SINK_SLOT {
+            return;
+        }
+        let mut taint = 0u64;
+        let mut m = lanes;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            let a = if ta >> lane & 1 != 0 { va[lane] } else { a_g };
-            let b = if tb >> lane & 1 != 0 { vb[lane] } else { b_g };
-            self.lane_results[lane] = f(a, b);
+            let v = value(&self.vals, lane);
+            // Branch-free: a lane whose result is golden stores a value
+            // its cleared taint bit marks invalid.
+            self.vals[rd as usize][lane] = v;
+            taint |= u64::from(v != g) << lane;
         }
-        ta | tb
+        self.set_taint(rd, taint);
+    }
+
+    /// The lanes of `active` whose condition `cond` over slots `rs1` and
+    /// `rs2` differs from the golden one.
+    #[inline(always)]
+    fn flips(
+        &self,
+        regs: &[u64; 256],
+        active: u64,
+        rs1: u8,
+        rs2: u8,
+        cond: impl Fn(u64, u64) -> bool,
+    ) -> u64 {
+        let (a_g, b_g) = (regs[rs1 as usize], regs[rs2 as usize]);
+        let taken = cond(a_g, b_g);
+        let (ta, tb) = (self.taint[rs1 as usize], self.taint[rs2 as usize]);
+        let mut flips = 0u64;
+        let mut m = (ta | tb) & active;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let a = pick(ta, lane, &self.vals[rs1 as usize], a_g);
+            let b = pick(tb, lane, &self.vals[rs2 as usize], b_g);
+            flips |= u64::from(cond(a, b) != taken) << lane;
+        }
+        flips
     }
 }
 

@@ -31,14 +31,15 @@
 //!   walks a dense op array decoded once per program (`Op`: absolute op
 //!   indices across functions, register-file slots, pre-truncated
 //!   immediates, one variant per ALU operation and branch condition, so
-//!   each op costs one dispatch) over a local copy of the register file,
-//!   with none of the
-//!   capture, tape, profile, cycle-map, resume or digest machinery, and
-//!   may skip the trace hash of a lane whose trace already diverged.
+//!   each op costs one dispatch) over a local register file (`OpState`),
+//!   with none of the capture, tape, profile, cycle-map, resume or digest
+//!   machinery, and may skip the trace hash of a lane whose trace already
+//!   diverged. Each op executes in `FlatProgram::exec`, which the
+//!   bitsliced engine's golden replay (`crate::bitslice`) runs its steps
+//!   through too.
 
 use crate::checkpoint::{mem_mix, Checkpoint, CheckpointLog, FrameSnap};
 use crate::machine::{FaultSpec, Machine, Memory};
-use crate::runner::RunResult;
 use crate::trace::TraceHash;
 use bec_core::ExecProfile;
 use bec_ir::semantics::{eval_alu, eval_cond};
@@ -154,14 +155,16 @@ pub(crate) struct FlatProgram<'p> {
     pub(crate) funcs: Vec<FlatFunc<'p>>,
     pub(crate) entry: u32,
     /// Every function's steps decoded into one dense array for
-    /// [`run_tail`] (empty on machines whose registers do not fit the
-    /// byte slots below [`SINK_SLOT`]; their campaigns never batch, so
-    /// they never run tails).
-    ops: Vec<Op>,
+    /// [`run_tail`] and the batched replay (empty on machines whose
+    /// registers do not fit the byte slots below [`SINK_SLOT`]; their
+    /// campaigns never batch, so they never run tails).
+    pub(crate) ops: Vec<Op>,
+    /// The registers each op of `ops` reads and writes.
+    pub(crate) regs: Vec<OpRegs>,
     /// Index of each function's first op in `ops`.
-    bases: Vec<u32>,
+    pub(crate) bases: Vec<u32>,
     /// Register-file slots entry returns read, indexed by `OpKind::Ret`.
-    ret_reads: Vec<u8>,
+    pub(crate) ret_reads: Vec<u8>,
 }
 
 impl<'p> FlatProgram<'p> {
@@ -181,7 +184,14 @@ impl<'p> FlatProgram<'p> {
             bases.push(n);
             n += f.steps.len() as u32;
         }
-        let mut flat = FlatProgram { funcs, entry, ops: Vec::new(), bases, ret_reads: Vec::new() };
+        let mut flat = FlatProgram {
+            funcs,
+            entry,
+            ops: Vec::new(),
+            regs: Vec::new(),
+            bases,
+            ret_reads: Vec::new(),
+        };
         if program.config.num_regs <= u32::from(SINK_SLOT) {
             flat.decode(&program.config);
         }
@@ -190,15 +200,19 @@ impl<'p> FlatProgram<'p> {
 
     /// Decodes every step into `ops`: absolute op indices across
     /// functions, register-file slots, pre-truncated immediates and `la`
-    /// addresses, and each cycle-consuming op's trace token.
+    /// addresses, and each cycle-consuming op's trace token; and into
+    /// `regs`, the registers each op reads and writes.
     fn decode(&mut self, cfg: &MachineConfig) {
         let mask = cfg.mask();
         let rd = |r: Reg| write_slot(cfg, r);
         let rs = |r: Reg| read_slot(cfg, r);
-        let mut ops = Vec::with_capacity(self.funcs.iter().map(|f| f.steps.len()).sum());
+        let n = self.funcs.iter().map(|f| f.steps.len()).sum();
+        let mut ops = Vec::with_capacity(n);
+        let mut regs = Vec::with_capacity(n);
         for (fi, f) in self.funcs.iter().enumerate() {
             let base = self.bases[fi];
             for (pc, step) in f.steps.iter().enumerate() {
+                regs.push(OpRegs::of(cfg, step));
                 let kind = match *step {
                     FlatStep::Goto { target } => OpKind::Goto { target: base + target },
                     FlatStep::Inst { inst, .. } => match *inst {
@@ -261,6 +275,7 @@ impl<'p> FlatProgram<'p> {
             }
         }
         self.ops = ops;
+        self.regs = regs;
     }
 }
 
@@ -348,10 +363,10 @@ const ZERO_SLOT: u8 = u8::MAX;
 
 /// The local register-file slot writes to the hardwired zero register
 /// use: written, never read.
-const SINK_SLOT: u8 = u8::MAX - 1;
+pub(crate) const SINK_SLOT: u8 = u8::MAX - 1;
 
 /// The local register-file slot a read of `r` uses.
-fn read_slot(cfg: &MachineConfig, r: Reg) -> u8 {
+pub(crate) fn read_slot(cfg: &MachineConfig, r: Reg) -> u8 {
     if cfg.is_zero_reg(r) {
         ZERO_SLOT
     } else {
@@ -368,12 +383,52 @@ fn write_slot(cfg: &MachineConfig, r: Reg) -> u8 {
     }
 }
 
-/// One decoded op of [`run_tail`].
+/// One decoded op of [`run_tail`] and the batched replay.
 #[derive(Clone, Copy, Debug)]
-struct Op {
+pub(crate) struct Op {
     /// The trace token a cycle-consuming op absorbs (0 for gotos).
-    token: u64,
-    kind: OpKind,
+    pub(crate) token: u64,
+    pub(crate) kind: OpKind,
+}
+
+/// The registers one op reads and writes, as masks over register indices
+/// (bit `i`: register `i`), for the batched replay's taint test. The zero
+/// register is in neither: it is never tainted. A branch whose edges are
+/// one and the same path reads nothing here, since flipping its condition
+/// changes nothing; an entry return's output reads are not listed (the
+/// replay checks them when the program ends). Meaningful on machines of at
+/// most 64 registers, the only ones that batch.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct OpRegs {
+    pub(crate) reads: u64,
+    pub(crate) writes: u64,
+    /// A branch whose edges lead to different steps ([`Edges::Split`]).
+    pub(crate) split: bool,
+}
+
+impl OpRegs {
+    fn of(cfg: &MachineConfig, step: &FlatStep<'_>) -> OpRegs {
+        let bit = |r: Reg| if cfg.is_zero_reg(r) { 0 } else { reg_bit(r).0 };
+        let none = OpRegs::default();
+        match *step {
+            FlatStep::Inst { inst, .. } => {
+                let rw = inst_rw(inst, cfg.mask());
+                let regs = |m: RegMask| m.iter().fold(0, |acc, r| acc | bit(r));
+                OpRegs { reads: regs(rw.reads), writes: regs(rw.writes), split: false }
+            }
+            FlatStep::La { rd, .. } => OpRegs { writes: bit(rd), ..none },
+            FlatStep::Call { .. } => OpRegs { writes: bit(Reg::RA), ..none },
+            FlatStep::Branch { edges: Edges::Same, .. } => none,
+            FlatStep::Branch { rs1, rs2, edges, .. } => OpRegs {
+                reads: bit(rs1) | rs2.map_or(0, bit),
+                split: edges == Edges::Split,
+                ..none
+            },
+            // A non-entry return checks the link register's token.
+            FlatStep::Ret { .. } if cfg.num_regs == 32 => OpRegs { reads: bit(Reg::RA), ..none },
+            FlatStep::Ret { .. } | FlatStep::Exit { .. } | FlatStep::Goto { .. } => none,
+        }
+    }
 }
 
 /// Invokes `$then!` with the one list of ops [`run_tail`] dispatches on
@@ -413,7 +468,7 @@ macro_rules! define_op_kind {
         /// variant itself (`AddR`: `add rd, rs1, rs2`; `AddI`: `addi rd,
         /// rs1, imm`; `BrEq`: `beq rs1, rs2`).
         #[derive(Clone, Copy, Debug)]
-        enum OpKind {
+        pub(crate) enum OpKind {
             $(
                 $reg { rd: u8, rs1: u8, rs2: u8 },
                 $imm { rd: u8, rs1: u8, imm: u64 },
@@ -472,14 +527,17 @@ macro_rules! define_op_kind {
     };
 }
 
+pub(crate) use with_tail_ops;
+
 with_tail_ops!(define_op_kind! {});
 
-/// The tail loop's match on `$kind`: the ALU and branch arms generated
-/// from the list of [`with_tail_ops!`] over the register file `$regs`,
-/// machine `$cfg` and op index `$pc`, then the hand-written `$rest` arms.
+/// [`FlatProgram::exec`]'s match on `$kind`: the ALU and branch arms
+/// generated from the list of [`with_tail_ops!`] over the register file
+/// `$regs`, machine `$cfg` and op index `$pc`, then the hand-written
+/// `$rest` arms.
 macro_rules! tail_match {
     (
-        $kind:expr, $cfg:ident, $regs:ident, $pc:ident, { $($rest:tt)* }
+        $kind:expr, $cfg:ident, $regs:ident, $pc:expr, { $($rest:tt)* }
         alu: [$($op:ident $reg:ident $imm:ident),*]
         cond: [$($cond:ident $br:ident),*]
     ) => {
@@ -502,6 +560,110 @@ macro_rules! tail_match {
             $($rest)*
         }
     };
+}
+
+impl FlatProgram<'_> {
+    /// Executes the cycle-consuming op `op` (anything but a goto) at
+    /// `s.pc` on `s` and `memory`, logging every written memory word in
+    /// `dirty`: absorbs the op's trace token and events into the trace
+    /// hash iff `HASH`, and leaves `s.pc` at the next op. Returns the
+    /// run's outcome when the op ends it. Every run over decoded ops —
+    /// forked-lane tails and the batched golden replay — executes its
+    /// ops here.
+    #[inline(always)]
+    pub(crate) fn exec<const HASH: bool>(
+        &self,
+        cfg: MachineConfig,
+        op: Op,
+        s: &mut OpState,
+        memory: &mut Memory,
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> Option<ExecOutcome> {
+        let mask = cfg.mask();
+        if HASH {
+            s.hash.update(op.token);
+        }
+        s.pc += 1;
+        let regs = &mut s.regs;
+        // One jump per op: the ALU and branch arms are generated per op.
+        with_tail_ops!(tail_match! { op.kind, cfg, regs, s.pc, {
+            OpKind::Li { rd, imm } => regs[rd as usize] = imm,
+            OpKind::Mv { rd, rs } => regs[rd as usize] = regs[rs as usize],
+            OpKind::Neg { rd, rs } => {
+                regs[rd as usize] = 0u64.wrapping_sub(regs[rs as usize]) & mask
+            }
+            OpKind::Seqz { rd, rs } => regs[rd as usize] = u64::from(regs[rs as usize] == 0),
+            OpKind::Snez { rd, rs } => regs[rd as usize] = u64::from(regs[rs as usize] != 0),
+            OpKind::Load { rd, base, width, signed, offset } => {
+                let addr = effective_address(regs[base as usize], offset, mask);
+                let size = width.bytes();
+                let raw = match load(memory, addr, size) {
+                    Ok(raw) => raw,
+                    Err(kind) => return Some(ExecOutcome::Crashed(kind)),
+                };
+                if HASH {
+                    s.hash.update(access_event(LOAD_EVENT, addr));
+                    s.hash.update(raw);
+                }
+                regs[rd as usize] = extend_load(raw, signed, size) & mask;
+            }
+            OpKind::Store { rs, base, width, offset } => {
+                let addr = effective_address(regs[base as usize], offset, mask);
+                let size = width.bytes();
+                let value = regs[rs as usize] & width_mask(size);
+                if let Err(kind) = store(memory, addr, size, value, dirty) {
+                    return Some(ExecOutcome::Crashed(kind));
+                }
+                if HASH {
+                    s.hash.update(access_event(STORE_EVENT, addr));
+                    s.hash.update(value);
+                }
+            }
+            OpKind::Print { rs } => {
+                let v = regs[rs as usize];
+                if HASH {
+                    s.hash.update(PRINT_EVENT);
+                    s.hash.update(v);
+                }
+                s.outputs.push(v);
+            }
+            OpKind::Nop => {}
+            OpKind::Call { entry, func, ret_pc, seed } => {
+                if s.stack.len() >= MAX_CALL_DEPTH {
+                    return Some(ExecOutcome::Crashed(CrashKind::StackOverflow));
+                }
+                let ra_token = call_token(seed, s.stack.len(), mask);
+                regs[write_slot(&cfg, Reg::RA) as usize] = ra_token;
+                s.stack.push(FrameSnap { func, ret_pc, ra_token });
+                s.pc = entry;
+            }
+            OpKind::Exit => return Some(ExecOutcome::Completed),
+            OpKind::Ret { reads, count } => match s.stack.pop() {
+                None => {
+                    for &slot in &self.ret_reads[reads as usize..][..count as usize] {
+                        let v = regs[slot as usize];
+                        if HASH {
+                            s.hash.update(OUTPUT_EVENT);
+                            s.hash.update(v);
+                        }
+                        s.outputs.push(v);
+                    }
+                    return Some(ExecOutcome::Completed);
+                }
+                Some(frame) => {
+                    // Returns check the token only where `ra` is the ABI
+                    // link register.
+                    let ra = regs[read_slot(&cfg, Reg::RA) as usize];
+                    if cfg.num_regs == 32 && ra != frame.ra_token {
+                        return Some(ExecOutcome::Crashed(CrashKind::WildReturn));
+                    }
+                    s.pc = self.bases[frame.func as usize] + frame.ret_pc;
+                }
+            },
+            OpKind::Goto { .. } => unreachable!("gotos take no cycle"),
+        }});
+        None
+    }
 }
 
 /// The effective address of a memory access: base plus offset, wrapped to
@@ -1131,158 +1293,103 @@ pub(crate) fn run(
     }
 }
 
-/// Runs the tail of a forked bitsliced lane: `machine` and `state` hold
-/// the lane's exact mid-run state (as the scalar engine would have reached
+/// The state a run over decoded ops keeps besides memory: a local
+/// register file indexed by register-file slot (byte slots index it with
+/// no bounds checks), the absolute index of the next op, and the trace,
+/// output and call-stack state.
+#[derive(Clone)]
+pub(crate) struct OpState {
+    pub(crate) regs: [u64; 256],
+    pub(crate) pc: u32,
+    pub(crate) cycle: u64,
+    pub(crate) steps: u64,
+    pub(crate) hash: TraceHash,
+    pub(crate) outputs: Vec<u64>,
+    pub(crate) stack: Vec<FrameSnap>,
+}
+
+impl OpState {
+    /// The op-level form of the executor state `state` over the register
+    /// file `regs`.
+    pub(crate) fn new(flat: &FlatProgram<'_>, state: ExecState, regs: &[u64]) -> OpState {
+        let ExecState { hash, outputs, cycle, steps, func, pc, stack, .. } = state;
+        let mut file = [0u64; 256];
+        file[..regs.len()].copy_from_slice(regs);
+        OpState {
+            regs: file,
+            pc: flat.bases[func as usize] + pc,
+            cycle,
+            steps,
+            hash,
+            outputs,
+            stack,
+        }
+    }
+}
+
+/// Runs the tail of a forked bitsliced lane: `s` and `memory` hold the
+/// lane's exact mid-run state (as the scalar engine would have reached
 /// it), and the run executes to a terminal outcome with no convergence
 /// checks — a forked lane has already left the golden control path, so it
 /// can never match a golden checkpoint again.
 ///
-/// The tail walks the decoded ops over a local copy of the register file
-/// and ends in exactly the state [`run`] would: the machine holds the
-/// final registers and memory, and every written word is logged in
-/// `dirty`. With `keep_hash` false the trace hash is left untouched, so the
-/// returned hash is the start state's. Callers pass false only for a lane
-/// whose trace already differs from the golden run's, and classify it by
-/// outcome and outputs alone.
+/// The tail walks the decoded ops and ends in exactly the state [`run`]
+/// would: `s` holds the final registers, outputs, cycle count and trace
+/// hash, `memory` the final memory, and every written word is logged in
+/// `dirty`. With `keep_hash` false the trace hash is left untouched, so
+/// the final hash is the start state's. Callers pass false only for a
+/// lane whose trace already differs from the golden run's, and classify
+/// it by outcome and outputs alone.
 pub(crate) fn run_tail(
     flat: &FlatProgram<'_>,
+    cfg: MachineConfig,
     max_cycles: u64,
-    state: ExecState,
-    machine: &mut Machine,
+    s: &mut OpState,
+    memory: &mut Memory,
     dirty: &mut Vec<(u32, u32)>,
     keep_hash: bool,
-) -> RunResult {
+) -> ExecOutcome {
     if keep_hash {
-        tail::<true>(flat, max_cycles, state, machine, dirty)
+        tail::<true>(flat, cfg, max_cycles, s, memory, dirty)
     } else {
-        tail::<false>(flat, max_cycles, state, machine, dirty)
+        tail::<false>(flat, cfg, max_cycles, s, memory, dirty)
     }
 }
 
 /// The tail loop of [`run_tail`], with the trace hash updated iff `HASH`.
 fn tail<const HASH: bool>(
     flat: &FlatProgram<'_>,
+    cfg: MachineConfig,
     max_cycles: u64,
-    state: ExecState,
-    machine: &mut Machine,
+    s: &mut OpState,
+    memory: &mut Memory,
     dirty: &mut Vec<(u32, u32)>,
-) -> RunResult {
-    let nregs = machine.regs().len();
+) -> ExecOutcome {
     assert!(!flat.ops.is_empty(), "tails run on machines with decoded ops");
-    let cfg = *machine.config();
-    let mask = cfg.mask();
     let step_limit = max_cycles.saturating_mul(2) + 1024;
-    // Returns check the token only where `ra` is the ABI link register.
-    let check_ra = cfg.num_regs == 32;
-    let ra_in = read_slot(&cfg, Reg::RA) as usize;
-    let ra_out = write_slot(&cfg, Reg::RA) as usize;
-    // Byte slots index a 256-entry file with no bounds checks.
-    let mut regs = [0u64; 256];
-    regs[..nregs].copy_from_slice(machine.regs());
-    let ExecState { mut hash, mut outputs, mut cycle, mut steps, func, pc, mut stack, .. } = state;
-    let mut pc = flat.bases[func as usize] + pc;
-    let memory = &mut machine.memory;
-
-    let outcome = loop {
-        steps += 1;
-        if cycle >= max_cycles || steps >= step_limit {
-            break ExecOutcome::Timeout;
+    loop {
+        s.steps += 1;
+        if s.cycle >= max_cycles || s.steps >= step_limit {
+            return ExecOutcome::Timeout;
         }
-        let Op { token, kind } = flat.ops[pc as usize];
-        if let OpKind::Goto { target } = kind {
-            pc = target;
+        let op = flat.ops[s.pc as usize];
+        if let OpKind::Goto { target } = op.kind {
+            s.pc = target;
             continue;
         }
-        if HASH {
-            hash.update(token);
+        s.cycle += 1;
+        if let Some(outcome) = flat.exec::<HASH>(cfg, op, s, memory, dirty) {
+            return outcome;
         }
-        cycle += 1;
-        pc += 1;
-        // One jump per op: the ALU and branch arms are generated per op.
-        with_tail_ops!(tail_match! { kind, cfg, regs, pc, {
-            OpKind::Li { rd, imm } => regs[rd as usize] = imm,
-            OpKind::Mv { rd, rs } => regs[rd as usize] = regs[rs as usize],
-            OpKind::Neg { rd, rs } => {
-                regs[rd as usize] = 0u64.wrapping_sub(regs[rs as usize]) & mask
-            }
-            OpKind::Seqz { rd, rs } => regs[rd as usize] = u64::from(regs[rs as usize] == 0),
-            OpKind::Snez { rd, rs } => regs[rd as usize] = u64::from(regs[rs as usize] != 0),
-            OpKind::Load { rd, base, width, signed, offset } => {
-                let addr = effective_address(regs[base as usize], offset, mask);
-                let size = width.bytes();
-                let raw = match load(memory, addr, size) {
-                    Ok(raw) => raw,
-                    Err(kind) => break ExecOutcome::Crashed(kind),
-                };
-                if HASH {
-                    hash.update(access_event(LOAD_EVENT, addr));
-                    hash.update(raw);
-                }
-                regs[rd as usize] = extend_load(raw, signed, size) & mask;
-            }
-            OpKind::Store { rs, base, width, offset } => {
-                let addr = effective_address(regs[base as usize], offset, mask);
-                let size = width.bytes();
-                let value = regs[rs as usize] & width_mask(size);
-                if let Err(kind) = store(memory, addr, size, value, dirty) {
-                    break ExecOutcome::Crashed(kind);
-                }
-                if HASH {
-                    hash.update(access_event(STORE_EVENT, addr));
-                    hash.update(value);
-                }
-            }
-            OpKind::Print { rs } => {
-                let v = regs[rs as usize];
-                if HASH {
-                    hash.update(PRINT_EVENT);
-                    hash.update(v);
-                }
-                outputs.push(v);
-            }
-            OpKind::Nop => {}
-            OpKind::Call { entry, func, ret_pc, seed } => {
-                if stack.len() >= MAX_CALL_DEPTH {
-                    break ExecOutcome::Crashed(CrashKind::StackOverflow);
-                }
-                let ra_token = call_token(seed, stack.len(), mask);
-                regs[ra_out] = ra_token;
-                stack.push(FrameSnap { func, ret_pc, ra_token });
-                pc = entry;
-            }
-            OpKind::Exit => break ExecOutcome::Completed,
-            OpKind::Ret { reads, count } => match stack.pop() {
-                None => {
-                    for &slot in &flat.ret_reads[reads as usize..][..count as usize] {
-                        let v = regs[slot as usize];
-                        if HASH {
-                            hash.update(OUTPUT_EVENT);
-                            hash.update(v);
-                        }
-                        outputs.push(v);
-                    }
-                    break ExecOutcome::Completed;
-                }
-                Some(frame) => {
-                    if check_ra && regs[ra_in] != frame.ra_token {
-                        break ExecOutcome::Crashed(CrashKind::WildReturn);
-                    }
-                    pc = flat.bases[frame.func as usize] + frame.ret_pc;
-                }
-            },
-            OpKind::Goto { .. } => unreachable!("handled above"),
-        }});
-    };
-    machine.restore_regs(&regs[..nregs]);
-    RunResult { outcome, outputs, cycles: cycle, hash }
+    }
 }
 
-pub(crate) enum StepResult {
+enum StepResult {
     Next,
     Trap(CrashKind),
 }
 
-pub(crate) fn step_inst(
+fn step_inst(
     m: &mut Machine,
     inst: &Inst,
     hash: &mut TraceHash,

@@ -111,15 +111,11 @@ fn tail_end(
     keep_hash: bool,
 ) -> (End, Memory) {
     let (state, mut machine, mut dirty) = tail_state(sim, log, golden_outputs, start);
-    let r = run_tail(&sim.flat, sim.limits.max_cycles, state, &mut machine, &mut dirty, keep_hash);
-    let end = End {
-        outcome: r.outcome,
-        outputs: r.outputs,
-        cycles: r.cycles,
-        hash: r.hash,
-        dirty,
-        regs: machine.regs().to_vec(),
-    };
+    let mut s = OpState::new(&sim.flat, state, machine.regs());
+    let (cfg, max) = (*machine.config(), sim.limits.max_cycles);
+    let outcome = run_tail(&sim.flat, cfg, max, &mut s, &mut machine.memory, &mut dirty, keep_hash);
+    let regs = s.regs[..machine.regs().len()].to_vec();
+    let end = End { outcome, outputs: s.outputs, cycles: s.cycle, hash: s.hash, dirty, regs };
     (end, machine.memory)
 }
 

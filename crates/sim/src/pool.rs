@@ -255,7 +255,7 @@ fn run_report(
                 // One scratch machine per worker, reused across all runs —
                 // a scalar injector or a bitsliced batch runner.
                 let mut injector = (!use_batch).then(|| sim.injector());
-                let mut batcher = use_batch.then(|| BatchRunner::new(sim));
+                let mut batcher = use_batch.then(|| BatchRunner::new(sim, golden, ckpts));
                 let mut lane_runs: Vec<LaneRun> = Vec::new();
                 let mut counters = BatchCounters::default();
                 // Telemetry is aggregated locally and merged once per
@@ -286,7 +286,7 @@ fn run_report(
                         FaultOutcome { fault: *fault, class: run.class }
                     };
                     let outcomes: Vec<FaultOutcome> = if let Some(b) = batcher.as_mut() {
-                        b.run_shard(golden, ckpts, faults, &mut counters, &mut lane_runs);
+                        b.run_shard(faults, &mut counters, &mut lane_runs);
                         faults.iter().zip(&lane_runs).map(|(f, r)| observe(f, r)).collect()
                     } else {
                         let injector = injector.as_mut().expect("scalar worker");
@@ -327,6 +327,7 @@ fn run_report(
                     tel.add("campaign.forked_lanes", counters.forked_lanes);
                     tel.add("campaign.handoff_lanes", counters.handoff_lanes);
                     tel.add("campaign.replay_steps", counters.replay_steps);
+                    tel.add("campaign.replay_clean_steps", counters.replay_clean_steps);
                     tel.add("campaign.tail_cycles", counters.tail_cycles);
                     batches.fetch_add(counters.batches, Ordering::Relaxed);
                     batched_lanes.fetch_add(counters.batched_lanes, Ordering::Relaxed);
@@ -478,6 +479,7 @@ exit:
             "campaign.forked_lanes",
             "campaign.handoff_lanes",
             "campaign.replay_steps",
+            "campaign.replay_clean_steps",
             "campaign.tail_cycles",
             "campaign.outcome.benign",
             "campaign.outcome.sdc",

@@ -261,14 +261,13 @@ entry:
     assert_eq!(stats.forked_lanes, 0, "a divergent store value must not fork");
 }
 
-/// A divergent in-bounds store address (faults in the pointer `s1`),
+/// A program with a divergent in-bounds store address (faults in the pointer `s1`),
 /// loads of both the lane's own and the golden address, a loop whose
 /// bound is reloaded from the stored word — so lanes fork on a reloaded
 /// value and their tails must see their overlay words — and a tail loop
 /// bounded by a word only a divergent store address can change.
-#[test]
-fn overlays_follow_divergent_addresses_into_forks() {
-    let p = bec_ir::parse_program(
+fn divergent_address_program() -> Program {
+    bec_ir::parse_program(
         r#"
 global buf: word[8] = { 3, 0, 0, 0, 0, 0, 0, 0 }
 func @main(args=0, ret=none) {
@@ -300,7 +299,13 @@ out:
 }
 "#,
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// The divergent-address program's reports match across engines.
+#[test]
+fn overlays_follow_divergent_addresses_into_forks() {
+    let p = divergent_address_program();
     let (stats, snap) =
         assert_engines_agree("store-addresses", &p, CampaignSpec::exhaustive(8), &[2]);
     assert!(stats.forked_lanes > 0, "no lane forked on a reloaded value");
@@ -388,6 +393,88 @@ fn generated_programs_match_across_engines() {
         assert_plan_agrees(&label, &setup, &plan, &[2]);
     }
     assert!(batched > 0);
+}
+
+/// Generated full-surface programs (diamonds, loops, calls, scratch
+/// memory on a 16-bit machine), run exhaustively: every fault of every
+/// site, so every taint path of the replay's clean fast path and lane
+/// kernels meets the scalar engine.
+#[test]
+fn generated_programs_match_exhaustively() {
+    let (mut forked, mut clean) = (0, 0);
+    for seed in 0..48u64 {
+        let generated = bec_fuzzgen::generate(seed, &bec_fuzzgen::GenConfig::full());
+        let label = format!("fuzzgen-{seed}");
+        let (stats, snap) =
+            assert_engines_agree(&label, &generated.program, CampaignSpec::exhaustive(8), &[2]);
+        forked += stats.forked_lanes;
+        clean += snap.counter("campaign.replay_clean_steps").unwrap_or(0);
+    }
+    assert!(forked > 0, "no lane ever forked");
+    assert!(clean > 0, "no replay step took the clean path");
+}
+
+/// A checkpoint at every cycle: every boundary is an event — convergence,
+/// settling and gap skips are checked on every cycle — on programs with
+/// calls, loops, branches and divergent stores.
+#[test]
+fn every_cycle_checkpoints_match_across_engines() {
+    let mut programs = vec![
+        ("countyears".to_string(), example("countyears.s")),
+        ("gcd".to_string(), example("gcd.s")),
+        ("store-addresses".to_string(), divergent_address_program()),
+    ];
+    for seed in [1u64, 2, 11] {
+        let program = bec_fuzzgen::generate(seed, &bec_fuzzgen::GenConfig::full()).program;
+        programs.push((format!("fuzzgen-{seed}"), program));
+    }
+    for (label, program) in &programs {
+        let setup = Setup::new(label, program, Grid::Every(1));
+        let plan = ShardPlan::build(setup.space.clone(), CampaignSpec::exhaustive(8));
+        let (stats, _) = assert_plan_agrees(label, &setup, &plan, &[2]);
+        assert!(stats.early_exits > 0, "{label}: no lane converged");
+    }
+}
+
+/// Lane bookkeeping runs only on event boundaries, and the boundary after
+/// a step that flags or retires a lane is one: a lone lane whose print
+/// diverges is handed off to the scalar tail on the very next boundary,
+/// although no checkpoint or pending lane comes for hundreds of cycles.
+#[test]
+fn a_flagged_lone_lane_is_handed_off_at_once() {
+    let p = bec_ir::parse_program(
+        r#"
+func @main(args=0, ret=none) {
+entry:
+    li   t0, 5
+    print t0
+    li   t1, 300
+    j    loop
+loop:
+    addi t1, t1, -1
+    bnez t1, loop, done
+done:
+    exit
+}
+"#,
+    )
+    .unwrap();
+    let setup = Setup::new("lone", &p, Grid::Every(100_000));
+    // Bit 0 of t0, flipped between its definition and the print.
+    let fault: Vec<SitedFault> = setup
+        .space
+        .iter()
+        .filter(|f| (f.spec.reg, f.spec.bit, f.spec.cycle) == (bec_ir::Reg::T0, 0, 1))
+        .copied()
+        .collect();
+    assert_eq!(fault.len(), 1);
+    let plan = ShardPlan::build(fault, CampaignSpec::exhaustive(1));
+    let (_, snap) = assert_plan_agrees("lone", &setup, &plan, &[1]);
+    assert_eq!(snap.counter("campaign.outcome.sdc"), Some(1));
+    assert_eq!(snap.counter("campaign.handoff_lanes"), Some(1), "the lane was not handed off");
+    // Restored at cycle 0, joined at cycle 1, printed there: handed off at
+    // boundary 2.
+    assert_eq!(snap.counter("campaign.replay_steps"), Some(2), "handed off late");
 }
 
 /// A sampled `bench_sha` campaign: the suite program with the most store
