@@ -88,6 +88,9 @@ pub struct FunctionAnalysis {
     pub name: String,
     /// Point numbering.
     pub layout: PointLayout,
+    /// Per-point register accesses, the table the results below were
+    /// solved over.
+    pub access: AccessTable,
     /// Per-point liveness.
     pub liveness: Liveness,
     /// Def–use chains (`def(p, v)` and `use(p, v)` of §II).
@@ -152,7 +155,7 @@ fn analyze_function(program: &Program, f: &Function, options: &BecOptions) -> Fu
     let coalescing = Coalescing::compute_with(
         program, f, &layout, &access, &liveness, &defuse, &values, options,
     );
-    FunctionAnalysis { name: f.name.clone(), layout, liveness, defuse, values, coalescing }
+    FunctionAnalysis { name: f.name.clone(), layout, access, liveness, defuse, values, coalescing }
 }
 
 impl BecAnalysis {
@@ -336,13 +339,11 @@ impl BecAnalysis {
     /// keeps its accesses — only the masked subset moves).
     pub fn site_counts(&self, program: &Program) -> SiteCounts {
         let mut counts = SiteCounts { total_site_bits: 0, masked_site_bits: 0 };
-        for (fi, fa) in self.functions.iter().enumerate() {
+        for fa in &self.functions {
             for (p, r) in fa.coalescing.nodes().site_pairs() {
-                for bit in 0..program.config.xlen {
-                    counts.total_site_bits += 1;
-                    let v = self.site_verdict(fi, p, r, bit).expect("enumerated site");
-                    counts.masked_site_bits += u64::from(v.is_masked());
-                }
+                counts.total_site_bits += u64::from(program.config.xlen);
+                let masked = fa.coalescing.masked_bits(p, r).expect("enumerated site");
+                counts.masked_site_bits += u64::from(masked.count_ones());
             }
         }
         counts

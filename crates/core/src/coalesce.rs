@@ -162,6 +162,18 @@ impl Coalescing {
         self.class_of(p, reg, bit).map(|c| c == self.uf.find_imm(S0))
     }
 
+    /// The bits of site `(p, reg)` proven masked: bit `b` is set iff
+    /// [`Coalescing::is_masked`] holds for `(p, reg, b)`. `None` when `reg`
+    /// is not accessed at `p`.
+    pub fn masked_bits(&self, p: PointId, reg: Reg) -> Option<u64> {
+        let base = self.nodes.site_base(p, reg)? as usize;
+        let s0 = self.s0_class();
+        let masked = (0..self.nodes.width())
+            .filter(|&bit| self.uf.find_imm(base + bit as usize) == s0)
+            .fold(0u64, |m, bit| m | 1 << bit);
+        Some(masked)
+    }
+
     /// The representative of the `[s0]` class.
     pub fn s0_class(&self) -> usize {
         self.uf.find_imm(S0)

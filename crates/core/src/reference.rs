@@ -17,15 +17,21 @@
 //! 2. **Benchmarking**: `analysis_scaling` measures dense-vs-reference
 //!    end-to-end analysis throughput; the reference is the seed baseline.
 //!
+//! [`function_surface`] keeps the set-based fault-surface algorithm the
+//! same way: a per-register `BTreeSet<PointId>` "last access" fixpoint and
+//! a union-find lookup per bit, per covering access. The workspace's
+//! `tests/surface_equivalence.rs` pins [`crate::surface::function_surface`]
+//! (the one-pass OR-mask form) to it.
+//!
 //! Nothing here is exported from the crate root; the module is `#[doc
 //! (hidden)]` and not part of the supported API.
 
-use crate::analysis::{BecOptions, SiteVerdict};
+use crate::analysis::{BecOptions, FunctionAnalysis, SiteVerdict};
 use crate::arrival::IntraRules;
 use crate::bitvalue::{transfer, ValueQuery};
 use crate::fault::{NodeQuery, S0};
 use bec_dataflow::{AbsValue, UnionFind};
-use bec_ir::{Cfg, Function, MachineConfig, PointId, PointLayout, Program, Reg};
+use bec_ir::{Cfg, Function, MachineConfig, PointId, PointLayout, Program, Reg, Terminator};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// The seed liveness analysis: an interned register universe with
@@ -664,4 +670,127 @@ pub fn analyze_function(
 /// Reference analysis of every function of `program`, in program order.
 pub fn analyze_program(program: &Program, options: &BecOptions) -> Vec<RefFunctionAnalysis> {
     program.functions.iter().map(|f| analyze_function(program, f, options)).collect()
+}
+
+/// The set-based fault surface of one function, weighting each point by
+/// `exec`: for every live register after each executed point, the bits that
+/// any access covering that moment leaves unmasked (all bits when no access
+/// covers it), plus the full width of each distinct returned register at a
+/// `ret`.
+pub fn function_surface(
+    program: &Program,
+    func: &Function,
+    fa: &FunctionAnalysis,
+    exec: impl Fn(PointId) -> u64,
+) -> u64 {
+    let w = program.config.xlen;
+    let cover = CoverMap::compute(program, func, &fa.layout);
+    let s0 = fa.coalescing.s0_class();
+    let mut total = 0u64;
+    for p in fa.layout.iter() {
+        let n = exec(p);
+        if n == 0 {
+            continue;
+        }
+        let mut bits_here = 0u64;
+        for v in fa.liveness.live_after(p) {
+            let covering = cover.cover(p, v);
+            if covering.is_empty() {
+                bits_here += w as u64;
+                continue;
+            }
+            for bit in 0..w {
+                let live = covering.iter().any(|&d| fa.coalescing.class_of(d, v, bit) != Some(s0));
+                if live {
+                    bits_here += 1;
+                }
+            }
+        }
+        if let Some(Terminator::Ret { reads }) = fa.layout.resolve(func, p).as_term() {
+            let distinct: BTreeSet<Reg> = reads.iter().copied().collect();
+            bits_here += w as u64 * distinct.len() as u64;
+        }
+        total += n * bits_here;
+    }
+    total
+}
+
+/// For each `(point, register)`: the access points of the register whose
+/// fault-site window can cover this point (the most recent accesses on
+/// some access-free path).
+struct CoverMap {
+    map: HashMap<(PointId, Reg), Vec<PointId>>,
+}
+
+impl CoverMap {
+    /// Forward "last access" analysis per register.
+    fn compute(program: &Program, func: &Function, layout: &PointLayout) -> CoverMap {
+        let cfg = Cfg::of(func);
+        let zero = program.config.zero_reg;
+
+        // Registers that appear anywhere.
+        let mut regs: BTreeSet<Reg> = BTreeSet::new();
+        for p in layout.iter() {
+            let pi = layout.resolve(func, p);
+            regs.extend(pi.reads(program));
+            regs.extend(pi.writes(program));
+        }
+        if let Some(z) = zero {
+            regs.remove(&z);
+        }
+
+        let nb = func.blocks.len();
+        let mut map = HashMap::new();
+        for &r in &regs {
+            // Block-level fixpoint: set of access points reaching block end.
+            let mut out: Vec<BTreeSet<PointId>> = vec![BTreeSet::new(); nb];
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for &b in cfg.reverse_postorder() {
+                    let mut acc: BTreeSet<PointId> = BTreeSet::new();
+                    for &pr in cfg.predecessors(b) {
+                        acc.extend(out[pr.index()].iter().copied());
+                    }
+                    let blk = func.block(b);
+                    for off in 0..blk.point_count() {
+                        let p = layout.point(b, off);
+                        let pi = layout.resolve(func, p);
+                        if pi.reads(program).contains(&r) || pi.writes(program).contains(&r) {
+                            acc.clear();
+                            acc.insert(p);
+                        }
+                    }
+                    if out[b.index()] != acc {
+                        out[b.index()] = acc;
+                        changed = true;
+                    }
+                }
+            }
+            // Local walk: cover after each point.
+            for (bi, blk) in func.blocks.iter().enumerate() {
+                let b = bec_ir::BlockId(bi as u32);
+                let mut acc: BTreeSet<PointId> = BTreeSet::new();
+                for &pr in cfg.predecessors(b) {
+                    acc.extend(out[pr.index()].iter().copied());
+                }
+                for off in 0..blk.point_count() {
+                    let p = layout.point(b, off);
+                    let pi = layout.resolve(func, p);
+                    if pi.reads(program).contains(&r) || pi.writes(program).contains(&r) {
+                        acc.clear();
+                        acc.insert(p);
+                    }
+                    map.insert((p, r), acc.iter().copied().collect());
+                }
+            }
+        }
+        CoverMap { map }
+    }
+
+    /// The access points covering `(p, v)`; empty for registers never
+    /// accessed on any path to `p`.
+    fn cover(&self, p: PointId, v: Reg) -> &[PointId] {
+        self.map.get(&(p, v)).map(Vec::as_slice).unwrap_or(&[])
+    }
 }

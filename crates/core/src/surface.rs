@@ -5,11 +5,32 @@
 //! register contributes its bits that are not provably masked. A returned
 //! value escapes the function and contributes all its bits at the `ret`
 //! point (this reproduces the paper's 681-site count for Fig. 2b).
+//!
+//! # The OR-mask pass
+//!
+//! A register's bits after point `p` are covered by the fault-site windows
+//! of its most recent accesses on the paths reaching `p`; a bit is live
+//! when any covering access leaves it unmasked (its coalescing class is not
+//! `[s0]`), and every bit is live when no access covers `p` at all (a
+//! live-in argument). Rather than collect the covering access points per
+//! register, [`function_surface`] maps each access `d` of `r` to its
+//! live-bit mask `mask(d, r)` once, from the analysis's
+//! [`bec_ir::AccessTable`] ([`FunctionAnalysis::access`]), and carries per
+//! register only a `reached` flag and the OR of the masks of the reaching
+//! accesses. The join ORs flags and masks; an access of `r` at `p` resets
+//! `r`'s state to `(true, mask(p, r))`. A block fixpoint in reverse
+//! postorder, then one walk per block, sums `exec(p) × Σ popcount` (or
+//! `xlen` when unreached) over the registers live after each point.
+//!
+//! This is the image of the set-based "last access" fixpoint under the map
+//! `∪ ↦ |`, `{d} ↦ mask(d)`, which commutes with both the join and the
+//! transfer, so every count is identical by construction; the set-based
+//! form stays in `crate::reference` as the oracle
+//! (`tests/surface_equivalence.rs`).
 
 use crate::analysis::{BecAnalysis, FunctionAnalysis};
 use crate::profile::ExecProfile;
-use bec_ir::{Cfg, Function, PointId, PointLayout, Program, Reg, Terminator};
-use std::collections::{BTreeSet, HashMap};
+use bec_ir::{BlockId, Cfg, Function, PointId, Program, RegMask, Terminator};
 
 /// Fault-surface statistics for one program (one column of Table IV).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,6 +72,11 @@ pub fn surface_row(
 }
 
 /// Fault surface of one function, weighting each point by `exec`.
+///
+/// One forward pass over the function's [`bec_ir::AccessTable`] (see the
+/// module docs): a block fixpoint over per-register cover states in
+/// reverse postorder, then one walk per block that sums each executed
+/// point's live bits.
 pub fn function_surface(
     program: &Program,
     func: &Function,
@@ -58,119 +84,159 @@ pub fn function_surface(
     exec: impl Fn(PointId) -> u64,
 ) -> u64 {
     let w = program.config.xlen;
-    let cover = CoverMap::compute(program, func, &fa.layout);
-    let s0 = fa.coalescing.s0_class();
-    let mut total = 0u64;
-    for p in fa.layout.iter() {
-        let n = exec(p);
-        if n == 0 {
-            continue;
+    let layout = &fa.layout;
+    let cfg = Cfg::of(func);
+    let zero = program.config.zero_reg.map_or(RegMask::empty(), RegMask::of);
+    let width = program.config.mask();
+
+    let accessed = |p: PointId| fa.access.access_mask(p).difference(zero);
+    // The live-bit mask of every accessed (point, register) pair, in point
+    // order and, within a point, in ascending register order.
+    let mut off = Vec::with_capacity(layout.len() + 1);
+    let mut masks = Vec::new();
+    off.push(0);
+    for p in layout.iter() {
+        for r in accessed(p).iter() {
+            masks.push(!fa.coalescing.masked_bits(p, r).unwrap_or(0) & width);
         }
-        let mut bits_here = 0u64;
-        for v in fa.liveness.live_after(p) {
-            let covering = cover.cover(p, v);
-            if covering.is_empty() {
-                // Live-in value with no access yet (function argument):
-                // nothing is known about masking, count every bit.
-                bits_here += w as u64;
+        off.push(masks.len());
+    }
+    // Applies the accesses at `p`: each accessed register's window now
+    // starts at `p`.
+    let access_at = |state: &mut Cover, p: PointId| {
+        let regs = accessed(p);
+        state.reached.union_with(regs);
+        for (r, &m) in regs.iter().zip(&masks[off[p.index()]..off[p.index() + 1]]) {
+            state.live[r.index() as usize] = m;
+        }
+    };
+    let block_in = |out: &[Cover], b: BlockId| {
+        let mut state = Cover::default();
+        for &pr in cfg.predecessors(b) {
+            state.join(&out[pr.index()]);
+        }
+        state
+    };
+
+    // Block fixpoint: the cover state reaching each block's end.
+    let mut out = vec![Cover::default(); func.blocks.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in cfg.reverse_postorder() {
+            let mut state = block_in(&out, b);
+            for p in layout.block_points(b) {
+                access_at(&mut state, p);
+            }
+            if out[b.index()] != state {
+                out[b.index()] = state;
+                changed = true;
+            }
+        }
+    }
+
+    let mut total = 0u64;
+    for bi in 0..func.blocks.len() {
+        let b = BlockId(bi as u32);
+        let mut state = block_in(&out, b);
+        for p in layout.block_points(b) {
+            access_at(&mut state, p);
+            let n = exec(p);
+            if n == 0 {
                 continue;
             }
-            for bit in 0..w {
-                let live = covering.iter().any(|&d| fa.coalescing.class_of(d, v, bit) != Some(s0));
-                if live {
-                    bits_here += 1;
-                }
+            let mut bits_here = 0u64;
+            for v in fa.liveness.live_after(p) {
+                bits_here += if state.reached.contains(v) {
+                    u64::from(state.live[v.index() as usize].count_ones())
+                } else {
+                    // Live-in value with no access yet (function argument):
+                    // nothing is known about masking, count every bit.
+                    u64::from(w)
+                };
             }
+            // Returned values escape to the caller: their window stays live
+            // through the ret point.
+            if let Some(Terminator::Ret { reads }) = layout.resolve(func, p).as_term() {
+                let distinct = reads.iter().fold(RegMask::empty(), |m, &r| m.union(RegMask::of(r)));
+                bits_here += u64::from(w) * distinct.count() as u64;
+            }
+            total += n * bits_here;
         }
-        // Returned values escape to the caller: their window stays live
-        // through the ret point.
-        if let Some(Terminator::Ret { reads }) = fa.layout.resolve(func, p).as_term() {
-            let distinct: BTreeSet<Reg> = reads.iter().copied().collect();
-            bits_here += w as u64 * distinct.len() as u64;
-        }
-        total += n * bits_here;
     }
     total
 }
 
-/// For each `(point, register)`: the access points of the register whose
-/// fault-site window can cover this point (i.e. the most recent accesses on
-/// some access-free path).
-#[derive(Clone, Debug)]
-pub struct CoverMap {
-    map: HashMap<(PointId, Reg), Vec<PointId>>,
+/// The per-register cover state at one moment: which registers some access
+/// reaches on a path to it, and the OR of the live-bit masks of those
+/// reaching accesses.
+#[derive(Clone, PartialEq)]
+struct Cover {
+    reached: RegMask,
+    live: [u64; 64],
 }
 
-impl CoverMap {
-    /// Forward "last access" analysis per register.
-    pub fn compute(program: &Program, func: &Function, layout: &PointLayout) -> CoverMap {
-        let cfg = Cfg::of(func);
-        let zero = program.config.zero_reg;
+impl Default for Cover {
+    fn default() -> Cover {
+        Cover { reached: RegMask::empty(), live: [0; 64] }
+    }
+}
 
-        // Registers that appear anywhere.
-        let mut regs: BTreeSet<Reg> = BTreeSet::new();
-        for p in layout.iter() {
-            let pi = layout.resolve(func, p);
-            regs.extend(pi.reads(program));
-            regs.extend(pi.writes(program));
+impl Cover {
+    /// Control-flow join: the union of the reaching access sets, mapped.
+    fn join(&mut self, other: &Cover) {
+        self.reached.union_with(other.reached);
+        for (a, b) in self.live.iter_mut().zip(&other.live) {
+            *a |= b;
         }
-        if let Some(z) = zero {
-            regs.remove(&z);
-        }
+    }
+}
 
-        let nb = func.blocks.len();
-        let mut map = HashMap::new();
-        for &r in &regs {
-            // Block-level fixpoint: set of access points reaching block end.
-            let mut out: Vec<BTreeSet<PointId>> = vec![BTreeSet::new(); nb];
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for &b in cfg.reverse_postorder() {
-                    let mut acc: BTreeSet<PointId> = BTreeSet::new();
-                    for &pr in cfg.predecessors(b) {
-                        acc.extend(out[pr.index()].iter().copied());
-                    }
-                    let blk = func.block(b);
-                    for off in 0..blk.point_count() {
-                        let p = layout.point(b, off);
-                        let pi = layout.resolve(func, p);
-                        if pi.reads(program).contains(&r) || pi.writes(program).contains(&r) {
-                            acc.clear();
-                            acc.insert(p);
-                        }
-                    }
-                    if out[b.index()] != acc {
-                        out[b.index()] = acc;
-                        changed = true;
-                    }
-                }
-            }
-            // Local walk: cover after each point.
-            for (bi, blk) in func.blocks.iter().enumerate() {
-                let b = bec_ir::BlockId(bi as u32);
-                let mut acc: BTreeSet<PointId> = BTreeSet::new();
-                for &pr in cfg.predecessors(b) {
-                    acc.extend(out[pr.index()].iter().copied());
-                }
-                for off in 0..blk.point_count() {
-                    let p = layout.point(b, off);
-                    let pi = layout.resolve(func, p);
-                    if pi.reads(program).contains(&r) || pi.writes(program).contains(&r) {
-                        acc.clear();
-                        acc.insert(p);
-                    }
-                    map.insert((p, r), acc.iter().copied().collect());
-                }
-            }
-        }
-        CoverMap { map }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::BecOptions;
+    use bec_ir::parse_program;
+
+    /// `f`'s surface with only point `at` executed, once.
+    fn surface_at(src: &str, at: u32) -> u64 {
+        let program = parse_program(src).unwrap();
+        let bec = BecAnalysis::analyze(&program, &BecOptions::paper());
+        let fi = program.function_index("f").unwrap();
+        let got = function_surface(&program, &program.functions[fi], bec.function(fi), |p| {
+            u64::from(p == PointId(at))
+        });
+        let want = crate::reference::function_surface(
+            &program,
+            &program.functions[fi],
+            bec.function(fi),
+            |p| u64::from(p == PointId(at)),
+        );
+        assert_eq!(got, want, "reference disagrees at p{at}");
+        got
     }
 
-    /// The access points covering `(p, v)` (window containing the moment
-    /// right after `p`). Empty for registers never accessed on any path to
-    /// `p`.
-    pub fn cover(&self, p: PointId, v: Reg) -> &[PointId] {
-        self.map.get(&(p, v)).map(Vec::as_slice).unwrap_or(&[])
+    const MAIN: &str = "func @main(args=0, ret=none) {\nentry:\n    li a0, 7\n    call @f\n    print a0\n    exit\n}\n";
+
+    #[test]
+    fn live_in_register_without_access_counts_every_bit() {
+        // At p0 the argument `a0` is live but no access has opened a
+        // window for it yet. Only bit 0 survives the `andi` at p1, yet the
+        // window before it is unknown territory: all 32 bits count.
+        let src = format!(
+            "func @f(args=1, ret=a0) {{\nentry:\n    nop\n    andi a0, a0, 1\n    ret a0\n}}\n{MAIN}"
+        );
+        assert_eq!(surface_at(&src, 0), 32);
+    }
+
+    #[test]
+    fn returned_value_escapes_at_ret() {
+        // At the `ret`, the returned `a0` counts twice: its window opened
+        // by the `andi` (all 32 bits reach the caller's `print`), and the
+        // escape term, all 32 bits again.
+        let src = format!(
+            "func @f(args=1, ret=a0) {{\nentry:\n    andi a0, a0, 1\n    ret a0\n}}\n{MAIN}"
+        );
+        assert_eq!(surface_at(&src, 1), 64);
     }
 }

@@ -309,7 +309,10 @@ impl FnGen<'_> {
 
     /// A counted loop: the counter is removed from every palette while the
     /// body is generated, so no statement can overwrite it; the body runs
-    /// at least once, so its definitions survive the loop.
+    /// at least once, so its definitions survive the loop. A body that may
+    /// call starts with every caller-saved register undefined: the head is
+    /// also reached from the latch, after the previous trip's calls
+    /// clobbered them.
     fn counted_loop(&mut self, depth: u32) {
         let Some(counter) = self.counters.pop() else { return };
         let (head_l, exit_l) = (self.fresh_label("head"), self.fresh_label("exit"));
@@ -318,6 +321,11 @@ impl FnGen<'_> {
         self.defined.insert(counter.clone());
         self.inst(format!("j {head_l}"));
         self.label(&head_l.clone());
+        if !self.helpers.is_empty() {
+            for r in &self.caller_saved {
+                self.defined.remove(r);
+            }
+        }
         let n_body = self.rng.range_u64(1, 5) as u32;
         self.stmts(n_body, depth + 1);
         self.inst(format!("addi {counter}, {counter}, -1"));

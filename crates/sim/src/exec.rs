@@ -881,7 +881,8 @@ pub(crate) struct ExecState {
 }
 
 impl ExecState {
-    fn fresh(flat: &FlatProgram<'_>) -> ExecState {
+    /// The state at the program entry, before the first step.
+    pub(crate) fn fresh(flat: &FlatProgram<'_>) -> ExecState {
         ExecState {
             hash: TraceHash::new(),
             outputs: Vec::new(),

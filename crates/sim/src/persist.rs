@@ -71,21 +71,14 @@ impl SiteVerdicts {
         let funcs = bec
             .functions()
             .iter()
-            .enumerate()
-            .map(|(fi, fa)| {
+            .map(|fa| {
                 // Regroup the (point, register) site pairs by point,
                 // preserving first-appearance order — the canonical
                 // fault-space order.
                 let mut points: Vec<(PointId, Vec<(Reg, u64)>)> = Vec::new();
                 for (p, r) in fa.coalescing.nodes().site_pairs() {
-                    let mut mask = 0u64;
-                    for bit in 0..xlen {
-                        let masked = bec
-                            .site_verdict(fi, p, r, bit)
-                            .expect("accessed site has a verdict")
-                            .is_masked();
-                        mask |= u64::from(masked) << bit;
-                    }
+                    let mask =
+                        fa.coalescing.masked_bits(p, r).expect("accessed site has a verdict");
                     match points.last_mut() {
                         Some((lp, regs)) if *lp == p => regs.push((r, mask)),
                         _ => points.push((p, vec![(r, mask)])),

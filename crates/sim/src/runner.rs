@@ -4,7 +4,8 @@
 
 use crate::checkpoint::CheckpointLog;
 use crate::exec::{
-    apply_rw_backward, run, ExecOutcome, FlatProgram, HashTape, ResumeCtx, RunVerdict, RwEvent,
+    apply_rw_backward, run, run_tail, ExecOutcome, ExecState, FlatProgram, HashTape, OpState,
+    ResumeCtx, RunVerdict, RwEvent,
 };
 use crate::machine::{FaultSpec, Machine};
 use crate::trace::{FaultClass, TraceHash};
@@ -281,6 +282,46 @@ impl<'p> Simulator<'p> {
         let mut tape = HashTape::default();
         let (golden, _) = self.golden_run(Some(&mut log), Some(&mut tape));
         (golden, log, tape)
+    }
+
+    /// A fault-free run for its observable result alone: the outcome and
+    /// the printed values, exactly as [`Simulator::run_golden`] reports
+    /// them, without its profile, cycle map or memory digest. Runs on the
+    /// decoded ops (`exec::run_tail` from the program entry) whenever the
+    /// machine has them.
+    pub fn run_outputs(&self) -> (ExecOutcome, Vec<u64>) {
+        let mut machine = Machine::new(self.program);
+        let mut dirty = Vec::new();
+        if self.flat.ops.is_empty() {
+            // Register files too wide for the decoded op slots.
+            let verdict = run(
+                &self.flat,
+                self.limits.max_cycles,
+                None,
+                false,
+                None,
+                None,
+                None,
+                &mut machine,
+                &mut dirty,
+            );
+            let RunVerdict::Finished(raw) = verdict else {
+                unreachable!("fault-free runs cannot converge-exit")
+            };
+            return (raw.outcome, raw.outputs);
+        }
+        let mut s = OpState::new(&self.flat, ExecState::fresh(&self.flat), machine.regs());
+        let cfg = *machine.config();
+        let outcome = run_tail(
+            &self.flat,
+            cfg,
+            self.limits.max_cycles,
+            &mut s,
+            &mut machine.memory,
+            &mut dirty,
+            false,
+        );
+        (outcome, s.outputs)
     }
 
     /// A plain fault-free run that still tracks the memory digest:

@@ -232,6 +232,8 @@ fn study_benchmark(
         // static provenance and its surface is the coverage-gate metric.
         // The baseline variant IS the original program, so its analysis is
         // the scheduler's shared one — only real reschedules re-analyze.
+        let analysis_span =
+            tel.span("analysis").arg("benchmark", name).arg("criterion", criterion.name());
         let fresh;
         let vbec: &BecAnalysis = if criterion == bec_sched::Criterion::Original {
             scheduler.analysis()
@@ -239,13 +241,14 @@ fn study_benchmark(
             fresh = BecAnalysis::analyze(&variant.program, &cfg.options);
             &fresh
         };
+        let verdicts = SiteVerdicts::of(&variant.program, vbec);
+        drop(analysis_span);
         let label = format!("study:{name}:{}", criterion.name());
         let prior =
             resume.as_deref_mut().and_then(|r| r.take_prior_campaign(name, criterion.name()));
         let shared = substrate
             .as_ref()
             .map(|s| SharedGolden { substrate: s, permutation: &variant.permutation });
-        let verdicts = SiteVerdicts::of(&variant.program, vbec);
         let prep =
             prepare_campaign(&label, &variant.program, &verdicts, &cfg.spec, None, shared, tel)?;
         let crun = if cfg.spawn > 1 {
@@ -284,9 +287,12 @@ fn study_benchmark(
             counters: vec![("cycles", equivalence.cycles)],
         });
 
+        let surface_span =
+            tel.span("surface").arg("benchmark", name).arg("criterion", criterion.name());
         let counts = vbec.site_counts(&variant.program);
         let surface =
             bec_core::surface::surface_row(name, &variant.program, vbec, &crun.golden.profile);
+        drop(surface_span);
         tel.add("study.variants", 1);
         progress(&ProgressEvent {
             benchmark: name.to_owned(),
@@ -358,7 +364,7 @@ fn reencode_matches(program: &Program, expected: &[u64]) -> Option<bool> {
     // Pseudo expansion may lengthen the lifted trace; a generous fixed
     // budget keeps this a pure correctness probe.
     let sim = Simulator::with_limits(&lifted, SimLimits { max_cycles: 100_000_000 });
-    Some(sim.run_golden().outputs() == expected)
+    Some(sim.run_outputs().1 == expected)
 }
 
 #[cfg(test)]
