@@ -15,8 +15,7 @@
 //! ```text
 //! cargo run -p bec-bench --release --bin campaign_scaling -- \
 //!     [--json BENCH_campaign.json] [--assert-crc32-speedup 3] \
-//!     [--assert-crc32-bitsliced-speedup 10] \
-//!     [--assert-warm-cache-speedup 3]
+//!     [--assert-crc32-bitsliced-speedup 10]
 //! ```
 //!
 //! `--json` writes a machine-readable baseline in the
@@ -27,17 +26,7 @@
 //! `--assert-crc32-bitsliced-speedup X` does the same for the bitsliced
 //! engine against the from-scratch scalar engine (the CI perf-smoke
 //! gates).
-//!
-//! Two distribution measurements ride along: every workload's campaign
-//! prepare phase (full BEC analysis + aligned golden recording) is timed
-//! cold against an empty `--cache-dir` artifact store and warm against the
-//! entries the cold run wrote (`--assert-warm-cache-speedup X` gates the
-//! crc32 ratio — the CI distributed-smoke gate), and when the `bec` CLI
-//! binary is reachable ($BEC_BIN or a sibling of this executable) the
-//! crc32 campaign is re-run at `--spawn` 1/2/4 worker processes with the
-//! merged reports asserted byte-identical.
 
-use bec::artifacts::ArtifactStore;
 use bec_core::report::{format_table, group_digits};
 use bec_core::{BecAnalysis, BecOptions};
 use bec_sim::shard::{CampaignSpec, SiteTable};
@@ -45,7 +34,6 @@ use bec_sim::{
     default_checkpoint_interval, pool, CheckpointLog, Engine, SimLimits, Simulator, SiteVerdicts,
 };
 use bec_telemetry::Telemetry;
-use std::path::PathBuf;
 use std::time::Instant;
 
 struct EngineRow {
@@ -55,8 +43,6 @@ struct EngineRow {
     scratch_ms: f64,
     checkpointed_ms: f64,
     bitsliced_ms: f64,
-    cold_prepare_ms: f64,
-    warm_prepare_ms: f64,
     early_exits: u64,
     batches: u64,
     batched_lanes: u64,
@@ -75,10 +61,6 @@ impl EngineRow {
     /// Bitsliced vs from-scratch scalar — the headline engine gain.
     fn bitsliced_speedup(&self) -> f64 {
         self.scratch_ms / self.bitsliced_ms
-    }
-    /// Warm artifact-store prepare vs cold — the `--cache-dir` gain.
-    fn warm_cache_speedup(&self) -> f64 {
-        self.cold_prepare_ms / self.warm_prepare_ms
     }
     /// Mean faults per 64-lane batch (64 = perfectly packed).
     fn lane_occupancy(&self) -> f64 {
@@ -100,24 +82,10 @@ impl EngineRow {
     }
 }
 
-/// The `bec` CLI binary for the spawn-scaling rows: `$BEC_BIN` when set,
-/// otherwise the sibling of this bench executable in the shared target
-/// directory (present after `cargo build --release` of the facade crate).
-fn bec_binary() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("BEC_BIN") {
-        let p = PathBuf::from(p);
-        return p.is_file().then_some(p);
-    }
-    let exe = std::env::current_exe().ok()?;
-    let sibling = exe.parent()?.join(if cfg!(windows) { "bec.exe" } else { "bec" });
-    sibling.is_file().then_some(sibling)
-}
-
 fn main() {
     let mut json_path = None;
     let mut min_crc32_speedup = None;
     let mut min_crc32_bitsliced = None;
-    let mut min_warm_cache = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -130,19 +98,9 @@ fn main() {
                 let v = args.next().expect("--assert-crc32-bitsliced-speedup needs a value");
                 min_crc32_bitsliced = Some(v.parse::<f64>().expect("numeric speedup"));
             }
-            "--assert-warm-cache-speedup" => {
-                let v = args.next().expect("--assert-warm-cache-speedup needs a value");
-                min_warm_cache = Some(v.parse::<f64>().expect("numeric speedup"));
-            }
             other => panic!("unknown flag `{other}`"),
         }
     }
-    // Scratch artifact stores for the cold/warm prepare rows, one subtree
-    // per benchmark, removed wholesale at exit.
-    let cache_root =
-        std::env::temp_dir().join(format!("bec-campaign-scaling-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_root);
-
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("campaign scaling ({cores} cores available)\n");
 
@@ -188,7 +146,7 @@ fn main() {
             let tel = Telemetry::enabled();
             let started = Instant::now();
             let (report, _stats) =
-                pool::run_sharded_engine(&sim, &golden, log, &plan, 1, None, b.name, engine, &tel)
+                pool::run_sharded(&sim, &golden, log, &plan, 1, None, b.name, engine, &tel)
                     .expect("pool runs");
             assert!(report.violations().is_empty(), "{}: soundness violation", b.name);
             (started.elapsed().as_secs_f64(), report.to_json().render(), tel.snapshot())
@@ -207,42 +165,6 @@ fn main() {
             "{}: early-exit counts disagree across engines",
             b.name
         );
-        // Artifact-cache prepare phase: the exact work a warm `--cache-dir`
-        // campaign skips — the full BEC analysis (as campaign verdicts) and
-        // the aligned golden recording — timed cold against an empty store,
-        // then warm against the two entries the cold pass just wrote.
-        let cache_dir = cache_root.join(b.name);
-        let text = bec_ir::print_program(&program);
-        let prepare = |tel: &Telemetry| {
-            let store = ArtifactStore::open(cache_dir.to_str().expect("utf-8 cache path"))
-                .expect("artifact store opens");
-            let started = Instant::now();
-            let _verdicts = store.verdicts_or("paper", text.as_bytes(), tel, || {
-                SiteVerdicts::of(&program, &BecAnalysis::analyze(&program, &BecOptions::paper()))
-            });
-            let (aligned, _ckpts) =
-                store.golden_or(text.as_bytes(), budget, tel, || sim.run_golden_aligned());
-            (started.elapsed().as_secs_f64(), aligned.cycles())
-        };
-        let (cold_prepare, cold_cycles) = prepare(&Telemetry::enabled());
-        // Warm timing is min-of-3: a single sub-millisecond load is at the
-        // mercy of one stray page fault, and the gate divides by it.
-        let mut warm_prepare = f64::INFINITY;
-        for _ in 0..3 {
-            let warm_tel = Telemetry::enabled();
-            let (wall, warm_cycles) = prepare(&warm_tel);
-            assert_eq!(cold_cycles, warm_cycles, "{}: cached golden deviates", b.name);
-            let warm_snap = warm_tel.snapshot();
-            assert_eq!(
-                warm_snap.counter("cache.hits").unwrap_or(0),
-                2,
-                "{}: warm prepare must hit both artifacts",
-                b.name
-            );
-            assert_eq!(warm_snap.counter("cache.misses").unwrap_or(0), 0);
-            warm_prepare = warm_prepare.min(wall);
-        }
-
         engine_rows.push(EngineRow {
             name: b.name,
             runs: plan.runs() as u64,
@@ -250,8 +172,6 @@ fn main() {
             scratch_ms: scratch_wall * 1e3,
             checkpointed_ms: ck_wall * 1e3,
             bitsliced_ms: bs_wall * 1e3,
-            cold_prepare_ms: cold_prepare * 1e3,
-            warm_prepare_ms: warm_prepare * 1e3,
             early_exits,
             batches: bs_snap.counter("campaign.batches").unwrap_or(0),
             batched_lanes: bs_snap.counter("campaign.batched_lanes").unwrap_or(0),
@@ -264,10 +184,12 @@ fn main() {
 
         // Worker scaling of the default (bitsliced, checkpointed) engine.
         let mut serial_wall = 0.0;
+        let (engine, tel) = (Engine::default(), Telemetry::disabled());
         for workers in [1usize, 2, 4, 8] {
-            let (report, stats) =
-                pool::run_sharded(&sim, &golden, &ckpts, &plan, workers, None, b.name)
-                    .expect("pool runs");
+            let (report, stats) = pool::run_sharded(
+                &sim, &golden, &ckpts, &plan, workers, None, b.name, engine, &tel,
+            )
+            .expect("pool runs");
             assert_eq!(
                 report.to_json().render(),
                 baseline,
@@ -285,65 +207,6 @@ fn main() {
                 format!("{:.1} ms", wall * 1e3),
                 format!("{:.2}x", serial_wall / wall),
             ]);
-        }
-    }
-
-    // Process spawn scaling through the real CLI: the same sampled crc32
-    // campaign at 1/2/4 worker processes, merged reports byte-compared.
-    // Purely informational (process spawn has fixed costs a smoke-sized
-    // workload cannot amortize); skipped when the binary is unreachable.
-    let mut spawn_rows = Vec::new();
-    let mut spawn_walls: Vec<(usize, f64)> = Vec::new();
-    match bec_binary() {
-        None => println!(
-            "spawn scaling skipped: `bec` binary not found (set BEC_BIN or build the facade crate)\n"
-        ),
-        Some(bin) => {
-            let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/bench_crc32.s");
-            let dir = cache_root.join("spawn");
-            std::fs::create_dir_all(&dir).expect("spawn scratch dir");
-            let mut baseline: Option<Vec<u8>> = None;
-            let mut serial = 0.0;
-            for n in [1usize, 2, 4] {
-                let report = dir.join(format!("spawn-{n}.json"));
-                let started = Instant::now();
-                let out = std::process::Command::new(&bin)
-                    .args([
-                        "campaign",
-                        file,
-                        "--sample",
-                        "512",
-                        "--shards",
-                        "16",
-                        "--spawn",
-                        &n.to_string(),
-                        "--report",
-                        report.to_str().expect("utf-8 report path"),
-                    ])
-                    .output()
-                    .expect("bec campaign runs");
-                assert!(
-                    out.status.success(),
-                    "bec campaign --spawn {n} failed:\n{}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                let wall = started.elapsed().as_secs_f64();
-                if n == 1 {
-                    serial = wall;
-                }
-                let bytes = std::fs::read(&report).expect("report written");
-                match &baseline {
-                    None => baseline = Some(bytes),
-                    Some(b) => assert_eq!(&bytes, b, "report depends on --spawn"),
-                }
-                spawn_rows.push(vec![
-                    "bench_crc32".to_owned(),
-                    n.to_string(),
-                    format!("{:.1} ms", wall * 1e3),
-                    format!("{:.2}x", serial / wall),
-                ]);
-                spawn_walls.push((n, wall));
-            }
         }
     }
 
@@ -390,26 +253,6 @@ fn main() {
                 .collect::<Vec<_>>(),
         )
     );
-    println!("\nartifact cache (campaign prepare phase, cold store vs warm store):\n");
-    print!(
-        "{}",
-        format_table(
-            &["Benchmark", "Cold prepare", "Warm prepare", "Speedup"],
-            &engine_rows
-                .iter()
-                .map(|r| vec![
-                    r.name.to_owned(),
-                    format!("{:.2} ms", r.cold_prepare_ms),
-                    format!("{:.2} ms", r.warm_prepare_ms),
-                    format!("{:.2}x", r.warm_cache_speedup()),
-                ])
-                .collect::<Vec<_>>(),
-        )
-    );
-    if !spawn_rows.is_empty() {
-        println!("\nprocess spawn scaling (bench_crc32.s, seeded sample of 512):\n");
-        print!("{}", format_table(&["Benchmark", "Spawn", "Wall", "Speedup"], &spawn_rows));
-    }
     println!(
         "\nall reports byte-identical across engines and worker counts\n(expect ≥2x at 4 workers, ≥3x checkpointed-vs-scratch and ≥10x\nbitsliced-vs-scratch on an idle host)"
     );
@@ -447,13 +290,6 @@ fn main() {
             base.time_ms(&format!("{prefix}.checkpointed_wall_ms"), r.checkpointed_ms);
             base.time_ms(&format!("{prefix}.bitsliced_wall_ms"), r.bitsliced_ms);
             base.time_ms(&format!("{prefix}.tail_wall_ms"), r.tail_ms);
-            base.time_ms(&format!("{prefix}.cold_prepare_wall_ms"), r.cold_prepare_ms);
-            base.time_ms(&format!("{prefix}.warm_prepare_wall_ms"), r.warm_prepare_ms);
-        }
-        // CLI spawn rows use the example-file name so they cannot shadow
-        // the suite crc32 family above.
-        for (n, wall) in &spawn_walls {
-            base.time_ms(&format!("campaign_scaling.bench_crc32.spawn{n}_wall_ms"), wall * 1e3);
         }
         base.write_metrics(&path).expect("baseline written");
         println!("\nwrote {path}");
@@ -478,14 +314,4 @@ fn main() {
         );
         println!("crc32 bitsliced speedup gate passed: {:.2}x ≥ {min}x", crc.bitsliced_speedup());
     }
-    if let Some(min) = min_warm_cache {
-        let crc = crc32_row();
-        assert!(
-            crc.warm_cache_speedup() >= min,
-            "warm crc32 prepare only {:.2}x faster than cold (need ≥{min}x)",
-            crc.warm_cache_speedup()
-        );
-        println!("crc32 warm-cache speedup gate passed: {:.2}x ≥ {min}x", crc.warm_cache_speedup());
-    }
-    let _ = std::fs::remove_dir_all(&cache_root);
 }

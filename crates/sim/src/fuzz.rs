@@ -37,6 +37,7 @@ use crate::validate::MismatchKind;
 use bec_core::{BecAnalysis, BecOptions};
 use bec_fuzzgen::{generate, GenConfig};
 use bec_ir::{PointId, Program, Reg};
+use bec_telemetry::Telemetry;
 use bec_testutil::Rng;
 use std::path::Path;
 
@@ -248,7 +249,15 @@ pub fn run_fuzz(
                     engine: spec.engine,
                     golden_reuse: true,
                 };
-                let run = run_campaign(&label, &g.program, &bec, &study, None)?;
+                let run = run_campaign(
+                    &label,
+                    &g.program,
+                    &bec,
+                    &study,
+                    None,
+                    None,
+                    &Telemetry::disabled(),
+                )?;
                 report.campaign_runs += run.report.runs();
                 let counts = run.report.outcome_counts();
                 for (total, n) in report.outcome_counts.iter_mut().zip(counts) {

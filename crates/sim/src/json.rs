@@ -14,8 +14,8 @@
 //! [`crate::study::StudyReport`]) are each defined once, as an encode
 //! function over any [`Sink`] and a decode function over any [`Source`].
 //! The same definition therefore streams to and from bytes (the CLI's
-//! `--report`, `--resume` and `--spawn` paths) or, through [`TreeBuilder`]
-//! and [`TreeCursor`], to and from a `Json` tree.
+//! `--report` and `--resume` paths) or, through [`TreeBuilder`] and
+//! [`TreeCursor`], to and from a `Json` tree.
 //!
 //! The reader covers the subset this workspace emits: strings, unsigned
 //! integers, floats, booleans, objects and arrays. Nesting is capped at

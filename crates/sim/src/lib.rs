@@ -59,7 +59,6 @@ pub mod fuzz;
 pub mod json;
 pub mod machine;
 pub mod minimize;
-pub mod persist;
 pub mod pool;
 pub mod runner;
 pub mod shard;
@@ -75,15 +74,11 @@ pub use exec::{CrashKind, ExecOutcome};
 pub use fuzz::{run_fuzz, FuzzFinding, FuzzReport, FuzzSpec};
 pub use machine::{FaultSpec, Machine, Memory};
 pub use minimize::{Minimized, Minimizer, Oracle, Witness};
-pub use persist::{
-    decode_golden, decode_substrate, decode_verdicts, encode_golden, encode_substrate,
-    encode_verdicts, SiteVerdicts,
-};
-pub use pool::{run_sharded, run_sharded_engine, run_sharded_slice, run_sharded_with, PoolStats};
+pub use pool::{run_sharded, PoolStats};
 pub use runner::{FaultRun, GoldenRun, Injector, RunResult, SimLimits, Simulator};
 pub use shard::{
     site_fault_space, CampaignReport, CampaignSpec, FaultOutcome, ShardPlan, ShardResult,
-    SiteTable, SitedFault,
+    SiteTable, SiteVerdicts, SitedFault,
 };
 pub use study::{CrossTable, PreparedCampaign, SharedGolden, StudyReport, StudySpec};
 pub use substrate::{DerivedGolden, GoldenSubstrate};

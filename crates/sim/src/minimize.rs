@@ -29,9 +29,9 @@
 //! replay command.
 
 use crate::machine::FaultSpec;
-use crate::persist::SiteVerdicts;
 use crate::runner::{SimLimits, Simulator};
 use crate::shard::SiteTable;
+use crate::shard::SiteVerdicts;
 use crate::trace::FaultClass;
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::{parse_program, print_program, verify_program, PointId, Program};

@@ -11,8 +11,9 @@
 //! count, interleaving or interval assembles the same [`CampaignReport`]:
 //!
 //! ```
-//! use bec_sim::{pool, site_fault_space, CampaignSpec, CheckpointLog, ShardPlan, Simulator};
+//! use bec_sim::{pool, site_fault_space, CampaignSpec, CheckpointLog, Engine, ShardPlan, Simulator};
 //! use bec_core::{BecAnalysis, BecOptions};
+//! use bec_telemetry::Telemetry;
 //! use bec_ir::parse_program;
 //!
 //! let p = parse_program(r#"
@@ -28,9 +29,12 @@
 //! let sim = Simulator::new(&p);
 //! let golden = sim.run_golden();
 //! let plan = ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(4));
-//! let ck = CheckpointLog::disabled();
-//! let (one, _) = pool::run_sharded(&sim, &golden, &ck, &plan, 1, None, "ex").unwrap();
-//! let (four, _) = pool::run_sharded(&sim, &golden, &ck, &plan, 4, None, "ex").unwrap();
+//! let (ck, tel) = (CheckpointLog::disabled(), Telemetry::disabled());
+//! let run = |workers| {
+//!     pool::run_sharded(&sim, &golden, &ck, &plan, workers, None, "ex", Engine::default(), &tel)
+//! };
+//! let (one, _) = run(1).unwrap();
+//! let (four, _) = run(4).unwrap();
 //! assert_eq!(one, four); // report bytes never depend on the worker count
 //! # Ok::<(), bec_ir::IrError>(())
 //! ```
@@ -84,20 +88,31 @@ impl PoolStats {
     }
 }
 
-/// Executes `plan` on `workers` threads, resuming from `resume` when given
-/// (only its missing shards are re-run).
+/// Executes `plan` on `workers` threads with the per-fault execution
+/// `engine`, resuming from `resume` when given (only its missing shards
+/// are re-run).
 ///
 /// `ckpts` is the golden run's checkpoint log: workers start each fault
 /// run at the nearest checkpoint before the injection cycle and early-exit
 /// on provable re-convergence. Pass [`CheckpointLog::disabled`] for the
-/// from-scratch engine; the report bytes are identical either way.
+/// from-scratch engine; the report bytes are identical either way, and
+/// across engines and worker counts (`tests/bitslice_equivalence.rs`).
+/// The bitsliced engine silently falls back to the scalar one when the
+/// campaign cannot batch (disabled checkpoints, an incomplete or
+/// over-budget golden run, or more registers than lanes).
 ///
-/// `label` becomes [`CampaignReport::program`].
+/// `label` becomes [`CampaignReport::program`]. `tel` receives spans
+/// (`campaign`, one `shard` span per executed shard on its worker's
+/// timeline), logical `campaign.*` counters/histograms merged
+/// worker-count-independently, `pool.*` gauges and a throttled live
+/// progress meter on stderr; pass [`Telemetry::disabled`] when not
+/// instrumenting.
 ///
 /// # Errors
 ///
 /// Fails when `resume` was recorded for a different campaign: its label,
 /// spec or fault-space size disagrees with `plan`/`label`.
+#[allow(clippy::too_many_arguments)]
 pub fn run_sharded(
     sim: &Simulator<'_>,
     golden: &GoldenRun,
@@ -106,119 +121,21 @@ pub fn run_sharded(
     workers: usize,
     resume: Option<CampaignReport>,
     label: &str,
-) -> Result<(CampaignReport, PoolStats), String> {
-    run_sharded_with(sim, golden, ckpts, plan, workers, resume, label, &Telemetry::disabled())
-}
-
-/// The instrumented form of [`run_sharded`]: identical semantics and
-/// identical report bytes, plus spans (`campaign`, one `shard` span per
-/// executed shard on its worker's timeline), logical `campaign.*`
-/// counters/histograms merged worker-count-independently, `pool.*`
-/// gauges and a throttled live progress meter on stderr.
-///
-/// Runs the default [`Engine`]; [`run_sharded_engine`] selects one
-/// explicitly.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_with(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    resume: Option<CampaignReport>,
-    label: &str,
-    tel: &Telemetry,
-) -> Result<(CampaignReport, PoolStats), String> {
-    run_sharded_engine(sim, golden, ckpts, plan, workers, resume, label, Engine::default(), tel)
-}
-
-/// [`run_sharded_with`] with an explicit per-fault execution [`Engine`].
-///
-/// The engine is a wall-clock lever only: the report bytes are identical
-/// across engines and worker counts (`tests/bitslice_equivalence.rs`).
-/// The bitsliced engine silently falls back to the scalar one when the
-/// campaign cannot batch (disabled checkpoints, an incomplete or
-/// over-budget golden run, or more registers than lanes).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_engine(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    resume: Option<CampaignReport>,
-    label: &str,
     engine: Engine,
     tel: &Telemetry,
 ) -> Result<(CampaignReport, PoolStats), String> {
-    let report = match resume {
+    let mut report = match resume {
         Some(prev) => {
             prev.validate_resume(label, plan, sim.limits().max_cycles)?;
             prev
         }
         None => CampaignReport::empty(label, plan, sim.limits().max_cycles),
     };
-    run_report(sim, golden, ckpts, plan, workers, report, engine, tel, None, &mut |_, _| {})
-}
-
-/// Executes only the shards in `slice` and returns the *partial* report
-/// (non-slice slots stay `None`) — the worker half of `bec campaign
-/// --spawn`. `on_shard(index, runs)` fires as each shard completes, in
-/// completion order, so a spawned worker can stream progress to its parent.
-///
-/// The partial report merges slot-wise with any disjoint partial of the
-/// same plan into exactly the report a single in-process run produces:
-/// shard outcomes depend only on the plan, never on which process ran them.
-///
-/// # Errors
-///
-/// Fails when `slice` names a shard outside the plan.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_slice(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    slice: &[usize],
-    label: &str,
-    engine: Engine,
-    tel: &Telemetry,
-    on_shard: &mut dyn FnMut(usize, usize),
-) -> Result<(CampaignReport, PoolStats), String> {
-    if let Some(&bad) = slice.iter().find(|&&s| s >= plan.shard_count()) {
-        return Err(format!("slice shard {bad} out of range (plan has {})", plan.shard_count()));
-    }
-    let report = CampaignReport::empty(label, plan, sim.limits().max_cycles);
-    run_report(sim, golden, ckpts, plan, workers, report, engine, tel, Some(slice), on_shard)
-}
-
-/// The shared pool body: fills `report`'s pending slots (optionally
-/// restricted to `restrict`) on `workers` threads.
-#[allow(clippy::too_many_arguments)]
-fn run_report(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    mut report: CampaignReport,
-    engine: Engine,
-    tel: &Telemetry,
-    restrict: Option<&[usize]>,
-    on_shard: &mut dyn FnMut(usize, usize),
-) -> Result<(CampaignReport, PoolStats), String> {
     let started = Instant::now();
     let workers = workers.max(1);
-    let label = report.program.clone();
-    let label = label.as_str();
 
-    let all_pending = report.pending_shards();
-    let resumed_shards = plan.shard_count() - all_pending.len();
-    let pending: Vec<usize> = match restrict {
-        Some(keep) => all_pending.into_iter().filter(|s| keep.contains(s)).collect(),
-        None => all_pending,
-    };
+    let pending = report.pending_shards();
+    let resumed_shards = plan.shard_count() - pending.len();
     let planned_runs: u64 = pending.iter().map(|&s| plan.shard(s).len() as u64).sum();
     let next = AtomicUsize::new(0);
     let early = AtomicU64::new(0);
@@ -345,7 +262,6 @@ fn run_report(
             let runs = result.outcomes.len();
             done_runs += runs as u64;
             report.shards[slot] = Some(result);
-            on_shard(slot, runs);
             meter.update(done_runs, &[("early_exits", early.load(Ordering::Relaxed))]);
         }
     });
@@ -403,6 +319,19 @@ exit:
         .unwrap()
     }
 
+    /// The from-scratch scalar pool without instrumentation.
+    fn run_scratch(
+        sim: &Simulator<'_>,
+        golden: &GoldenRun,
+        plan: &ShardPlan,
+        workers: usize,
+        resume: Option<CampaignReport>,
+        label: &str,
+    ) -> Result<(CampaignReport, PoolStats), String> {
+        let (ckpts, tel) = (CheckpointLog::disabled(), Telemetry::disabled());
+        run_sharded(sim, golden, &ckpts, plan, workers, resume, label, Engine::Scalar, &tel)
+    }
+
     #[test]
     fn pool_matches_sequential_execution() {
         let p = toy();
@@ -411,10 +340,8 @@ exit:
         let golden = sim.run_golden();
         let plan =
             ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(6));
-        let (seq, _) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 1, None, "toy").unwrap();
-        let (par, stats) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 4, None, "toy").unwrap();
+        let (seq, _) = run_scratch(&sim, &golden, &plan, 1, None, "toy").unwrap();
+        let (par, stats) = run_scratch(&sim, &golden, &plan, 4, None, "toy").unwrap();
         assert_eq!(seq, par);
         assert!(seq.is_complete());
         assert_eq!(stats.executed_shards, 6);
@@ -429,14 +356,11 @@ exit:
         let golden = sim.run_golden();
         let plan =
             ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(5));
-        let (full, _) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, "toy").unwrap();
+        let (full, _) = run_scratch(&sim, &golden, &plan, 2, None, "toy").unwrap();
         let mut partial = full.clone();
         partial.shards[1] = None;
         partial.shards[4] = None;
-        let (resumed, stats) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 3, Some(partial), "toy")
-                .unwrap();
+        let (resumed, stats) = run_scratch(&sim, &golden, &plan, 3, Some(partial), "toy").unwrap();
         assert_eq!(resumed, full);
         assert_eq!(stats.executed_shards, 2);
         assert_eq!(stats.resumed_shards, 3);
@@ -455,8 +379,18 @@ exit:
             .iter()
             .map(|&w| {
                 let tel = Telemetry::enabled();
-                let (report, stats) =
-                    run_sharded_with(&sim, &golden, &ckpts, &plan, w, None, "toy", &tel).unwrap();
+                let (report, stats) = run_sharded(
+                    &sim,
+                    &golden,
+                    &ckpts,
+                    &plan,
+                    w,
+                    None,
+                    "toy",
+                    Engine::default(),
+                    &tel,
+                )
+                .unwrap();
                 let snap = tel.snapshot();
                 // The registry agrees with the report and the pool stats.
                 assert_eq!(snap.counter("campaign.runs"), Some(report.runs()));
@@ -517,7 +451,10 @@ exit:
             let time = |name| snap.time_ms(name).expect("recorded");
             (time("campaign.wall_ms"), time("campaign.tail_wall_ms"))
         };
-        let run = || run_sharded_with(&sim, &golden, &ckpts, &plan, 2, None, "toy", &tel).unwrap();
+        let run = || {
+            run_sharded(&sim, &golden, &ckpts, &plan, 2, None, "toy", Engine::default(), &tel)
+                .unwrap()
+        };
         let (_, first) = run();
         let (wall1, tail1) = timings();
         assert_eq!(wall1, first.wall.as_secs_f64() * 1e3);
@@ -544,7 +481,8 @@ exit:
         assert_eq!(expected, 4, "two 70-run shards");
         let tel = Telemetry::enabled();
         let (_, stats) =
-            run_sharded_with(&sim, &golden, &ckpts, &plan, 2, None, "toy", &tel).unwrap();
+            run_sharded(&sim, &golden, &ckpts, &plan, 2, None, "toy", Engine::default(), &tel)
+                .unwrap();
         assert_eq!(tel.snapshot().counter("campaign.batches"), Some(expected));
         assert_eq!(stats.batches, expected);
         assert_eq!(stats.batched_lanes, 140);
@@ -558,33 +496,14 @@ exit:
         let golden = sim.run_golden();
         let plan =
             ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(4));
-        let (full, _) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, "toy").unwrap();
+        let (full, _) = run_scratch(&sim, &golden, &plan, 2, None, "toy").unwrap();
 
-        let err = run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &plan,
-            2,
-            Some(full.clone()),
-            "other",
-        )
-        .unwrap_err();
+        let err = run_scratch(&sim, &golden, &plan, 2, Some(full.clone()), "other").unwrap_err();
         assert!(err.contains("resume report is for"), "{err}");
 
         let other_plan =
             ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::sampled(1, 10, 4));
-        let err = run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &other_plan,
-            2,
-            Some(full),
-            "toy",
-        )
-        .unwrap_err();
+        let err = run_scratch(&sim, &golden, &other_plan, 2, Some(full), "toy").unwrap_err();
         assert!(err.contains("disagrees"), "{err}");
     }
 }

@@ -155,34 +155,6 @@ impl GoldenRun {
     }
 }
 
-/// Derives the two lookup structures a [`GoldenRun`] carries next to its
-/// raw cycle map: the next-cycle-at-same-depth vector (fault-site windows)
-/// and the `(func, point) → occurrence cycles` index. Shared between the
-/// recording path and the cache decoder (`crate::persist`), which persists
-/// only the cycle map and recomputes both indexes — they are pure functions
-/// of it.
-pub(crate) fn derive_cycle_indexes(
-    cycle_map: &[(u32, PointId, u32)],
-) -> (Vec<u64>, OccurrenceIndex) {
-    // Backward pass: next cycle at the same call depth.
-    let n = cycle_map.len();
-    let mut next_same_depth = vec![n as u64; n];
-    let mut last_at_depth: Vec<u64> = Vec::new();
-    let mut occurrence_index: OccurrenceIndex = HashMap::new();
-    for c in (0..n).rev() {
-        let d = cycle_map[c].2 as usize;
-        if last_at_depth.len() <= d {
-            last_at_depth.resize(d + 1, n as u64);
-        }
-        next_same_depth[c] = last_at_depth[d];
-        last_at_depth[d] = c as u64;
-    }
-    for (c, &(f, p, _)) in cycle_map.iter().enumerate() {
-        occurrence_index.entry((f as usize, p)).or_default().push(c as u64);
-    }
-    (next_same_depth, occurrence_index)
-}
-
 /// The outcome of one checkpointed fault-injection run.
 #[derive(Clone, Debug)]
 pub struct FaultRun {
@@ -412,7 +384,24 @@ impl<'p> Simulator<'p> {
         }
         let rw_map = raw.rw_map.take().unwrap_or_default();
         let cycle_map = raw.cycle_map.expect("recording enabled");
-        let (next_same_depth, occurrence_index) = derive_cycle_indexes(&cycle_map);
+        // The two lookup structures derived from the cycle map: the next
+        // cycle at the same call depth (fault-site windows, one backward
+        // pass) and the `(func, point) → occurrence cycles` index.
+        let n = cycle_map.len();
+        let mut next_same_depth = vec![n as u64; n];
+        let mut last_at_depth: Vec<u64> = Vec::new();
+        for c in (0..n).rev() {
+            let d = cycle_map[c].2 as usize;
+            if last_at_depth.len() <= d {
+                last_at_depth.resize(d + 1, n as u64);
+            }
+            next_same_depth[c] = last_at_depth[d];
+            last_at_depth[d] = c as u64;
+        }
+        let mut occurrence_index: OccurrenceIndex = HashMap::new();
+        for (c, &(f, p, _)) in cycle_map.iter().enumerate() {
+            occurrence_index.entry((f as usize, p)).or_default().push(c as u64);
+        }
         let golden = GoldenRun {
             result: RunResult {
                 outcome: raw.outcome,

@@ -54,7 +54,6 @@ use crate::json::{
     TreeBuilder, TreeCursor, Writer,
 };
 use crate::machine::FaultSpec;
-use crate::persist::SiteVerdicts;
 use crate::runner::GoldenRun;
 use crate::trace::FaultClass;
 use bec_core::BecAnalysis;
@@ -94,6 +93,72 @@ impl FaultOutcome {
     }
 }
 
+/// The analysis/engine version salt recorded in every campaign report.
+/// Bump it whenever the analysis verdicts or the golden-run semantics
+/// change: reports written by an older binary are then rejected on
+/// `--resume` instead of silently mixing outcomes produced by different
+/// generations.
+pub const VERSION_SALT: &str = "bec-artifacts-v1";
+
+/// The campaign-facing projection of a [`BecAnalysis`]: per function, the
+/// accessed `(point, register)` site pairs in canonical (first-appearance)
+/// order, each register carrying a bit mask of its statically-masked bits.
+/// Everything [`site_fault_space`] reads from an analysis, nothing more;
+/// campaigns plan through a [`SiteTable`] over it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SiteVerdicts {
+    /// Register width in bits (≤ 64; registers are `u64`).
+    xlen: u32,
+    /// Per function: `(point, registers-in-site-order)`, each register with
+    /// the mask of bits the analysis proved masked (bit `b` set ⇔ the
+    /// verdict for bit `b` is masked).
+    funcs: Vec<FuncSites>,
+}
+
+/// One function's verdicts: `(point, registers-in-site-order)` pairs, each
+/// register carrying its statically-masked bit mask.
+type FuncSites = Vec<(PointId, Vec<(Reg, u64)>)>;
+
+impl SiteVerdicts {
+    /// Extracts the verdicts of `bec` over `program`, in the exact order
+    /// [`site_fault_space`] enumerates them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an accessed site has no verdict.
+    pub fn of(program: &Program, bec: &BecAnalysis) -> SiteVerdicts {
+        let xlen = program.config.xlen;
+        assert!(xlen <= 64, "register bits beyond u64 are not representable");
+        let funcs = bec
+            .functions()
+            .iter()
+            .map(|fa| {
+                // Regroup the (point, register) site pairs by point,
+                // preserving first-appearance order — the canonical
+                // fault-space order.
+                let mut points: FuncSites = Vec::new();
+                for (p, r) in fa.coalescing.nodes().site_pairs() {
+                    let mask =
+                        fa.coalescing.masked_bits(p, r).expect("accessed site has a verdict");
+                    match points.last_mut() {
+                        Some((lp, regs)) if *lp == p => regs.push((r, mask)),
+                        _ => points.push((p, vec![(r, mask)])),
+                    }
+                }
+                points
+            })
+            .collect();
+        SiteVerdicts { xlen, funcs }
+    }
+
+    /// Enumerates the classified fault space over `golden`. Collects
+    /// [`SiteTable::iter`]; planning a sample goes through
+    /// [`SiteTable::plan`] instead, which never builds this list.
+    pub fn fault_space(&self, golden: &GoldenRun) -> Vec<SitedFault> {
+        SiteTable::new(self, golden).to_vec()
+    }
+}
+
 /// Enumerates the full statically-classified fault space of `program`, in
 /// canonical order (function, point, occurrence, register, bit).
 ///
@@ -110,9 +175,6 @@ pub fn site_fault_space(
     bec: &BecAnalysis,
     golden: &GoldenRun,
 ) -> Vec<SitedFault> {
-    // The extraction and the enumeration are split so the verdict half can
-    // be persisted (`bec --cache-dir`) and replayed against a golden run
-    // without the analysis.
     SiteVerdicts::of(program, bec).fault_space(golden)
 }
 
@@ -412,7 +474,7 @@ impl CampaignReport {
 
     /// Checks that this (possibly partial) report was recorded for exactly
     /// the campaign described by `label`/`plan`/`max_cycles`, so its shards
-    /// may be reused by a resume or merged from a spawned worker.
+    /// may be reused by a resume.
     ///
     /// # Errors
     ///
@@ -504,7 +566,7 @@ impl CampaignReport {
     pub fn encode(&self, out: &mut impl Sink) {
         out.begin_obj();
         out.field_uint("version", 1);
-        out.field_str("salt", bec_cache::VERSION_SALT);
+        out.field_str("salt", VERSION_SALT);
         out.field_str("program", &self.program);
         out.field_uint("seed", self.spec.seed);
         if let Some(n) = self.spec.sample {
@@ -596,8 +658,8 @@ impl CampaignReport {
         Ok(campaign_from_parts(&header, shards))
     }
 
-    /// Parses report text — the streaming reader behind `--resume` and the
-    /// `--spawn` partial merge; no [`Json`] tree is built.
+    /// Parses report text — the streaming reader behind `--resume`; no
+    /// [`Json`] tree is built.
     ///
     /// # Errors
     ///
@@ -702,15 +764,15 @@ fn campaign_from_parts(
     if uint("version")? != 1 {
         return Err("unsupported report version".into());
     }
-    // A report is only resumable/mergeable by a binary with the same
-    // artifact salt: outcomes classified by a different analysis or
-    // engine generation must be recomputed, not trusted.
+    // A report is only resumable by a binary with the same version salt:
+    // outcomes classified by a different analysis or engine generation
+    // must be recomputed, not trusted.
     let salt = header.get("salt").and_then(Token::as_str).unwrap_or("<none>");
-    if salt != bec_cache::VERSION_SALT {
+    if salt != VERSION_SALT {
         return Err(format!(
             "report version salt `{salt}` does not match this binary's `{}`; \
              rerun the campaign instead of resuming",
-            bec_cache::VERSION_SALT
+            VERSION_SALT
         ));
     }
     let program = field("program")?.as_str().ok_or("field `program` not a string")?.to_owned();
@@ -960,7 +1022,7 @@ exit:
                 "{{\"version\": 1, \"salt\": \"{}\", \"program\": \"x\", \"seed\": 0, \
                  \"shard_count\": {count}, \"max_cycles\": 10, \"fault_space\": 1, \
                  \"shards\": []}}",
-                bec_cache::VERSION_SALT
+                VERSION_SALT
             );
             let err = CampaignReport::from_json(&Json::parse(&text).unwrap()).unwrap_err();
             assert!(err.contains("implausible"), "{err}");
@@ -1053,7 +1115,7 @@ exit:
         );
         // A foreign salt is reported before the malformed row it precedes
         // in the check order, wherever the two sit in the document.
-        let salted = bad_row.replacen(bec_cache::VERSION_SALT, "bec-artifacts-v0", 1);
+        let salted = bad_row.replacen(VERSION_SALT, "bec-artifacts-v0", 1);
         assert!(CampaignReport::parse(&salted).unwrap_err().contains("salt"));
         // A syntax error anywhere beats every semantic error.
         let broken = salted.trim_end().strip_suffix('}').unwrap().to_owned() + ",}";

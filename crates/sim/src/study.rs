@@ -23,6 +23,7 @@
 //! ```
 //! use bec_sim::study::{run_campaign, StudySpec};
 //! use bec_core::{BecAnalysis, BecOptions};
+//! use bec_telemetry::Telemetry;
 //! use bec_ir::parse_program;
 //!
 //! let p = parse_program(r#"
@@ -36,7 +37,7 @@
 //! "#)?;
 //! let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
 //! let spec = StudySpec { sample: Some(16), shards: 4, ..StudySpec::default() };
-//! let run = run_campaign("toy", &p, &bec, &spec, None).unwrap();
+//! let run = run_campaign("toy", &p, &bec, &spec, None, None, &Telemetry::disabled()).unwrap();
 //! assert!(run.report.is_complete());
 //! assert_eq!(run.report.runs(), 16);
 //! assert!(run.report.violations().is_empty());
@@ -49,10 +50,9 @@ use crate::json::{
     read_document, read_list, read_object, Checked, Json, Members, Sink, Source, Token,
     TreeBuilder, TreeCursor, Writer,
 };
-use crate::persist::SiteVerdicts;
 use crate::pool::{self, PoolStats};
 use crate::runner::{GoldenRun, SimLimits, Simulator};
-use crate::shard::{CampaignReport, CampaignSpec, ShardPlan, SiteTable};
+use crate::shard::{CampaignReport, CampaignSpec, ShardPlan, SiteTable, SiteVerdicts};
 use crate::substrate::GoldenSubstrate;
 use crate::trace::FaultClass;
 use bec_core::BecAnalysis;
@@ -124,10 +124,35 @@ pub struct CampaignRun {
     pub golden: GoldenRun,
 }
 
+/// A benchmark's shared golden substrate plus the schedule permutation of
+/// the variant under campaign — what [`prepare_campaign`] needs to derive
+/// the variant's golden run and checkpoint log instead of re-simulating
+/// them.
+#[derive(Clone, Copy)]
+pub struct SharedGolden<'a> {
+    /// The substrate recorded from the benchmark's baseline variant.
+    pub substrate: &'a GoldenSubstrate,
+    /// The per-function point permutation of the variant under campaign.
+    pub permutation: &'a [Vec<u32>],
+}
+
 /// Runs one differential campaign over `program`, labelled `label` in the
 /// report: golden probe, derived budget, checkpointed engine, sharded
 /// pool. This is the per-variant building block of a study and the same
 /// flow `bec campaign` runs for a single program.
+///
+/// When `shared` is given, the adaptive checkpoint policy is in effect and
+/// the variant passes the substrate's static admission check, the golden
+/// probe is *derived* through the schedule permutation (a cheap replay)
+/// instead of re-simulated — report bytes are identical either way
+/// (pinned by `tests/substrate_equivalence.rs`).
+///
+/// `tel` receives a `golden` span around the probe/checkpoint phase, a
+/// `plan` span, `campaign.checkpoint_interval` /
+/// `campaign.budget_cycles` gauges, the `study.golden_substrate_hits` /
+/// `study.golden_replay_cycles` counters and everything
+/// [`pool::run_sharded`] records; pass [`Telemetry::disabled`] when not
+/// instrumenting.
 ///
 /// # Errors
 ///
@@ -139,64 +164,16 @@ pub fn run_campaign(
     bec: &BecAnalysis,
     spec: &StudySpec,
     resume: Option<CampaignReport>,
-) -> Result<CampaignRun, String> {
-    run_campaign_with(label, program, bec, spec, resume, &Telemetry::disabled())
-}
-
-/// The instrumented form of [`run_campaign`]: identical semantics and
-/// identical report bytes, plus a `golden` span around the probe/checkpoint
-/// phase, `campaign.checkpoint_interval` / `campaign.budget_cycles` gauges,
-/// and everything [`pool::run_sharded_with`] records.
-pub fn run_campaign_with(
-    label: &str,
-    program: &Program,
-    bec: &BecAnalysis,
-    spec: &StudySpec,
-    resume: Option<CampaignReport>,
-    tel: &Telemetry,
-) -> Result<CampaignRun, String> {
-    run_campaign_shared(label, program, bec, spec, resume, None, tel)
-}
-
-/// A benchmark's shared golden substrate plus the schedule permutation of
-/// the variant under campaign — what [`run_campaign_shared`] needs to
-/// derive the variant's golden run and checkpoint log instead of
-/// re-simulating them.
-#[derive(Clone, Copy)]
-pub struct SharedGolden<'a> {
-    /// The substrate recorded from the benchmark's baseline variant.
-    pub substrate: &'a GoldenSubstrate,
-    /// The per-function point permutation of the variant under campaign.
-    pub permutation: &'a [Vec<u32>],
-}
-
-/// [`run_campaign_with`] plus an optional shared golden substrate: when
-/// `shared` is given, the adaptive checkpoint policy is in effect and the
-/// variant passes the substrate's static admission check, the golden probe
-/// is *derived* through the schedule permutation (a cheap replay) instead
-/// of re-simulated — report bytes are identical either way (pinned by
-/// `tests/substrate_equivalence.rs`). Derivations count into the
-/// `study.golden_substrate_hits` / `study.golden_replay_cycles` telemetry
-/// counters.
-pub fn run_campaign_shared(
-    label: &str,
-    program: &Program,
-    bec: &BecAnalysis,
-    spec: &StudySpec,
-    resume: Option<CampaignReport>,
     shared: Option<SharedGolden<'_>>,
     tel: &Telemetry,
 ) -> Result<CampaignRun, String> {
     let verdicts = SiteVerdicts::of(program, bec);
-    let prep = prepare_campaign(label, program, &verdicts, spec, None, shared, tel)?;
+    let prep = prepare_campaign(label, program, &verdicts, spec, shared, tel)?;
     run_prepared(label, program, prep, spec, resume, tel)
 }
 
 /// Everything a campaign needs before the sharded pool starts: the golden
-/// pair, the derived per-run budget, and the shard plan. This is exactly
-/// the phase `bec --cache-dir` persists (its inputs are the analysis
-/// verdicts and the golden pair) and the phase a `bec campaign --spawn`
-/// parent runs once before shipping plan slices to worker processes.
+/// pair, the derived per-run budget, and the shard plan.
 pub struct PreparedCampaign {
     /// The golden (fault-free) run of the program under campaign.
     pub golden: GoldenRun,
@@ -210,27 +187,17 @@ pub struct PreparedCampaign {
     pub plan: ShardPlan,
 }
 
-/// The pre-pool phase of [`run_campaign_shared`]: golden probe (or reuse),
-/// completion check, budget derivation and shard planning.
-///
-/// `golden_override` short-circuits the golden probe with a previously
-/// recorded pair — the cache layer's warm path. It is only consulted under
-/// the adaptive checkpoint policy (`spec.checkpoint_interval == None`),
-/// the policy it was recorded under; the caller guarantees the pair
-/// belongs to exactly this `program` (the cache keys it by program
-/// content). An explicit interval always re-probes, so `--cache-dir` plus
-/// `--checkpoint-interval` stays correct, merely uncached.
+/// The pre-pool phase of [`run_campaign`]: golden probe (or derivation
+/// from `shared`), completion check, budget derivation and shard planning.
 ///
 /// # Errors
 ///
-/// Fails when the (possibly reused) golden run did not complete.
-#[allow(clippy::too_many_arguments)]
+/// Fails when the golden run did not complete.
 pub fn prepare_campaign(
     label: &str,
     program: &Program,
     verdicts: &SiteVerdicts,
     spec: &StudySpec,
-    golden_override: Option<(GoldenRun, CheckpointLog)>,
     shared: Option<SharedGolden<'_>>,
     tel: &Telemetry,
 ) -> Result<PreparedCampaign, String> {
@@ -242,19 +209,13 @@ pub fn prepare_campaign(
     let (golden, ckpts) = match spec.checkpoint_interval {
         Some(0) => (probe.run_golden(), CheckpointLog::disabled()),
         Some(n) => probe.run_golden_checkpointed(n),
-        None => match golden_override {
-            Some(pair) => pair,
-            None => {
-                let derived = shared.and_then(|s| s.substrate.derive(program, s.permutation));
-                match derived {
-                    Some(d) => {
-                        tel.add("study.golden_substrate_hits", 1);
-                        tel.add("study.golden_replay_cycles", d.replay_cycles);
-                        (d.golden, d.ckpts)
-                    }
-                    None => probe.run_golden_aligned(),
-                }
+        None => match shared.and_then(|s| s.substrate.derive(program, s.permutation)) {
+            Some(d) => {
+                tel.add("study.golden_substrate_hits", 1);
+                tel.add("study.golden_replay_cycles", d.replay_cycles);
+                (d.golden, d.ckpts)
             }
+            None => probe.run_golden_aligned(),
         },
     };
     let interval = ckpts.interval();
@@ -278,7 +239,7 @@ pub fn prepare_campaign(
     Ok(PreparedCampaign { golden, ckpts, interval, budget, plan })
 }
 
-/// The pool phase of [`run_campaign_shared`]: executes a prepared
+/// The pool phase of [`run_campaign`]: executes a prepared
 /// campaign's plan in-process on `spec.workers` threads.
 ///
 /// # Errors
@@ -294,7 +255,7 @@ pub fn run_prepared(
 ) -> Result<CampaignRun, String> {
     let PreparedCampaign { golden, ckpts, interval, budget, plan } = prep;
     let sim = Simulator::with_limits(program, SimLimits { max_cycles: budget });
-    let (report, stats) = pool::run_sharded_engine(
+    let (report, stats) = pool::run_sharded(
         &sim,
         &golden,
         &ckpts,
@@ -942,7 +903,7 @@ exit:
     fn toy_campaign(spec: &StudySpec) -> CampaignRun {
         let p = toy();
         let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        run_campaign("toy", &p, &bec, spec, None).unwrap()
+        run_campaign("toy", &p, &bec, spec, None, None, &Telemetry::disabled()).unwrap()
     }
 
     fn toy_record(criterion: &str, gated: bool, campaign: CampaignReport) -> VariantRecord {
@@ -988,7 +949,9 @@ exit:
         partial.shards[2] = None;
         let p = toy();
         let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        let resumed = run_campaign("toy", &p, &bec, &spec, Some(partial)).unwrap();
+        let resumed =
+            run_campaign("toy", &p, &bec, &spec, Some(partial), None, &Telemetry::disabled())
+                .unwrap();
         assert_eq!(resumed.report, full.report);
         assert_eq!(resumed.stats.resumed_shards, 3);
     }

@@ -142,28 +142,6 @@ impl GoldenSubstrate {
         Ok(GoldenSubstrate { baseline: program.clone(), seg_of, golden, ckpts, tape, limits })
     }
 
-    /// Rebuilds a substrate from persisted parts (see `crate::persist`):
-    /// the baseline program is re-supplied by the caller (its bytes are part
-    /// of the cache key, so it is known to match), the segment map is
-    /// recomputed — it is a cheap pure function of the program — and the
-    /// recorded golden run, checkpoint log and hash tape are adopted as-is.
-    pub(crate) fn from_parts(
-        program: &Program,
-        golden: GoldenRun,
-        ckpts: CheckpointLog,
-        tape: HashTape,
-        limits: SimLimits,
-    ) -> GoldenSubstrate {
-        let seg_of = program.functions.iter().map(segment_map).collect();
-        GoldenSubstrate { baseline: program.clone(), seg_of, golden, ckpts, tape, limits }
-    }
-
-    /// The recorded parts a persister needs: golden run, checkpoint log,
-    /// hash tape.
-    pub(crate) fn parts(&self) -> (&GoldenRun, &CheckpointLog, &HashTape) {
-        (&self.golden, &self.ckpts, &self.tape)
-    }
-
     /// The recorded baseline golden run.
     pub fn golden(&self) -> &GoldenRun {
         &self.golden

@@ -48,17 +48,6 @@ impl TraceHash {
     pub fn digest(&self) -> u128 {
         (self.a as u128) << 64 | self.b as u128
     }
-
-    /// The two raw stream states, for persisting a mid-trace hash state
-    /// (checkpoints carry resumable hash states, not digests).
-    pub(crate) fn parts(&self) -> (u64, u64) {
-        (self.a, self.b)
-    }
-
-    /// Rebuilds a hash state from its persisted stream states.
-    pub(crate) fn from_parts(a: u64, b: u64) -> TraceHash {
-        TraceHash { a, b }
-    }
 }
 
 impl std::fmt::Debug for TraceHash {

@@ -171,7 +171,7 @@ fn assert_plan_agrees(
     let run = |engine: Engine, workers: usize| {
         let tel = Telemetry::enabled();
         let (report, stats) =
-            pool::run_sharded_engine(sim, golden, ckpts, plan, workers, None, label, engine, &tel)
+            pool::run_sharded(sim, golden, ckpts, plan, workers, None, label, engine, &tel)
                 .expect("pool runs");
         (report, stats, tel.snapshot())
     };

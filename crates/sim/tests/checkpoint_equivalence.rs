@@ -8,7 +8,10 @@
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::Program;
 use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan};
-use bec_sim::{pool, CheckpointLog, ExecOutcome, FaultClass, SimLimits, Simulator};
+use bec_sim::{
+    pool, CheckpointLog, Engine, ExecOutcome, FaultClass, GoldenRun, SimLimits, Simulator,
+};
+use bec_telemetry::Telemetry;
 
 fn example(name: &str) -> Program {
     let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -27,10 +30,14 @@ fn assert_equivalent(label: &str, program: &Program) {
     let plan =
         ShardPlan::build(site_fault_space(program, &bec, &golden), CampaignSpec::exhaustive(16));
 
+    let tel = Telemetry::disabled();
+    let run = |golden: &GoldenRun, ckpts: &CheckpointLog, workers: usize| {
+        pool::run_sharded(&sim, golden, ckpts, &plan, workers, None, label, Engine::default(), &tel)
+            .expect("pool runs")
+    };
+
     // Baseline: the from-scratch engine.
-    let (baseline, base_stats) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, label)
-            .expect("pool runs");
+    let (baseline, base_stats) = run(&golden, &CheckpointLog::disabled(), 2);
     assert_eq!(base_stats.early_exits, 0, "{label}: disabled log never converges");
     let baseline_bytes = baseline.to_json().render();
 
@@ -45,9 +52,7 @@ fn assert_equivalent(label: &str, program: &Program) {
         assert_eq!(ckpts.len() as u64, golden.cycles().div_ceil(interval), "{label}: coverage");
 
         for workers in [1usize, 4] {
-            let (report, stats) =
-                pool::run_sharded(&sim, &golden_ck, &ckpts, &plan, workers, None, label)
-                    .expect("pool runs");
+            let (report, stats) = run(&golden_ck, &ckpts, workers);
             assert_eq!(
                 report.to_json().render(),
                 baseline_bytes,

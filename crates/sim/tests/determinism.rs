@@ -8,7 +8,8 @@ use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::Program;
 use bec_sim::json::Json;
 use bec_sim::shard::{site_fault_space, CampaignReport, CampaignSpec, ShardPlan};
-use bec_sim::{pool, CheckpointLog, GoldenRun, SimLimits, Simulator};
+use bec_sim::{pool, CheckpointLog, Engine, GoldenRun, PoolStats, SimLimits, Simulator};
+use bec_telemetry::Telemetry;
 
 fn countyears() -> Program {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/countyears.s");
@@ -22,6 +23,20 @@ fn setup(program: &Program) -> (Simulator<'_>, GoldenRun) {
     (sim, golden)
 }
 
+/// The from-scratch pool on the default engine, uninstrumented.
+fn run(
+    sim: &Simulator<'_>,
+    golden: &GoldenRun,
+    plan: &ShardPlan,
+    workers: usize,
+    resume: Option<CampaignReport>,
+    label: &str,
+) -> (CampaignReport, PoolStats) {
+    let (ckpts, tel) = (CheckpointLog::disabled(), Telemetry::disabled());
+    pool::run_sharded(sim, golden, &ckpts, plan, workers, resume, label, Engine::default(), &tel)
+        .unwrap()
+}
+
 #[test]
 fn report_bytes_are_identical_for_any_worker_count() {
     let p = countyears();
@@ -32,16 +47,7 @@ fn report_bytes_are_identical_for_any_worker_count() {
 
     let mut renders = Vec::new();
     for workers in [1, 2, 8] {
-        let (report, stats) = pool::run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &plan,
-            workers,
-            None,
-            "countyears",
-        )
-        .unwrap();
+        let (report, stats) = run(&sim, &golden, &plan, workers, None, "countyears");
         assert_eq!(stats.workers, workers);
         renders.push(report.to_json().render());
     }
@@ -60,9 +66,7 @@ fn resumed_campaign_reproduces_the_uninterrupted_bytes() {
     let plan =
         ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::sampled(7, 300, 6));
 
-    let (full, _) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, "countyears")
-            .unwrap();
+    let (full, _) = run(&sim, &golden, &plan, 2, None, "countyears");
     // Interrupt after an arbitrary subset of shards, round-trip the partial
     // report through its JSON form (as the CLI's --report/--resume does),
     // and finish with a different worker count.
@@ -72,16 +76,7 @@ fn resumed_campaign_reproduces_the_uninterrupted_bytes() {
     partial.shards[5] = None;
     let reloaded =
         CampaignReport::from_json(&Json::parse(&partial.to_json().render()).unwrap()).unwrap();
-    let (resumed, stats) = pool::run_sharded(
-        &sim,
-        &golden,
-        &CheckpointLog::disabled(),
-        &plan,
-        8,
-        Some(reloaded),
-        "countyears",
-    )
-    .unwrap();
+    let (resumed, stats) = run(&sim, &golden, &plan, 8, Some(reloaded), "countyears");
     assert_eq!(stats.executed_shards, 3);
     assert_eq!(stats.resumed_shards, 3);
     assert_eq!(resumed.to_json().render(), full.to_json().render());
@@ -93,12 +88,8 @@ fn exhaustive_reports_agree_across_worker_counts() {
     let (sim, golden) = setup(&p);
     let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
     let plan = ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(16));
-    let (a, _) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 1, None, "countyears")
-            .unwrap();
-    let (b, _) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 4, None, "countyears")
-            .unwrap();
+    let (a, _) = run(&sim, &golden, &plan, 1, None, "countyears");
+    let (b, _) = run(&sim, &golden, &plan, 4, None, "countyears");
     assert_eq!(a, b);
     assert_eq!(a.to_json().render(), b.to_json().render());
 }
@@ -118,16 +109,7 @@ fn four_workers_give_at_least_2x_speedup() {
 
     let time = |workers: usize| {
         let started = std::time::Instant::now();
-        let (report, _) = pool::run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &plan,
-            workers,
-            None,
-            "crc32",
-        )
-        .unwrap();
+        let (report, _) = run(&sim, &golden, &plan, workers, None, "crc32");
         assert!(report.is_complete());
         started.elapsed()
     };

@@ -8,7 +8,6 @@
 //! time goes to stderr.
 
 use super::{input, CliError, CommonArgs};
-use bec::artifacts::ArtifactStore;
 use bec_core::{report, BecAnalysis};
 use bec_sim::json::Json;
 use bec_telemetry::Telemetry;
@@ -69,7 +68,7 @@ fn parse_workers(rest: &[String]) -> Result<usize, CliError> {
         }
     }
     if workers == 0 {
-        workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        workers = super::all_cores();
     }
     Ok(workers)
 }
@@ -77,44 +76,12 @@ fn parse_workers(rest: &[String]) -> Result<usize, CliError> {
 pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     let workers = parse_workers(&args.rest)?;
     let tel = Telemetry::enabled();
-    // The analysis report is a pure function of (file content, rules,
-    // format): with `--cache-dir` a warm run replays the rendered bytes
-    // and skips the analysis entirely. The file path rides in the key so
-    // the echoed header stays truthful when identical content moves.
-    let rendered = match &args.cache_dir {
-        Some(dir) => {
-            let store = ArtifactStore::open(dir).map_err(CliError::failed)?;
-            let bytes = std::fs::read(&args.file)
-                .map_err(|e| CliError::failed(format!("cannot read `{}`: {e}", args.file)))?;
-            let format = if args.json { "json" } else { "text" };
-            let mut failed = None;
-            let text = store.report_or(
-                "analyze",
-                &[&args.rules, format, &args.file],
-                &bytes,
-                &tel,
-                || match render(args, workers, &tel) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        failed = Some(e);
-                        String::new()
-                    }
-                },
-            );
-            if let Some(e) = failed {
-                return Err(e);
-            }
-            text
-        }
-        None => render(args, workers, &tel)?,
-    };
-    print!("{rendered}");
+    print!("{}", render(args, workers, &tel)?);
     args.export_telemetry(&tel)
 }
 
 /// Computes the analysis and renders the full stdout document (JSON or
-/// text). The nondeterministic wall-time line goes to stderr here, so the
-/// returned bytes are cacheable verbatim.
+/// text). The nondeterministic wall-time line goes to stderr here.
 fn render(args: &CommonArgs, workers: usize, tel: &Telemetry) -> Result<String, CliError> {
     let program = input::load_program(&args.file)?;
     let bec = BecAnalysis::analyze_instrumented(&program, &args.options, workers, tel);

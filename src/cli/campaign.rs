@@ -10,53 +10,30 @@
 //! resumable: `--report out.json --resume out.json` re-runs only the shards
 //! missing from an interrupted campaign.
 
-use super::{input, load_resume, write_report, CliError, CommonArgs};
-use bec::artifacts::ArtifactStore;
-use bec::spawn::{run_spawned, SpawnConfig, WorkerSource};
+use super::{all_cores, campaign_flag, input, load_resume, write_report, CliError, CommonArgs};
 use bec_core::{report, BecAnalysis};
 use bec_sim::json::Json;
 use bec_sim::shard::CampaignReport;
-use bec_sim::study::{prepare_campaign, run_prepared, StudySpec, DEFAULT_SEED, DEFAULT_SHARDS};
-use bec_sim::{Engine, FaultClass, PoolStats, SimLimits, Simulator, SiteVerdicts};
+use bec_sim::study::{prepare_campaign, run_prepared, StudySpec};
+use bec_sim::{Engine, FaultClass, PoolStats, SiteVerdicts};
 use bec_telemetry::Telemetry;
 
 struct Flags {
-    sample: Option<u64>,
-    seed: u64,
-    shards: u32,
-    workers: usize,
-    /// Per-fault execution engine. Never influences the report bytes —
-    /// the bitsliced engine is a wall-clock lever, exactly like the
-    /// checkpoint interval.
-    engine: Engine,
+    /// The campaign knobs. `workers`, `engine` and `checkpoint_interval`
+    /// are wall-clock levers only: the report bytes are identical for
+    /// every setting. `max_cycles: None` picks `100 × golden + 10k`,
+    /// enough for any trace-identical (masked) run while cutting
+    /// corrupted-counter loops off quickly.
+    spec: StudySpec,
     report_path: Option<String>,
     resume_path: Option<String>,
-    /// Per-run cycle budget; `None` picks `100 × golden + 10k`, enough for
-    /// any trace-identical (masked) run while cutting corrupted-counter
-    /// loops off quickly.
-    max_cycles: Option<u64>,
-    /// Checkpoint spacing in cycles; 0 disables the checkpointed engine,
-    /// `None` derives a default from the golden trace length. The report
-    /// bytes are identical for every setting — only wall-clock changes.
-    checkpoint_interval: Option<u64>,
-    /// Worker *processes* to spawn (1 = in-process). Like `--workers` and
-    /// the engine, a pure wall-clock lever: the merged report is
-    /// byte-identical at any spawn count.
-    spawn: usize,
 }
 
 fn parse_flags(args: &CommonArgs) -> Result<Flags, CliError> {
     let mut flags = Flags {
-        sample: None,
-        seed: DEFAULT_SEED,
-        shards: DEFAULT_SHARDS,
-        workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        engine: Engine::default(),
+        spec: StudySpec { workers: all_cores(), ..StudySpec::default() },
         report_path: None,
         resume_path: None,
-        max_cycles: None,
-        checkpoint_interval: None,
-        spawn: 1,
     };
     let mut it = args.rest.iter();
     while let Some(flag) = it.next() {
@@ -64,115 +41,21 @@ fn parse_flags(args: &CommonArgs) -> Result<Flags, CliError> {
             it.next().ok_or_else(|| CliError::usage(format!("{name} needs a value"))).cloned()
         };
         match flag.as_str() {
-            "--sample" => {
-                let v = value("--sample")?;
-                let n: u64 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad sample size `{v}`")))?;
-                if n == 0 {
-                    // A 0-run campaign would vacuously report "OK" — reject
-                    // it so a typo'd CI invocation cannot disable the gate.
-                    return Err(CliError::usage("--sample must be at least 1"));
-                }
-                flags.sample = Some(n);
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                flags.seed = v.parse().map_err(|_| CliError::usage(format!("bad seed `{v}`")))?;
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                let n: u32 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad shard count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--shards must be at least 1"));
-                }
-                flags.shards = n;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--workers must be at least 1"));
-                }
-                flags.workers = n;
-            }
-            "--engine" => {
-                let v = value("--engine")?;
-                flags.engine = Engine::parse(&v).ok_or_else(|| {
-                    CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
-                })?;
-            }
             "--report" => flags.report_path = Some(value("--report")?),
             "--resume" => flags.resume_path = Some(value("--resume")?),
-            "--max-cycles" => {
-                let v = value("--max-cycles")?;
-                flags.max_cycles = Some(
-                    v.parse().map_err(|_| CliError::usage(format!("bad cycle budget `{v}`")))?,
-                );
-            }
-            "--checkpoint-interval" => {
-                let v = value("--checkpoint-interval")?;
-                flags.checkpoint_interval = Some(
-                    v.parse()
-                        .map_err(|_| CliError::usage(format!("bad checkpoint interval `{v}`")))?,
-                );
-            }
-            "--spawn" => {
-                let v = value("--spawn")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad spawn count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--spawn must be at least 1"));
+            other => {
+                if !campaign_flag(&mut flags.spec, other, value)? {
+                    return Err(CliError::usage(format!("unknown flag `{other}`")));
                 }
-                flags.spawn = n;
             }
-            other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
     Ok(flags)
 }
 
-/// The prepare phase with `--cache-dir` wired in: analysis verdicts and
-/// (under the adaptive checkpoint policy) the golden pair come from the
-/// artifact store when warm, so a warm run skips the whole analysis +
-/// golden phase. Cold or cacheless runs compute exactly what
-/// `run_campaign_with` always did — the prepared campaign, and therefore
-/// the report, is byte-identical either way.
-pub(super) fn prepare_cached(
-    file: &str,
-    program: &bec_ir::Program,
-    options: &bec_core::BecOptions,
-    rules: &str,
-    store: Option<&ArtifactStore>,
-    spec: &StudySpec,
-    tel: &Telemetry,
-) -> Result<bec_sim::PreparedCampaign, String> {
-    let compute_verdicts = || SiteVerdicts::of(program, &BecAnalysis::analyze(program, options));
-    let probe_limit = spec.max_cycles.unwrap_or(100_000_000);
-    let (verdicts, golden_override) = match store {
-        Some(s) => {
-            // `load_program` already read the file; raw bytes are the key.
-            let bytes = std::fs::read(file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
-            let verdicts = s.verdicts_or(rules, &bytes, tel, compute_verdicts);
-            // The golden pair is only cacheable under the adaptive policy
-            // it was recorded with; an explicit interval re-probes.
-            let golden = match spec.checkpoint_interval {
-                None => Some(s.golden_or(&bytes, probe_limit, tel, || {
-                    Simulator::with_limits(program, SimLimits { max_cycles: probe_limit })
-                        .run_golden_aligned()
-                })),
-                Some(_) => None,
-            };
-            (verdicts, golden)
-        }
-        None => (compute_verdicts(), None),
-    };
-    prepare_campaign(file, program, &verdicts, spec, golden_override, None, tel)
-}
-
 pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     let flags = parse_flags(args)?;
+    let spec = &flags.spec;
     let program = input::load_program(&args.file)?;
     let tel = Telemetry::enabled();
     let resume = match &flags.resume_path {
@@ -180,46 +63,12 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
         None => None,
     };
     // The shared campaign driver (`bec_sim::study`): golden probe, derived
-    // injection budget, checkpointed engine, sharded pool. The checkpoint
-    // interval never changes the report bytes — it is a wall-clock lever.
-    let spec = StudySpec {
-        seed: flags.seed,
-        sample: flags.sample,
-        shards: flags.shards,
-        workers: flags.workers,
-        max_cycles: flags.max_cycles,
-        checkpoint_interval: flags.checkpoint_interval,
-        engine: flags.engine,
-        // Single-program campaigns have no variants to share a golden
-        // substrate across; the flag only matters to `bec study`.
-        golden_reuse: true,
-    };
-    let store = match &args.cache_dir {
-        Some(dir) => Some(ArtifactStore::open(dir).map_err(CliError::failed)?),
-        None => None,
-    };
-    let prep = prepare_cached(
-        &args.file,
-        &program,
-        &args.options,
-        &args.rules,
-        store.as_ref(),
-        &spec,
-        &tel,
-    )
-    .map_err(CliError::failed)?;
-    let run = if flags.spawn > 1 {
-        let source = WorkerSource::File { path: args.file.clone() };
-        let cfg = SpawnConfig {
-            spawn: flags.spawn,
-            rules: &args.rules,
-            cache_dir: args.cache_dir.as_deref(),
-        };
-        run_spawned(&source, &args.file, prep, &spec, &cfg, resume, &tel)
-    } else {
-        run_prepared(&args.file, &program, prep, &spec, resume, &tel)
-    }
-    .map_err(CliError::failed)?;
+    // injection budget, checkpointed engine, sharded pool. The analysis is
+    // dropped once its verdicts are extracted, before the golden run.
+    let verdicts = SiteVerdicts::of(&program, &BecAnalysis::analyze(&program, &args.options));
+    let run = prepare_campaign(&args.file, &program, &verdicts, spec, None, &tel)
+        .and_then(|prep| run_prepared(&args.file, &program, prep, spec, resume, &tel))
+        .map_err(CliError::failed)?;
     let (campaign, stats, interval) = (run.report, run.stats, run.interval);
 
     if let Some(path) = &flags.report_path {
@@ -235,17 +84,17 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     if args.json {
         println!(
             "{}",
-            with_engine_metadata(campaign.to_json(), flags.engine, interval, stats.early_exits)
+            with_engine_metadata(campaign.to_json(), spec.engine, interval, stats.early_exits)
                 .render()
         );
     } else {
         let fault_space = campaign.fault_space;
-        let adaptive = flags.checkpoint_interval.is_none();
+        let adaptive = spec.checkpoint_interval.is_none();
         print_text(
             args,
             &campaign,
             fault_space,
-            flags.engine,
+            spec.engine,
             interval,
             adaptive,
             stats.early_exits,

@@ -17,7 +17,7 @@
 //! findings to demonstrate the violation → minimizer → reproducer
 //! pipeline.
 
-use super::{rule_options, CliError};
+use super::{all_cores, rule_options, CliError};
 use bec_core::report::group_digits as g;
 use bec_fuzzgen::GenConfig;
 use bec_sim::json::Json;
@@ -125,8 +125,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     }
     // Worker count never reaches stdout, so defaulting to all cores is
     // determinism-free parallelism; an explicit value is honored.
-    spec.workers = workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    spec.workers = workers.unwrap_or_else(all_cores);
     Ok(Flags { spec, rules_name, profile_name, corpus_dir, json })
 }
 

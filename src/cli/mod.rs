@@ -9,9 +9,10 @@ mod prune;
 mod schedule;
 mod sim;
 mod study;
-mod worker;
 
 use bec_core::BecOptions;
+use bec_sim::study::StudySpec;
+use bec_sim::Engine;
 use bec_telemetry::Telemetry;
 
 /// CLI failure modes: usage errors print the help text, operational
@@ -46,11 +47,6 @@ pub struct CommonArgs {
     pub trace_out: Option<String>,
     /// Metrics snapshot destination (`--metrics-out`).
     pub metrics_out: Option<String>,
-    /// Artifact cache directory (`--cache-dir`).
-    pub cache_dir: Option<String>,
-    /// Name of the selected rule set (salts cache keys, forwarded to
-    /// spawned workers).
-    pub rules: String,
     /// Remaining command-specific flags, in order.
     pub rest: Vec<String>,
 }
@@ -66,7 +62,7 @@ impl CommonArgs {
 }
 
 /// Maps a `--rules` name to its option set (shared by every argument
-/// parser, so spawned workers resolve names exactly like their parent).
+/// parser).
 pub(crate) fn rule_options(name: &str) -> Result<BecOptions, CliError> {
     match name {
         "paper" => Ok(BecOptions::paper()),
@@ -74,6 +70,78 @@ pub(crate) fn rule_options(name: &str) -> Result<BecOptions, CliError> {
         "branches-only" => Ok(BecOptions::branches_only()),
         other => Err(CliError::usage(format!("unknown rule set `{other}`"))),
     }
+}
+
+/// The default worker count: one per available core. Report bytes never
+/// depend on it, so parallelism is free determinism-wise.
+pub(crate) fn all_cores() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// Applies one campaign flag shared by `campaign` and `study`
+/// (`--sample/--seed/--shards/--workers/--engine/--max-cycles/
+/// --checkpoint-interval`) to `spec`, reading its value through `value`.
+/// Returns `Ok(false)` when `flag` is not one of them.
+pub(crate) fn campaign_flag(
+    spec: &mut StudySpec,
+    flag: &str,
+    mut value: impl FnMut(&str) -> Result<String, CliError>,
+) -> Result<bool, CliError> {
+    match flag {
+        "--sample" => {
+            let v = value(flag)?;
+            let n: u64 =
+                v.parse().map_err(|_| CliError::usage(format!("bad sample size `{v}`")))?;
+            if n == 0 {
+                // A 0-run campaign would vacuously report "OK" — reject it
+                // so a typo'd CI invocation cannot disable the gate.
+                return Err(CliError::usage("--sample must be at least 1"));
+            }
+            spec.sample = Some(n);
+        }
+        "--seed" => {
+            let v = value(flag)?;
+            spec.seed = v.parse().map_err(|_| CliError::usage(format!("bad seed `{v}`")))?;
+        }
+        "--shards" => {
+            let v = value(flag)?;
+            let n: u32 =
+                v.parse().map_err(|_| CliError::usage(format!("bad shard count `{v}`")))?;
+            if n == 0 {
+                return Err(CliError::usage("--shards must be at least 1"));
+            }
+            spec.shards = n;
+        }
+        "--workers" => {
+            let v = value(flag)?;
+            let n: usize =
+                v.parse().map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
+            if n == 0 {
+                return Err(CliError::usage("--workers must be at least 1"));
+            }
+            spec.workers = n;
+        }
+        // Wall-clock lever only: the engine never changes report bytes.
+        "--engine" => {
+            let v = value(flag)?;
+            spec.engine = Engine::parse(&v).ok_or_else(|| {
+                CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
+            })?;
+        }
+        "--max-cycles" => {
+            let v = value(flag)?;
+            spec.max_cycles =
+                Some(v.parse().map_err(|_| CliError::usage(format!("bad cycle budget `{v}`")))?);
+        }
+        "--checkpoint-interval" => {
+            let v = value(flag)?;
+            spec.checkpoint_interval = Some(
+                v.parse().map_err(|_| CliError::usage(format!("bad checkpoint interval `{v}`")))?,
+            );
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 /// Shared export step for subcommands that parse their own argument lists.
@@ -139,8 +207,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
     let mut options = BecOptions::paper();
     let mut trace_out = None;
     let mut metrics_out = None;
-    let mut cache_dir = None;
-    let mut rules = String::from("paper");
     let mut rest = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -157,11 +223,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
             "--rules" => {
                 let v = it.next().ok_or_else(|| CliError::usage("--rules needs a value"))?;
                 options = rule_options(v)?;
-                rules = v.clone();
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or_else(|| CliError::usage("--cache-dir needs a path"))?;
-                cache_dir = Some(v.clone());
             }
             flag if flag.starts_with("--") => {
                 rest.push(a.clone());
@@ -180,7 +241,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
                         | "--resume"
                         | "--checkpoint-interval"
                         | "--engine"
-                        | "--spawn"
                 ) {
                     if let Some(v) = it.next() {
                         rest.push(v.clone());
@@ -197,8 +257,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
         options,
         trace_out,
         metrics_out,
-        cache_dir,
-        rules,
         rest,
     })
 }
@@ -220,10 +278,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         // `fuzz` generates its own subjects; it parses its own argument
         // list too.
         "fuzz" => fuzz::run(&args[1..]),
-        // Hidden: the worker half of `bec campaign --spawn`. Parses its own
-        // argument list (slice specs and partial-report paths are not
-        // user-facing flags).
-        "campaign-worker" => worker::run(&args[1..]),
         "encode" => encode::run(&parse_common(&args[1..])?),
         "help" | "--help" | "-h" => Err(CliError::Usage(String::new())),
         other => Err(CliError::usage(format!("unknown command `{other}`"))),

@@ -17,12 +17,14 @@
 //! masked fault observed corrupting a variant) or a coverage regression
 //! (a reliability-improving schedule grew the live fault surface).
 
-use super::{load_resume, rule_options, write_exports, write_report, CliError};
+use super::{
+    all_cores, campaign_flag, load_resume, rule_options, write_exports, write_report, CliError,
+};
 use bec::study::{run_study, StudyConfig};
 use bec_core::report;
 use bec_sim::json::Json;
 use bec_sim::study::{StudyReport, StudySpec, VariantRecord};
-use bec_sim::{CrossTable, Engine, FaultClass};
+use bec_sim::{CrossTable, FaultClass};
 use bec_telemetry::{Phase, Telemetry};
 use std::collections::BTreeMap;
 
@@ -41,13 +43,14 @@ struct Flags {
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
-    let mut cfg = StudyConfig::suite(StudySpec::default());
+    // Without an explicit --workers the study uses all cores; an explicit
+    // value (including 1) is honored.
+    let mut cfg = StudyConfig::suite(StudySpec { workers: all_cores(), ..StudySpec::default() });
     let mut json = false;
     let mut report_path = None;
     let mut resume_path = None;
     let mut trace_out = None;
     let mut metrics_out = None;
-    let mut workers: Option<usize> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -64,88 +67,21 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                 let v = value("--bench")?;
                 cfg.benchmarks.extend(v.split(',').map(str::to_owned));
             }
-            "--sample" => {
-                let v = value("--sample")?;
-                let n: u64 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad sample size `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--sample must be at least 1"));
-                }
-                cfg.spec.sample = Some(n);
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                cfg.spec.seed =
-                    v.parse().map_err(|_| CliError::usage(format!("bad seed `{v}`")))?;
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                let n: u32 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad shard count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--shards must be at least 1"));
-                }
-                cfg.spec.shards = n;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--workers must be at least 1"));
-                }
-                workers = Some(n);
-            }
-            "--max-cycles" => {
-                let v = value("--max-cycles")?;
-                cfg.spec.max_cycles = Some(
-                    v.parse().map_err(|_| CliError::usage(format!("bad cycle budget `{v}`")))?,
-                );
-            }
-            "--checkpoint-interval" => {
-                let v = value("--checkpoint-interval")?;
-                cfg.spec.checkpoint_interval = Some(
-                    v.parse()
-                        .map_err(|_| CliError::usage(format!("bad checkpoint interval `{v}`")))?,
-                );
-            }
             // Opt-out of the shared golden substrate: every variant runs
             // its own golden probe. Wall-clock lever only — report bytes
             // are pinned identical with reuse on or off.
             "--no-golden-reuse" => cfg.spec.golden_reuse = false,
-            // Wall-clock lever only: the engine never reaches stdout, so
-            // scalar and bitsliced studies print byte-identical reports.
-            "--engine" => {
-                let v = value("--engine")?;
-                cfg.spec.engine = Engine::parse(&v).ok_or_else(|| {
-                    CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
-                })?;
-            }
-            // Worker *processes* per variant campaign. Like --workers and
-            // --engine, a wall-clock lever: report bytes are identical at
-            // any spawn count.
-            "--spawn" => {
-                let v = value("--spawn")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad spawn count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--spawn must be at least 1"));
-                }
-                cfg.spawn = n;
-            }
-            "--cache-dir" => cfg.cache_dir = Some(value("--cache-dir")?),
             "--report" => report_path = Some(value("--report")?),
             "--resume" => resume_path = Some(value("--resume")?),
             "--trace-out" => trace_out = Some(value("--trace-out")?),
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-            other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
+            other => {
+                if !campaign_flag(&mut cfg.spec, other, value)? {
+                    return Err(CliError::usage(format!("unknown flag `{other}`")));
+                }
+            }
         }
     }
-    // Without an explicit --workers the study uses all cores: the report
-    // bytes are worker-independent, so parallelism is free
-    // determinism-wise. An explicit value (including 1) is honored.
-    cfg.spec.workers = workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     Ok(Flags { cfg, json, report_path, resume_path, trace_out, metrics_out })
 }
 

@@ -24,12 +24,6 @@
 //!   (`bec study`): shared-analysis scheduling, semantic-equivalence
 //!   verification, and a differential campaign per variant, reproducing
 //!   the paper's Table IV methodology empirically.
-//! * [`artifacts`] — the `--cache-dir` artifact store: content-addressed
-//!   persistence of analysis verdicts, golden runs and substrates so warm
-//!   runs skip the whole pre-campaign phase.
-//! * [`spawn`] — the `bec campaign --spawn` multi-process driver: the
-//!   fault space partitioned across child processes and merged back into
-//!   a byte-identical report.
 //!
 //! ## Quickstart
 //!
@@ -51,8 +45,6 @@ pub use bec_sched as sched;
 pub use bec_sim as sim;
 pub use bec_suite as suite;
 
-pub mod artifacts;
-pub mod spawn;
 pub mod study;
 
 /// The most commonly used types, re-exported for convenience.

@@ -55,9 +55,6 @@ COMMON OPTIONS:
     --json                     machine-readable JSON on stdout
     --rules <paper|extended|branches-only>
                                coalescing rule set (default: paper)
-    --cache-dir <DIR>          content-addressed artifact cache: warm runs of
-                               analyze/campaign/study skip the analysis and
-                               golden phases; results are byte-identical
 
 COMMAND OPTIONS:
     schedule: --criterion <best|worst|original>   (default: best)
@@ -80,16 +77,12 @@ COMMAND OPTIONS:
               --engine <scalar|bitsliced>         per-fault execution engine
                                                   (default: bitsliced; never
                                                   changes the report bytes)
-              --spawn <N>                         worker *processes* (default
-                                                  1 = in-process); the merged
-                                                  report is byte-identical at
-                                                  any spawn count
     study:    --bench <NAME[,NAME]>               benchmarks to study (repeat
                                                   or comma-separate; default:
                                                   all eight suite benchmarks)
               --sample/--seed/--shards/--workers/--report/--resume/
               --max-cycles/--checkpoint-interval/
-              --engine/--spawn                    as for campaign, applied to
+              --engine                            as for campaign, applied to
                                                   every variant campaign
     fuzz:     --seed <S>                          master seed (default 3052)
               --budget <N>                        programs to generate

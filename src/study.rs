@@ -19,7 +19,7 @@
 //! 3. **Measure** — each variant is re-analyzed (its own static verdicts
 //!    are the campaign provenance), its fault surface is computed, and a
 //!    checkpointed differential campaign runs over its classified fault
-//!    space ([`bec_sim::study::run_campaign_shared`]). Under the default
+//!    space ([`bec_sim::study::run_campaign`]). Under the default
 //!    adaptive checkpoint policy the baseline's golden run is recorded
 //!    once per benchmark as a [`bec_sim::GoldenSubstrate`] and every
 //!    scheduled variant's golden inputs are *derived* through its point
@@ -38,8 +38,6 @@
 //!   over the baseline ([`StudyReport::coverage_regressions`]; the
 //!   deliberately pessimal `worst` bound is exempt).
 
-use crate::artifacts::ArtifactStore;
-use crate::spawn::{run_spawned, SpawnConfig, WorkerSource};
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::{MachineConfig, Program};
 use bec_sched::Scheduler;
@@ -63,12 +61,6 @@ pub struct StudyConfig {
     /// Suite benchmark names to study, in order. Empty = all eight, in
     /// the paper's Table III column order.
     pub benchmarks: Vec<String>,
-    /// Worker *processes* per variant campaign (1 = in-process). A pure
-    /// wall-clock lever: report bytes are identical at any spawn count.
-    pub spawn: usize,
-    /// `--cache-dir`: persist/reuse substrates across runs. Warm runs
-    /// skip the golden phase; report bytes are identical either way.
-    pub cache_dir: Option<String>,
 }
 
 impl StudyConfig {
@@ -80,8 +72,6 @@ impl StudyConfig {
             rules: "paper".into(),
             spec,
             benchmarks: Vec::new(),
-            spawn: 1,
-            cache_dir: None,
         }
     }
 
@@ -128,10 +118,6 @@ pub fn run_study(
     let names = cfg.benchmark_names();
     let _study_span = tel.span("study").arg("benchmarks", names.len());
     tel.gauge("study.benchmarks", names.len() as u64);
-    let store = match &cfg.cache_dir {
-        Some(dir) => Some(ArtifactStore::open(dir)?),
-        None => None,
-    };
     let mut report = StudyReport::empty(&cfg.rules, &cfg.spec);
     for name in names {
         let bench = bec_suite::benchmark(&name)
@@ -144,7 +130,6 @@ pub fn run_study(
             &bench.expected,
             &program,
             resume.as_mut(),
-            store.as_ref(),
             tel,
             &mut progress,
         )?);
@@ -154,14 +139,12 @@ pub fn run_study(
 
 /// Studies one compiled benchmark: shared-analysis scheduling, per-variant
 /// equivalence verification, analysis, surface accounting and campaign.
-#[allow(clippy::too_many_arguments)]
 fn study_benchmark(
     cfg: &StudyConfig,
     name: &str,
     expected: &[u64],
     program: &Program,
     mut resume: Option<&mut StudyReport>,
-    store: Option<&ArtifactStore>,
     tel: &Telemetry,
     progress: &mut impl FnMut(&ProgressEvent),
 ) -> Result<BenchmarkStudy, String> {
@@ -202,14 +185,7 @@ fn study_benchmark(
     let substrate = if cfg.spec.golden_reuse && cfg.spec.checkpoint_interval.is_none() {
         let substrate_span = tel.span("substrate").arg("benchmark", name);
         let limits = SimLimits { max_cycles: cfg.spec.max_cycles.unwrap_or(100_000_000) };
-        // With a cache, a warm run loads the recorded substrate instead of
-        // re-simulating the baseline — the study's whole golden phase.
-        let recorded = match store {
-            Some(s) => s.substrate_or(program, limits, tel, || {
-                GoldenSubstrate::record(program, limits).ok()
-            }),
-            None => GoldenSubstrate::record(program, limits).ok(),
-        };
+        let recorded = GoldenSubstrate::record(program, limits).ok();
         drop(substrate_span);
         recorded
     } else {
@@ -249,22 +225,8 @@ fn study_benchmark(
         let shared = substrate
             .as_ref()
             .map(|s| SharedGolden { substrate: s, permutation: &variant.permutation });
-        let prep =
-            prepare_campaign(&label, &variant.program, &verdicts, &cfg.spec, None, shared, tel)?;
-        let crun = if cfg.spawn > 1 {
-            let source = WorkerSource::Suite {
-                bench: name.to_owned(),
-                criterion: criterion.name().to_owned(),
-            };
-            let scfg = SpawnConfig {
-                spawn: cfg.spawn,
-                rules: &cfg.rules,
-                cache_dir: cfg.cache_dir.as_deref(),
-            };
-            run_spawned(&source, &label, prep, &cfg.spec, &scfg, prior, tel)?
-        } else {
-            run_prepared(&label, &variant.program, prep, &cfg.spec, prior, tel)?
-        };
+        let prep = prepare_campaign(&label, &variant.program, &verdicts, &cfg.spec, shared, tel)?;
+        let crun = run_prepared(&label, &variant.program, prep, &cfg.spec, prior, tel)?;
 
         let verify_span =
             tel.span("verify").arg("benchmark", name).arg("criterion", criterion.name());

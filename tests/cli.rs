@@ -133,6 +133,48 @@ fn campaign_rejects_vacuous_and_malformed_flags() {
 }
 
 #[test]
+fn removed_distribution_entry_points_are_usage_errors() {
+    // Campaigns run in one process with no artifact cache: the former
+    // `--spawn`/`--cache-dir` flags and the worker command are rejected.
+    for args in [
+        &["campaign", "examples/gcd.s", "--spawn", "2"][..],
+        &["campaign", "examples/gcd.s", "--cache-dir", "d"],
+        &["study", "--bench", "crc32", "--spawn", "2"],
+        &["study", "--bench", "crc32", "--cache-dir", "d"],
+        &["analyze", "examples/gcd.s", "--cache-dir", "d"],
+    ] {
+        let out = bec(args);
+        assert_eq!(out.status.code(), Some(2), "bec {args:?} must be a usage error");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"), "bec {args:?}");
+    }
+    let out = bec(&["campaign-worker", "examples/gcd.s"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command `campaign-worker`"));
+}
+
+#[test]
+fn resume_rejects_reports_with_a_foreign_version_salt() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-salt");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("r.json");
+    let report = report.to_str().unwrap();
+    let common = ["campaign", "examples/gcd.s", "--sample", "30", "--shards", "4"];
+    stdout_of(&[&common[..], &["--report", report]].concat());
+
+    // A report written by a binary with a different artifact generation:
+    // same shape, different salt. Resuming it must be refused, not merged.
+    let text = std::fs::read_to_string(report).unwrap();
+    assert!(text.contains("bec-artifacts-v1"), "report must carry the version salt");
+    std::fs::write(report, text.replace("bec-artifacts-v1", "bec-artifacts-v0")).unwrap();
+
+    let out = bec(&[&common[..], &["--resume", report]].concat());
+    assert!(!out.status.success(), "foreign-salt resume must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("salt"), "error must name the salt mismatch: {stderr}");
+}
+
+#[test]
 fn campaign_runs_and_reports_ok_on_gcd() {
     let out = stdout_of(&["campaign", "examples/gcd.s", "--shards", "4", "--workers", "2"]);
     assert!(out.contains("differential check: OK"), "{out}");

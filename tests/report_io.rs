@@ -1,17 +1,17 @@
 //! The campaign- and study-report codecs, and the program parsers, on
 //! large and hostile inputs.
 //!
-//! `--resume`, the `--spawn` partial merge and every other reader of an
-//! outside report go through the streaming `CampaignReport::parse` /
-//! `StudyReport::parse`. These tests pin that the reader is linear in the
-//! report size (a multi-MB report parses in well under a second even
-//! unoptimised), that mutated or hostile bytes yield a clean error, never
-//! a panic, a stack overflow or a superlinear stall, and that the `Json`
-//! tree adapters (`to_json`, `from_json`) agree with the streaming path
-//! byte for byte and value for value. The same seeded mutator drives the
-//! assembler (`bec_rv32::parse_asm`) and the IR reader
-//! (`bec_ir::parse_program` then `verify_program`), which every `bec`
-//! command taking a program file runs.
+//! `--resume` and every other reader of an outside report go through the
+//! streaming `CampaignReport::parse` / `StudyReport::parse`. These tests
+//! pin that the reader is linear in the report size (a multi-MB report
+//! parses in well under a second even unoptimised), that mutated or
+//! hostile bytes yield a clean error, never a panic, a stack overflow or a
+//! superlinear stall, and that the `Json` tree adapters (`to_json`,
+//! `from_json`) agree with the streaming path byte for byte and value for
+//! value. The same seeded mutator drives the assembler
+//! (`bec_rv32::parse_asm`) and the IR reader (`bec_ir::parse_program` then
+//! `verify_program`), which every `bec` command taking a program file
+//! runs.
 
 use bec::study::{run_study, StudyConfig};
 use bec_ir::{PointId, Reg};

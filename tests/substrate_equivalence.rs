@@ -19,11 +19,11 @@
 
 use bec::study::{run_study, StudyConfig};
 use bec_core::{BecAnalysis, BecOptions};
-use bec_sim::study::{run_campaign_shared, StudySpec};
+use bec_sim::study::{run_campaign, StudySpec};
 use bec_sim::{Engine, GoldenSubstrate, SharedGolden, SimLimits, Simulator};
 use bec_telemetry::Telemetry;
 
-/// The same per-run cycle budget `run_campaign_shared`'s golden probe uses
+/// The same per-run cycle budget `run_campaign`'s golden probe uses
 /// for a default spec; the substrate must be recorded under identical
 /// limits or derived runs could diverge on budget exhaustion.
 const LIMITS: SimLimits = SimLimits { max_cycles: 100_000_000 };
@@ -84,7 +84,7 @@ fn countyears_campaign_bytes_invariant_under_reuse() {
                     Some(SharedGolden { substrate: &substrate, permutation: &variant.permutation }),
                     None,
                 ] {
-                    let run = run_campaign_shared(
+                    let run = run_campaign(
                         &label,
                         &variant.program,
                         &vbec,
