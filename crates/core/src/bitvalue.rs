@@ -74,7 +74,7 @@ impl BitValues {
     ) -> BitValues {
         let config = &program.config;
         let width = config.xlen;
-        let nregs = config.num_regs.min(64);
+        let nregs = config.num_regs;
         let zero = match config.zero_reg {
             Some(z) => RegMask::of(z),
             None => RegMask::empty(),

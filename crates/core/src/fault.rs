@@ -83,7 +83,7 @@ impl NodeTable {
     /// by the caller.
     pub fn build_with(program: &Program, layout: &PointLayout, access: &AccessTable) -> NodeTable {
         let width = program.config.xlen;
-        let nregs = program.config.num_regs.min(64);
+        let nregs = program.config.num_regs;
         let zero = match program.config.zero_reg {
             Some(z) => RegMask::of(z),
             None => RegMask::empty(),

@@ -89,7 +89,7 @@ impl DefUse {
         cfg: &Cfg,
         access: &AccessTable,
     ) -> DefUse {
-        let nregs = program.config.num_regs.min(64);
+        let nregs = program.config.num_regs;
         let zero = match program.config.zero_reg {
             Some(z) => RegMask::of(z),
             None => RegMask::empty(),

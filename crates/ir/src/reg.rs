@@ -180,8 +180,9 @@ impl Reg {
 /// A set of physical registers as a single `u64` bitmask (bit `i` =
 /// register index `i`).
 ///
-/// RV32 has 32 architectural registers and no supported machine config
-/// exceeds 64, so one word covers every register set the analyses handle;
+/// RV32 has 32 architectural registers and [`crate::verify_program`]
+/// rejects register files wider than 64, so one word covers every
+/// register set the analyses and the simulator handle;
 /// all set algebra is branch-free mask arithmetic. The analysis paths
 /// (liveness, def–use, checkpoint convergence) use this instead of heap
 /// bitsets or hash sets.
@@ -202,17 +203,6 @@ impl RegMask {
     pub fn of(r: Reg) -> RegMask {
         debug_assert!(!r.is_virtual() && r.index() < 64, "RegMask holds physical regs < 64");
         RegMask(1u64 << r.index())
-    }
-
-    /// The set containing `r`, or the empty set when `r` does not fit the
-    /// mask (virtual, or index ≥ 64). For paths that must tolerate exotic
-    /// configs: callers compare such registers exactly instead.
-    pub fn of_saturating(r: Reg) -> RegMask {
-        if !r.is_virtual() && r.index() < 64 {
-            RegMask(1u64 << r.index())
-        } else {
-            RegMask(0)
-        }
     }
 
     /// Inserts `r`; returns whether it was new.

@@ -6,10 +6,17 @@ use crate::point::PointLayout;
 use crate::program::Program;
 use crate::reg::Reg;
 
+/// The widest register file [`verify_program`] admits: one bit per
+/// register in a [`crate::RegMask`].
+const MAX_REGS: u32 = 64;
+
 /// Checks a program's structural invariants before it is handed to the
 /// analysis or the simulator:
 ///
 /// * the entry function exists;
+/// * the register file has at most 64 registers (the bit-level analyses
+///   and the simulator keep register sets as one bit each of a
+///   [`crate::RegMask`]);
 /// * every register is physical and within the register file;
 /// * shift immediates fit the word width;
 /// * every call targets a defined function;
@@ -20,6 +27,12 @@ use crate::reg::Reg;
 ///
 /// Returns the first violated invariant as an [`IrError`].
 pub fn verify_program(p: &Program) -> Result<(), IrError> {
+    if p.config.num_regs > MAX_REGS {
+        return Err(IrError::new(format!(
+            "{} registers exceed the {MAX_REGS}-register limit",
+            p.config.num_regs
+        )));
+    }
     if p.function(&p.entry).is_none() {
         return Err(IrError::new(format!("entry function `@{}` not found", p.entry)));
     }

@@ -9,8 +9,8 @@
 //! construction, and carrying it costs nothing. Injected lanes differ
 //! from the golden run only in their register and bit, and follow the
 //! golden control path until (if ever) their flipped bit reaches a branch
-//! condition, an effective address, or an observable output. The scratch
-//! machine replays the golden trace while each lane carries only its
+//! condition, an effective address, or an observable output. The batch
+//! replays the golden trace while each lane carries only its
 //! *taint* — the set of registers whose lane value differs from the
 //! golden value, plus those values — and a sparse memory *overlay* — the
 //! memory words whose lane value differs from the shared memory.
@@ -19,7 +19,7 @@
 //! or overlay word go through the lane's own view of memory; control flow
 //! and the trace hash are shared. When every lane that joined has retired
 //! and the next pending lane's checkpoint lies ahead, the batch *skips the
-//! gap*: it rewinds the scratch machine and restores that checkpoint
+//! gap*: it rewinds the scratch memory and restores that checkpoint
 //! instead of replaying golden cycles no lane needs. Lanes still pending
 //! when the program ends (faults at the final cycle boundary, which the
 //! scalar run never reaches) join uninjected and complete Benign.
@@ -95,10 +95,10 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointLog};
 use crate::exec::{
-    effective_address, extend_load, read_slot, run_tail, width_mask, with_tail_ops, ExecState, Op,
+    effective_address, extend_load, read_slot, run_tail, width_mask, with_tail_ops, Hashed, Op,
     OpKind, OpState, SINK_SLOT,
 };
-use crate::machine::{Machine, Memory};
+use crate::machine::Memory;
 use crate::runner::{GoldenRun, RunResult, Simulator};
 use crate::shard::SitedFault;
 use crate::trace::FaultClass;
@@ -187,8 +187,7 @@ pub(crate) struct BatchCounters {
 /// golden trace and proves per-lane convergence against it, which is only
 /// meaningful under exactly the conditions the scalar engine's early-exit
 /// requires (enabled checkpoints; a completed golden run that fits the
-/// fault-run budget). Exotic machines with more registers than taint-mask
-/// bits fall back to the scalar engine.
+/// fault-run budget).
 pub(crate) fn batch_eligible(sim: &Simulator<'_>, ckpts: &CheckpointLog) -> bool {
     let max_cycles = sim.limits.max_cycles;
     let step_limit = max_cycles.saturating_mul(2) + 1024;
@@ -196,7 +195,6 @@ pub(crate) fn batch_eligible(sim: &Simulator<'_>, ckpts: &CheckpointLog) -> bool
         && ckpts.completed
         && ckpts.final_cycles <= max_cycles
         && ckpts.final_steps < step_limit
-        && sim.program().config.num_regs as usize <= LANES
 }
 
 /// One lane's fault.
@@ -469,17 +467,14 @@ enum Commit {
 }
 
 /// The reusable batch execution context of one worker: one scratch
-/// machine, the dirty-word undo log, and the lane state arrays, reused
+/// memory, the dirty-word undo log, and the lane state arrays, reused
 /// across every batch the worker runs.
 pub(crate) struct BatchRunner<'p, 's> {
     sim: &'s Simulator<'p>,
     golden: &'s GoldenRun,
     ckpts: &'s CheckpointLog,
-    /// The scratch machine: its memory is the replay's shared memory; its
-    /// register file only carries checkpoint restores into the replay's
-    /// own register file.
-    machine: Machine,
-    initial_regs: Vec<u64>,
+    /// The replay's shared memory.
+    memory: Memory,
     dirty: Vec<(u32, u32)>,
     /// `taint[r]` bit L set ⇔ lane L's value of the register in
     /// register-file slot `r` differs from the golden value in the
@@ -514,14 +509,13 @@ impl<'p, 's> BatchRunner<'p, 's> {
         golden: &'s GoldenRun,
         ckpts: &'s CheckpointLog,
     ) -> BatchRunner<'p, 's> {
-        let machine = Machine::new(sim.program());
+        let memory = Memory::for_program(sim.program());
         BatchRunner {
             sim,
             golden,
             ckpts,
-            initial_regs: machine.regs().to_vec(),
-            overlay: Overlay::new(&machine.memory),
-            machine,
+            overlay: Overlay::new(&memory),
+            memory,
             dirty: Vec::new(),
             taint: [0; 256],
             tainted_regs: 0,
@@ -608,10 +602,10 @@ impl<'p, 's> BatchRunner<'p, 's> {
         if self.taint[base as usize] >> lane & 1 == 0 {
             return (golden, false);
         }
-        let mask = self.machine.config().mask();
+        let mask = self.sim.flat.cfg.mask();
         let addr = effective_address(self.vals[base as usize][lane], offset, mask);
         let trap = !addr.is_multiple_of(size)
-            || addr.checked_add(size).is_none_or(|end| end > self.machine.memory.len() as u64);
+            || addr.checked_add(size).is_none_or(|end| end > self.memory.len() as u64);
         (addr, trap)
     }
 
@@ -621,7 +615,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
         let (OpKind::Load { base, offset, .. } | OpKind::Store { base, offset, .. }) = kind else {
             return false;
         };
-        let addr = effective_address(regs[base as usize], offset, self.machine.config().mask());
+        let addr = effective_address(regs[base as usize], offset, self.sim.flat.cfg.mask());
         self.overlay.holders((addr >> 2) as u32) & active != 0
     }
 
@@ -660,8 +654,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
         if self.overlay.lanes & bit != 0 {
             for (widx, held, words) in &self.overlay.words {
                 if held & bit != 0 {
-                    self.dirty.push((*widx, self.machine.memory.word(*widx)));
-                    self.machine.memory.set_word(*widx, words[lane]);
+                    self.dirty.push((*widx, self.memory.word(*widx)));
+                    self.memory.set_word(*widx, words[lane]);
                 }
             }
         }
@@ -680,10 +674,9 @@ impl<'p, 's> BatchRunner<'p, 's> {
         let started = Instant::now();
         let outcome = run_tail(
             &self.sim.flat,
-            *self.machine.config(),
             self.sim.limits.max_cycles,
             &mut tail,
-            &mut self.machine.memory,
+            &mut self.memory,
             &mut self.dirty,
             !trace_diverged,
         );
@@ -692,11 +685,10 @@ impl<'p, 's> BatchRunner<'p, 's> {
         // shared memory exactly at the boundary again.
         while self.dirty.len() > mark {
             let (w, old) = self.dirty.pop().expect("watermarked");
-            self.machine.memory.set_word(w, old);
+            self.memory.set_word(w, old);
         }
         counters.tail_cycles += tail.cycle - s.cycle;
-        let result =
-            RunResult { outcome, outputs: tail.outputs, cycles: tail.cycle, hash: tail.hash };
+        let result = RunResult::of(outcome, tail);
         let class = if trace_diverged {
             // Classify from the outcome and the outputs alone: a completed
             // run cannot be Benign (its trace differs), and is a Deviation
@@ -719,33 +711,24 @@ impl<'p, 's> BatchRunner<'p, 's> {
         (class, result.cycles)
     }
 
-    /// Undoes every write to the scratch machine since it was last in
-    /// initial state: pops the dirty log in reverse and resets the
-    /// register file.
+    /// Undoes every write to the scratch memory since it was last in
+    /// initial state: pops the dirty log in reverse.
     fn rewind(&mut self) {
-        self.machine.restore_regs(&self.initial_regs);
         while let Some((w, old)) = self.dirty.pop() {
-            self.machine.memory.set_word(w, old);
+            self.memory.set_word(w, old);
         }
     }
 
-    /// Restores checkpoint `idx` onto the scratch machine, which must be in
+    /// Restores checkpoint `idx` onto the scratch memory, which must be in
     /// initial state (its cumulative memory image applies onto the
     /// initial memory), with no lane resident; returns the replay state
     /// there.
     fn restore(&mut self, idx: usize) -> OpState {
-        debug_assert!(self.dirty.is_empty(), "restore onto a rewound machine");
+        debug_assert!(self.dirty.is_empty(), "restore onto a rewound memory");
         debug_assert_eq!(self.tainted_regs, 0, "no lane resident");
         self.out_patches.clear();
         self.overlay.clear();
-        let st = ExecState::restore(
-            self.ckpts,
-            idx,
-            self.golden.outputs(),
-            &mut self.machine,
-            &mut self.dirty,
-        );
-        OpState::new(&self.sim.flat, st, self.machine.regs())
+        OpState::restore(self.ckpts, idx, self.golden.outputs(), &mut self.memory, &mut self.dirty)
     }
 
     /// Per-lane convergence at the aligned checkpoint `ck`, exactly like
@@ -806,8 +789,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
     ) {
         let (sim, ckpts) = (self.sim, self.ckpts);
         let flat = &sim.flat;
-        assert!(!flat.ops.is_empty(), "batches run on machines with decoded ops");
-        let cfg = *self.machine.config();
+        let cfg = flat.cfg;
         let max_cycles = sim.limits.max_cycles;
         let step_limit = max_cycles.saturating_mul(2) + 1024;
         let idx = ckpts.nearest_at_or_before(faults[0].cycle);
@@ -884,7 +866,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     break 'replay s.cycle;
                 }
                 // Fault injection on the boundary: the lanes of this cycle
-                // join, mirroring `Machine::flip`: flips into the zero
+                // join, mirroring `OpState::flip`: flips into the zero
                 // register or past xlen are physically impossible and
                 // leave the lane clean. Lanes may fault different
                 // registers; a flipped bit always differs from the golden
@@ -935,8 +917,9 @@ impl<'p, 's> BatchRunner<'p, 's> {
             // convergence.
             let at = s.cycle;
             s.cycle += 1;
-            let memory = &mut self.machine.memory;
-            if let Some(outcome) = flat.exec::<true>(cfg, op, &mut s, memory, &mut self.dirty) {
+            let memory = &mut self.memory;
+            if let Some(outcome) = flat.exec(cfg, op, &mut s, memory, &mut self.dirty, &mut Hashed)
+            {
                 // The program ends here (the golden run cannot trap). An
                 // entry return's read registers become outputs, so a lane
                 // with any of them tainted emits divergent output.
@@ -965,7 +948,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
         counters.replay_steps += end - segment;
         counters.replay_clean_steps += clean_steps;
 
-        // Undo the batch, leaving the scratch machine in initial state.
+        // Undo the batch, leaving the scratch memory in initial state.
         self.rewind();
         self.clear_lanes(u64::MAX);
     }
@@ -986,7 +969,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
         out: &mut [LaneRun],
         counters: &mut BatchCounters,
     ) -> Commit {
-        let cfg = *self.machine.config();
+        let cfg = self.sim.flat.cfg;
         let mask = cfg.mask();
         let regs = &s.regs;
         let flips = with_tail_ops!(lane_match! { op.kind, self, regs, lanes.active, cfg, {
@@ -1028,7 +1011,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         lanes.end(out, bit, FaultClass::Crash, s.cycle);
                         continue;
                     }
-                    let word = self.overlay.view(&self.machine.memory, (addr >> 2) as u32, lane);
+                    let word = self.overlay.view(&self.memory, (addr >> 2) as u32, lane);
                     let raw = (word as u64 >> ((addr & 3) * 8)) & width_mask(size);
                     self.lane_results[lane] = extend_load(raw, signed, size) & mask;
                     divergent |= bit;
@@ -1073,7 +1056,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     } else if held & bit == 0 {
                         continue;
                     }
-                    let mem = &self.machine.memory;
+                    let mem = &self.memory;
                     let widx = (addr >> 2) as u32;
                     if widx != g_widx {
                         let keep = self.overlay.view(mem, g_widx, lane);
@@ -1154,7 +1137,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
             }
             Commit::Store => {
                 for &(lane, widx, word) in &self.store_views {
-                    let shared = self.machine.memory.word(widx);
+                    let shared = self.memory.word(widx);
                     self.overlay.set(widx, lane as usize, word, shared);
                 }
             }

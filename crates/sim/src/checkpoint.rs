@@ -63,6 +63,7 @@
 //! ```
 
 use crate::trace::TraceHash;
+use std::sync::Arc;
 
 /// How a capturing run decides which cycle boundaries get a checkpoint.
 ///
@@ -102,10 +103,8 @@ const ALIGNED_INITIAL_SPACING: u64 = 16;
 /// runtime frame representation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameSnap {
-    /// Caller function index.
-    pub func: u32,
-    /// Flat program counter to return to.
-    pub ret_pc: u32,
+    /// Index of the decoded op to return to.
+    pub ret: u32,
     /// Synthetic return-address token checked on `ret`.
     pub ra_token: u64,
 }
@@ -119,9 +118,9 @@ pub struct Checkpoint {
     pub cycle: u64,
     /// Executor step counter at the boundary (includes zero-cost jumps).
     pub(crate) steps: u64,
-    /// Control position `(function index, flat pc)`, canonicalized past any
-    /// zero-cost jumps.
-    pub(crate) pos: (u32, u32),
+    /// Control position: the index of the next decoded op, canonicalized
+    /// past any zero-cost jumps.
+    pub(crate) pos: u32,
     /// The call stack.
     pub(crate) stack: Vec<FrameSnap>,
     /// The full register file.
@@ -136,15 +135,15 @@ pub struct Checkpoint {
     /// written since cycle 0, with its value at capture time, sorted by
     /// word index. Restoring applies exactly these words onto the initial
     /// image — O(distinct dirty words), independent of how many stores the
-    /// prefix executed.
-    pub(crate) mem_image: Vec<(u32, u32)>,
+    /// prefix executed. Shared, not copied, by the logs the golden
+    /// substrate derives.
+    pub(crate) mem_image: Arc<[(u32, u32)]>,
     /// Per-register mask of the *bits* the golden suffix from this cycle
     /// observes before overwriting (per-bit dynamic liveness, filled in by
     /// a backward pass after the recording run; one entry per register).
     /// A faulted bit outside its register's mask is overwritten before it
     /// can influence anything, so the convergence check may ignore it.
-    /// Initialized to all-ones (exact comparison) until the pass runs;
-    /// registers past the read/write mask width stay all-ones forever.
+    /// Initialized to all-ones (exact comparison) until the pass runs.
     pub(crate) live_bits: Vec<u64>,
 }
 
@@ -275,26 +274,6 @@ impl CheckpointLog {
             }
         }
     }
-
-    /// The checkpoint exactly at `cycle`, if one was recorded there.
-    pub(crate) fn at_cycle(&self, cycle: u64) -> Option<&Checkpoint> {
-        match self.spacing {
-            Spacing::Uniform(0) => None,
-            Spacing::Uniform(n) => {
-                if !cycle.is_multiple_of(n) {
-                    return None;
-                }
-                let ck = self.checkpoints.get((cycle / n) as usize)?;
-                debug_assert_eq!(ck.cycle, cycle);
-                Some(ck)
-            }
-            Spacing::Aligned { .. } => self
-                .checkpoints
-                .binary_search_by_key(&cycle, |c| c.cycle)
-                .ok()
-                .map(|i| &self.checkpoints[i]),
-        }
-    }
 }
 
 /// A sensible default checkpoint interval for a golden run of `cycles`
@@ -351,7 +330,6 @@ mod tests {
         let log = CheckpointLog::disabled();
         assert!(!log.is_enabled());
         assert_eq!(log.interval(), 0);
-        assert!(log.at_cycle(0).is_none());
         assert_eq!(log.delta_words(), 0);
     }
 
@@ -359,13 +337,13 @@ mod tests {
         Checkpoint {
             cycle,
             steps: 0,
-            pos: (0, 0),
+            pos: 0,
             stack: Vec::new(),
             regs: Vec::new(),
             hash: TraceHash::new(),
             mem_digest: 0,
             outputs_len: 0,
-            mem_image: Vec::new(),
+            mem_image: Arc::new([]),
             live_bits: Vec::new(),
         }
     }
@@ -424,7 +402,5 @@ mod tests {
         assert_eq!(log.nearest_at_or_before(17), 1);
         assert_eq!(log.nearest_at_or_before(64), 2);
         assert_eq!(log.nearest_at_or_before(1000), 3);
-        assert_eq!(log.at_cycle(40).map(|c| c.cycle), Some(40));
-        assert!(log.at_cycle(41).is_none());
     }
 }

@@ -1,52 +1,54 @@
-//! The instruction interpreters.
+//! The instruction interpreter.
 //!
-//! Programs are pre-decoded into a flat per-function step stream
-//! (`FlatProgram`): block bodies and terminators laid out contiguously,
-//! unconditional jumps turned into zero-cost gotos on flat indices, call
-//! targets and global addresses resolved to indices/addresses up front.
-//! Execution is a `(function index, flat pc)` walk with no per-step
-//! `BlockId`/`PointLayout` lookups and no per-call name resolution.
+//! Programs are decoded once into a dense op array (`FlatProgram::ops`):
+//! every function's block bodies and terminators laid out contiguously,
+//! control targets as absolute op indices across functions, registers as
+//! register-file slots, immediates, offsets and `la` addresses truncated to
+//! the machine word, unconditional jumps as zero-cost gotos, and one op
+//! variant per ALU operation and branch condition, so each op costs one
+//! dispatch.
 //!
-//! The interpreters run against a caller-provided [`Machine`] and record
-//! every written memory word into a dirty list, so a campaign worker can
-//! reuse one scratch machine across millions of runs (undoing only the
-//! dirty words) instead of allocating a fresh address space per fault.
+//! One function executes every op: `FlatProgram::exec`, over a local
+//! register file indexed by slot (`OpState`) and a caller-provided
+//! [`Memory`]. It logs every written memory word in a dirty list, so a
+//! campaign worker can reuse one scratch memory across millions of runs
+//! (undoing only the dirty words) instead of allocating a fresh address
+//! space per fault, and it feeds the trace words to a `HashSink` type
+//! parameter (skip, hash, or hash and tape), so each loop below compiles
+//! its own copy. Three loops drive it:
 //!
-//! Two loops share one definition of every instruction effect (the
-//! semantics in [`bec_ir::semantics`] plus the memory, extension and call
-//! token helpers below):
-//!
-//! * `run` serves every instrumented mode:
-//!   * **golden**: full instrumentation (profile, cycle map) and optional
-//!     periodic [`Checkpoint`] capture;
+//! * `run` serves every instrumented mode (`RunMode`), with the
+//!   instrumentation in the loop around `exec`:
+//!   * **golden**: the cycle map (from each op's trace token and the call
+//!     depth), the memory digest (from the dirty entry a store pushes),
+//!     optional periodic [`Checkpoint`] capture with the per-cycle liveness
+//!     events it needs (one read/write table decoded with the ops), and an
+//!     optional per-cycle hash tape (the golden substrate);
 //!   * **from-scratch fault run**: execute from cycle 0 with one injected
 //!     bit flip;
-//!   * **resumed fault run**: restore the nearest checkpoint at or before
-//!     the injection cycle, execute only the suffix, and after the
+//!   * **resumed fault run**: start from the nearest checkpoint at or
+//!     before the injection cycle, execute only the suffix, and after the
 //!     injection compare state against the golden checkpoints at aligned
-//!     cycles; full equality (modulo dynamically dead registers) proves
-//!     the remaining trace is the golden suffix and the run early-exits as
-//!     converged (classified Benign by the caller).
-//! * `run_tail` runs the tail of a forked bitsliced lane to its end. It
-//!   walks a dense op array decoded once per program (`Op`: absolute op
-//!   indices across functions, register-file slots, pre-truncated
-//!   immediates, one variant per ALU operation and branch condition, so
-//!   each op costs one dispatch) over a local register file (`OpState`),
-//!   with none of the capture, tape, profile, cycle-map, resume or digest
-//!   machinery, and may skip the trace hash of a lane whose trace already
-//!   diverged. Each op executes in `FlatProgram::exec`, which the
-//!   bitsliced engine's golden replay (`crate::bitslice`) runs its steps
-//!   through too.
+//!     cycles; full equality (modulo dynamically dead register bits)
+//!     proves the remaining trace is the golden suffix and the run
+//!     early-exits as converged (classified Benign by the caller).
+//! * `run_tail` runs the tail of a forked bitsliced lane to its end,
+//!   with none of that instrumentation, and skips the trace hash of a lane
+//!   whose trace already diverged.
+//! * The bitsliced engine's golden replay (`crate::bitslice`) steps the
+//!   same ops through `exec`.
+//!
+//! So a forked lane's verdict compares two runs of one interpreter.
 
 use crate::checkpoint::{mem_mix, Checkpoint, CheckpointLog, FrameSnap};
-use crate::machine::{FaultSpec, Machine, Memory};
+use crate::machine::{FaultSpec, Memory};
 use crate::trace::TraceHash;
-use bec_core::ExecProfile;
 use bec_ir::semantics::{eval_alu, eval_cond};
 use bec_ir::{
     AluOp, Cond, Inst, MachineConfig, MemWidth, PointId, PointLayout, Program, Reg, RegMask,
     Terminator,
 };
+use std::collections::BTreeMap;
 
 /// Why a run trapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,9 +74,9 @@ pub enum ExecOutcome {
     Timeout,
 }
 
-/// One pre-decoded execution step.
+/// One step of a flattened function, before decoding.
 #[derive(Clone, Debug)]
-pub(crate) enum FlatStep<'p> {
+enum FlatStep<'p> {
     /// An ordinary instruction (anything but calls and `la`, which are
     /// pre-resolved below).
     Inst { point: PointId, inst: &'p Inst },
@@ -104,7 +106,7 @@ pub(crate) enum FlatStep<'p> {
 /// Where a branch's two edges lead, followed through any gotos: what a
 /// run whose branch condition flips has in common with the unflipped run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Edges {
+enum Edges {
     /// Both edges reach the same step through the same number of gotos:
     /// the flipped run's state is the unflipped run's.
     Same,
@@ -118,7 +120,7 @@ pub(crate) enum Edges {
 
 impl FlatStep<'_> {
     /// The program point of a cycle-consuming step.
-    pub(crate) fn point(&self) -> PointId {
+    fn point(&self) -> PointId {
         match self {
             FlatStep::Inst { point, .. }
             | FlatStep::Call { point, .. }
@@ -129,54 +131,74 @@ impl FlatStep<'_> {
             FlatStep::Goto { .. } => unreachable!("gotos are resolved before use"),
         }
     }
-}
 
-/// One function, flattened.
-#[derive(Clone, Debug)]
-pub(crate) struct FlatFunc<'p> {
-    pub(crate) steps: Vec<FlatStep<'p>>,
-    pub(crate) entry_pc: u32,
-    /// Flat start index of each block, ascending — the block-entry grain
-    /// aligned checkpoint capture snaps to (machine state at a block-entry
-    /// boundary is invariant under in-block instruction scheduling).
-    pub(crate) block_starts: Vec<u32>,
-}
-
-impl FlatFunc<'_> {
-    /// Whether flat index `pc` is the first slot of a block.
-    pub(crate) fn is_block_entry(&self, pc: u32) -> bool {
-        self.block_starts.binary_search(&pc).is_ok()
+    /// The registers the step reads and writes, with the per-bit
+    /// refinement of the liveness pass. A return lists the reads of an
+    /// entry return: its outputs.
+    fn rw(&self, xlen_mask: u64) -> RwEvent {
+        let of = RegMask::of;
+        match *self {
+            FlatStep::Inst { inst, .. } => inst_rw(inst, xlen_mask),
+            FlatStep::La { rd, .. } => RwEvent::full(RegMask::empty(), of(rd)),
+            FlatStep::Call { .. } => RwEvent::full(RegMask::empty(), of(Reg::RA)),
+            FlatStep::Branch { rs1, rs2, .. } => {
+                RwEvent::full(rs2.map(of).unwrap_or_default().union(of(rs1)), RegMask::empty())
+            }
+            FlatStep::Ret { reads, .. } => RwEvent::full(
+                reads.iter().fold(RegMask::empty(), |m, &r| m.union(of(r))),
+                RegMask::empty(),
+            ),
+            FlatStep::Exit { .. } | FlatStep::Goto { .. } => RwEvent::empty(),
+        }
     }
 }
 
-/// The whole program, pre-decoded for the interpreters.
+/// One function, flattened.
+struct FlatFunc<'p> {
+    steps: Vec<FlatStep<'p>>,
+    entry_pc: u32,
+    /// Flat start index of each block, ascending.
+    block_starts: Vec<u32>,
+}
+
+/// The whole program, decoded for the interpreter.
 #[derive(Clone, Debug)]
-pub(crate) struct FlatProgram<'p> {
-    pub(crate) funcs: Vec<FlatFunc<'p>>,
-    pub(crate) entry: u32,
-    /// Every function's steps decoded into one dense array for
-    /// [`run_tail`] and the batched replay (empty on machines whose
-    /// registers do not fit the byte slots below [`SINK_SLOT`]; their
-    /// campaigns never batch, so they never run tails).
+pub(crate) struct FlatProgram {
+    /// The machine the program runs on.
+    pub(crate) cfg: MachineConfig,
+    /// Every function's steps decoded into one dense array.
     pub(crate) ops: Vec<Op>,
     /// The registers each op of `ops` reads and writes.
     pub(crate) regs: Vec<OpRegs>,
-    /// Index of each function's first op in `ops`.
-    pub(crate) bases: Vec<u32>,
+    /// The liveness event of each op of `ops` (see [`FlatStep::rw`]).
+    rw: Vec<RwEvent>,
+    /// Index of the entry function's first executed op.
+    entry: u32,
+    /// Index of each block's first op, ascending — the block-entry grain
+    /// aligned checkpoint capture snaps to (machine state at a block-entry
+    /// boundary is invariant under in-block instruction scheduling).
+    block_starts: Vec<u32>,
     /// Register-file slots entry returns read, indexed by `OpKind::Ret`.
     pub(crate) ret_reads: Vec<u8>,
 }
 
-impl<'p> FlatProgram<'p> {
-    /// Pre-decodes `program`.
+impl FlatProgram {
+    /// Decodes `program`: absolute op indices across functions,
+    /// register-file slots, pre-truncated immediates and `la` addresses,
+    /// and each cycle-consuming op's trace token; the registers each op
+    /// reads and writes; and its liveness event.
     ///
     /// # Panics
     ///
-    /// Panics on a missing entry function, callee or global — run
-    /// [`bec_ir::verify_program`] first.
-    pub(crate) fn of(program: &'p Program) -> FlatProgram<'p> {
-        let entry = program.function_index(&program.entry).expect("entry exists") as u32;
-        let funcs: Vec<FlatFunc<'p>> =
+    /// Panics on a missing entry function, callee or global, or a register
+    /// file wider than 64 — run [`bec_ir::verify_program`] first.
+    pub(crate) fn of(program: &Program) -> FlatProgram {
+        let cfg = program.config;
+        assert!(cfg.num_regs <= 64, "register files wider than 64 — verify the program first");
+        let mask = cfg.mask();
+        let rd = |r: Reg| write_slot(&cfg, r);
+        let rs = |r: Reg| read_slot(&cfg, r);
+        let funcs: Vec<FlatFunc<'_>> =
             program.functions.iter().map(|f| flatten(program, f)).collect();
         let mut bases = Vec::with_capacity(funcs.len());
         let mut n = 0u32;
@@ -184,35 +206,23 @@ impl<'p> FlatProgram<'p> {
             bases.push(n);
             n += f.steps.len() as u32;
         }
+        let entry_fn = program.function_index(&program.entry).expect("entry exists");
         let mut flat = FlatProgram {
-            funcs,
-            entry,
-            ops: Vec::new(),
-            regs: Vec::new(),
-            bases,
+            cfg,
+            ops: Vec::with_capacity(n as usize),
+            regs: Vec::with_capacity(n as usize),
+            rw: Vec::with_capacity(n as usize),
+            entry: bases[entry_fn] + funcs[entry_fn].entry_pc,
+            block_starts: Vec::new(),
             ret_reads: Vec::new(),
         };
-        if program.config.num_regs <= u32::from(SINK_SLOT) {
-            flat.decode(&program.config);
-        }
-        flat
-    }
-
-    /// Decodes every step into `ops`: absolute op indices across
-    /// functions, register-file slots, pre-truncated immediates and `la`
-    /// addresses, and each cycle-consuming op's trace token; and into
-    /// `regs`, the registers each op reads and writes.
-    fn decode(&mut self, cfg: &MachineConfig) {
-        let mask = cfg.mask();
-        let rd = |r: Reg| write_slot(cfg, r);
-        let rs = |r: Reg| read_slot(cfg, r);
-        let n = self.funcs.iter().map(|f| f.steps.len()).sum();
-        let mut ops = Vec::with_capacity(n);
-        let mut regs = Vec::with_capacity(n);
-        for (fi, f) in self.funcs.iter().enumerate() {
-            let base = self.bases[fi];
+        for (fi, f) in funcs.iter().enumerate() {
+            let base = bases[fi];
+            flat.block_starts.extend(f.block_starts.iter().map(|&b| base + b));
             for (pc, step) in f.steps.iter().enumerate() {
-                regs.push(OpRegs::of(cfg, step));
+                let rw = step.rw(mask);
+                flat.regs.push(OpRegs::of(&cfg, step, &rw));
+                flat.rw.push(rw);
                 let kind = match *step {
                     FlatStep::Goto { target } => OpKind::Goto { target: base + target },
                     FlatStep::Inst { inst, .. } => match *inst {
@@ -248,9 +258,8 @@ impl<'p> FlatProgram<'p> {
                     },
                     FlatStep::La { rd: d, addr, .. } => OpKind::Li { rd: rd(d), imm: addr & mask },
                     FlatStep::Call { point, callee } => OpKind::Call {
-                        entry: self.bases[callee as usize] + self.funcs[callee as usize].entry_pc,
-                        func: fi as u32,
-                        ret_pc: pc as u32 + 1,
+                        entry: bases[callee as usize] + funcs[callee as usize].entry_pc,
+                        ret: base + pc as u32 + 1,
                         seed: call_seed(point),
                     },
                     FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => OpKind::branch(
@@ -262,8 +271,8 @@ impl<'p> FlatProgram<'p> {
                     ),
                     FlatStep::Exit { .. } => OpKind::Exit,
                     FlatStep::Ret { reads, .. } => {
-                        let at = self.ret_reads.len() as u32;
-                        self.ret_reads.extend(reads.iter().map(|&r| rs(r)));
+                        let at = flat.ret_reads.len() as u32;
+                        flat.ret_reads.extend(reads.iter().map(|&r| rs(r)));
                         OpKind::Ret { reads: at, count: reads.len() as u32 }
                     }
                 };
@@ -271,11 +280,15 @@ impl<'p> FlatProgram<'p> {
                     FlatStep::Goto { .. } => 0,
                     _ => trace_token(fi as u32, step.point()),
                 };
-                ops.push(Op { token, kind });
+                flat.ops.push(Op { token, kind });
             }
         }
-        self.ops = ops;
-        self.regs = regs;
+        flat
+    }
+
+    /// Whether op `pc` is the first op of a block.
+    fn is_block_entry(&self, pc: u32) -> bool {
+        self.block_starts.binary_search(&pc).is_ok()
     }
 }
 
@@ -353,7 +366,7 @@ fn flatten<'p>(program: &'p Program, f: &'p bec_ir::Function) -> FlatFunc<'p> {
 
 /// The trace token of the step at `point` of function `func`: the first
 /// word every cycle absorbs into the trace hash.
-pub(crate) fn trace_token(func: u32, point: PointId) -> u64 {
+fn trace_token(func: u32, point: PointId) -> u64 {
     (func as u64) << 32 | point.0 as u64
 }
 
@@ -383,10 +396,11 @@ fn write_slot(cfg: &MachineConfig, r: Reg) -> u8 {
     }
 }
 
-/// One decoded op of [`run_tail`] and the batched replay.
+/// One decoded op.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Op {
-    /// The trace token a cycle-consuming op absorbs (0 for gotos).
+    /// The trace token a cycle-consuming op absorbs (0 for gotos):
+    /// `function index << 32 | point`.
     pub(crate) token: u64,
     pub(crate) kind: OpKind,
 }
@@ -396,8 +410,7 @@ pub(crate) struct Op {
 /// register is in neither: it is never tainted. A branch whose edges are
 /// one and the same path reads nothing here, since flipping its condition
 /// changes nothing; an entry return's output reads are not listed (the
-/// replay checks them when the program ends). Meaningful on machines of at
-/// most 64 registers, the only ones that batch.
+/// replay checks them when the program ends).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct OpRegs {
     pub(crate) reads: u64,
@@ -407,38 +420,35 @@ pub(crate) struct OpRegs {
 }
 
 impl OpRegs {
-    fn of(cfg: &MachineConfig, step: &FlatStep<'_>) -> OpRegs {
-        let bit = |r: Reg| if cfg.is_zero_reg(r) { 0 } else { reg_bit(r).0 };
+    /// The taint masks of `step`, whose liveness event is `rw`.
+    fn of(cfg: &MachineConfig, step: &FlatStep<'_>, rw: &RwEvent) -> OpRegs {
+        let nonzero = !cfg.zero_reg.map_or(0, |z| RegMask::of(z).0);
         let none = OpRegs::default();
         match *step {
-            FlatStep::Inst { inst, .. } => {
-                let rw = inst_rw(inst, cfg.mask());
-                let regs = |m: RegMask| m.iter().fold(0, |acc, r| acc | bit(r));
-                OpRegs { reads: regs(rw.reads), writes: regs(rw.writes), split: false }
-            }
-            FlatStep::La { rd, .. } => OpRegs { writes: bit(rd), ..none },
-            FlatStep::Call { .. } => OpRegs { writes: bit(Reg::RA), ..none },
             FlatStep::Branch { edges: Edges::Same, .. } => none,
-            FlatStep::Branch { rs1, rs2, edges, .. } => OpRegs {
-                reads: bit(rs1) | rs2.map_or(0, bit),
-                split: edges == Edges::Split,
-                ..none
-            },
             // A non-entry return checks the link register's token.
-            FlatStep::Ret { .. } if cfg.num_regs == 32 => OpRegs { reads: bit(Reg::RA), ..none },
-            FlatStep::Ret { .. } | FlatStep::Exit { .. } | FlatStep::Goto { .. } => none,
+            FlatStep::Ret { .. } if cfg.num_regs == 32 => {
+                OpRegs { reads: RegMask::of(Reg::RA).0 & nonzero, ..none }
+            }
+            FlatStep::Ret { .. } => none,
+            FlatStep::Branch { edges, .. } => {
+                OpRegs { reads: rw.reads.0 & nonzero, split: edges == Edges::Split, ..none }
+            }
+            _ => {
+                OpRegs { reads: rw.reads.0 & nonzero, writes: rw.writes.0 & nonzero, split: false }
+            }
         }
     }
 }
 
-/// Invokes `$then!` with the one list of ops [`run_tail`] dispatches on
-/// directly: every ALU op with the names of its register- and
-/// immediate-form [`OpKind`] variants, then every branch condition with
-/// its variant's. The op enum, its decoder and the tail loop's match are
-/// all generated from this list, so they cannot miss or mismatch an op,
-/// and each tail arm calls [`eval_alu`]/[`eval_cond`] with a constant op:
-/// one jump per op, and [`bec_ir::semantics`] stays the only definition
-/// of ALU and branch semantics.
+/// Invokes `$then!` with the one list of ops [`FlatProgram::exec`]
+/// dispatches on directly: every ALU op with the names of its register-
+/// and immediate-form [`OpKind`] variants, then every branch condition
+/// with its variant's. The op enum, its decoder and `exec`'s match are all
+/// generated from this list, so they cannot miss or mismatch an op, and
+/// each arm calls [`eval_alu`]/[`eval_cond`] with a constant op: one jump
+/// per op, and [`bec_ir::semantics`] stays the only definition of ALU and
+/// branch semantics.
 macro_rules! with_tail_ops {
     ($then:ident! { $($args:tt)* }) => {
         $then! {
@@ -483,10 +493,10 @@ macro_rules! define_op_kind {
             Store { rs: u8, base: u8, width: MemWidth, offset: u64 },
             Print { rs: u8 },
             Nop,
-            /// A call: the callee's entry op, then the caller function and
-            /// return pc a [`FrameSnap`] records, and the call's
-            /// return-address token seed (see [`call_token`]).
-            Call { entry: u32, func: u32, ret_pc: u32, seed: u32 },
+            /// A call: the callee's entry op, the op its return resumes at,
+            /// and the call's return-address token seed (see
+            /// [`call_token`]).
+            Call { entry: u32, ret: u32, seed: u32 },
             Goto { target: u32 },
             Exit,
             /// A return; an entry return outputs `ret_reads[reads..][..count]`.
@@ -562,27 +572,70 @@ macro_rules! tail_match {
     };
 }
 
-impl FlatProgram<'_> {
+/// Where [`FlatProgram::exec`] sends the words a cycle absorbs into the
+/// trace hash. `exec` is generic over the sink, so each choice compiles to
+/// its own loop and a skipped hash costs nothing.
+pub(crate) trait HashSink {
+    /// Absorbs trace word `w`.
+    fn absorb(&mut self, hash: &mut TraceHash, w: u64);
+
+    /// Opens the next cycle's words.
+    fn open_cycle(&mut self) {}
+}
+
+/// Leaves the trace hash untouched: a tail whose trace already diverged.
+struct NoHash;
+
+impl HashSink for NoHash {
+    #[inline(always)]
+    fn absorb(&mut self, _: &mut TraceHash, _: u64) {}
+}
+
+/// Absorbs every word into the trace hash.
+pub(crate) struct Hashed;
+
+impl HashSink for Hashed {
+    #[inline(always)]
+    fn absorb(&mut self, hash: &mut TraceHash, w: u64) {
+        hash.update(w);
+    }
+}
+
+/// Absorbs every word into the trace hash and records it on a tape,
+/// segmented by cycle.
+struct Taped<'a>(&'a mut HashTape);
+
+impl HashSink for Taped<'_> {
+    #[inline(always)]
+    fn absorb(&mut self, hash: &mut TraceHash, w: u64) {
+        hash.update(w);
+        self.0.words.push(w);
+    }
+
+    fn open_cycle(&mut self) {
+        self.0.starts.push(self.0.words.len() as u32);
+    }
+}
+
+impl FlatProgram {
     /// Executes the cycle-consuming op `op` (anything but a goto) at
     /// `s.pc` on `s` and `memory`, logging every written memory word in
-    /// `dirty`: absorbs the op's trace token and events into the trace
-    /// hash iff `HASH`, and leaves `s.pc` at the next op. Returns the
-    /// run's outcome when the op ends it. Every run over decoded ops —
-    /// forked-lane tails and the batched golden replay — executes its
-    /// ops here.
+    /// `dirty` (a store pushes one entry: the word's index and previous
+    /// value): feeds the op's trace token and events to `sink`, and leaves
+    /// `s.pc` at the next op. Returns the run's outcome when the op ends
+    /// it. Every run executes its ops here.
     #[inline(always)]
-    pub(crate) fn exec<const HASH: bool>(
+    pub(crate) fn exec<H: HashSink>(
         &self,
         cfg: MachineConfig,
         op: Op,
         s: &mut OpState,
         memory: &mut Memory,
         dirty: &mut Vec<(u32, u32)>,
+        sink: &mut H,
     ) -> Option<ExecOutcome> {
         let mask = cfg.mask();
-        if HASH {
-            s.hash.update(op.token);
-        }
+        sink.absorb(&mut s.hash, op.token);
         s.pc += 1;
         let regs = &mut s.regs;
         // One jump per op: the ALU and branch arms are generated per op.
@@ -601,10 +654,8 @@ impl FlatProgram<'_> {
                     Ok(raw) => raw,
                     Err(kind) => return Some(ExecOutcome::Crashed(kind)),
                 };
-                if HASH {
-                    s.hash.update(access_event(LOAD_EVENT, addr));
-                    s.hash.update(raw);
-                }
+                sink.absorb(&mut s.hash, access_event(LOAD_EVENT, addr));
+                sink.absorb(&mut s.hash, raw);
                 regs[rd as usize] = extend_load(raw, signed, size) & mask;
             }
             OpKind::Store { rs, base, width, offset } => {
@@ -614,38 +665,34 @@ impl FlatProgram<'_> {
                 if let Err(kind) = store(memory, addr, size, value, dirty) {
                     return Some(ExecOutcome::Crashed(kind));
                 }
-                if HASH {
-                    s.hash.update(access_event(STORE_EVENT, addr));
-                    s.hash.update(value);
-                }
+                sink.absorb(&mut s.hash, access_event(STORE_EVENT, addr));
+                sink.absorb(&mut s.hash, value);
             }
             OpKind::Print { rs } => {
                 let v = regs[rs as usize];
-                if HASH {
-                    s.hash.update(PRINT_EVENT);
-                    s.hash.update(v);
-                }
+                sink.absorb(&mut s.hash, PRINT_EVENT);
+                sink.absorb(&mut s.hash, v);
                 s.outputs.push(v);
             }
             OpKind::Nop => {}
-            OpKind::Call { entry, func, ret_pc, seed } => {
+            OpKind::Call { entry, ret, seed } => {
                 if s.stack.len() >= MAX_CALL_DEPTH {
                     return Some(ExecOutcome::Crashed(CrashKind::StackOverflow));
                 }
                 let ra_token = call_token(seed, s.stack.len(), mask);
                 regs[write_slot(&cfg, Reg::RA) as usize] = ra_token;
-                s.stack.push(FrameSnap { func, ret_pc, ra_token });
+                s.stack.push(FrameSnap { ret, ra_token });
                 s.pc = entry;
             }
             OpKind::Exit => return Some(ExecOutcome::Completed),
             OpKind::Ret { reads, count } => match s.stack.pop() {
                 None => {
+                    // The entry function's return values are the
+                    // program's observable outcome.
                     for &slot in &self.ret_reads[reads as usize..][..count as usize] {
                         let v = regs[slot as usize];
-                        if HASH {
-                            s.hash.update(OUTPUT_EVENT);
-                            s.hash.update(v);
-                        }
+                        sink.absorb(&mut s.hash, OUTPUT_EVENT);
+                        sink.absorb(&mut s.hash, v);
                         s.outputs.push(v);
                     }
                     return Some(ExecOutcome::Completed);
@@ -657,7 +704,7 @@ impl FlatProgram<'_> {
                     if cfg.num_regs == 32 && ra != frame.ra_token {
                         return Some(ExecOutcome::Crashed(CrashKind::WildReturn));
                     }
-                    s.pc = self.bases[frame.func as usize] + frame.ret_pc;
+                    s.pc = frame.ret;
                 }
             },
             OpKind::Goto { .. } => unreachable!("gotos take no cycle"),
@@ -701,16 +748,15 @@ fn load(memory: &Memory, addr: u64, size: u64) -> Result<u64, CrashKind> {
 }
 
 /// The size-aligned store of the `size`-byte `value` at `addr`, logging
-/// the touched word's previous value in `dirty`. Returns the word index
-/// and that previous value (a size-aligned store of ≤4 bytes changes
-/// exactly one word), or the trap the store takes.
+/// the touched word's previous value in `dirty` (a size-aligned store of
+/// ≤4 bytes changes exactly one word), or the trap the store takes.
 fn store(
     memory: &mut Memory,
     addr: u64,
     size: u64,
     value: u64,
     dirty: &mut Vec<(u32, u32)>,
-) -> Result<(u32, u32), CrashKind> {
+) -> Result<(), CrashKind> {
     if !addr.is_multiple_of(size) {
         return Err(CrashKind::Misaligned);
     }
@@ -720,7 +766,7 @@ fn store(
         return Err(CrashKind::MemOutOfBounds);
     }
     dirty.push((widx, old));
-    Ok((widx, old))
+    Ok(())
 }
 
 /// The trace-hash word opening a load or store event at `addr`; the
@@ -738,16 +784,16 @@ const PRINT_EVENT: u64 = 0x30;
 const OUTPUT_EVENT: u64 = 0x40;
 
 /// Call depth at which a further call traps as a stack overflow.
-pub(crate) const MAX_CALL_DEPTH: usize = 512;
+const MAX_CALL_DEPTH: usize = 512;
 
 /// The return-address token seed of a call at `point`.
-pub(crate) fn call_seed(point: PointId) -> u32 {
+fn call_seed(point: PointId) -> u32 {
     0x4000_0000 ^ point.0
 }
 
 /// The synthetic return-address token a call with seed `seed` made at call
 /// depth `depth` leaves in `ra`; the matching return checks it.
-pub(crate) fn call_token(seed: u32, depth: usize, xlen_mask: u64) -> u64 {
+fn call_token(seed: u32, depth: usize, xlen_mask: u64) -> u64 {
     (seed as u64 ^ (depth as u64) << 16) & xlen_mask
 }
 
@@ -776,29 +822,6 @@ impl HashTape {
     }
 }
 
-/// Appends `w` to the open cycle of a recording tape, if one is attached.
-fn tape_push(tape: &mut Option<&mut HashTape>, w: u64) {
-    if let Some(t) = tape.as_deref_mut() {
-        t.words.push(w);
-    }
-}
-
-/// Everything a single completed run produces.
-pub(crate) struct RawRun {
-    pub outcome: ExecOutcome,
-    pub outputs: Vec<u64>,
-    pub cycles: u64,
-    pub hash: TraceHash,
-    /// Terminal memory digest relative to the initial image (0 unless the
-    /// run tracked it: recording/golden runs and checkpointed fault runs).
-    pub mem_digest: u128,
-    pub profile: Option<ExecProfile>,
-    pub cycle_map: Option<Vec<(u32, PointId, u32)>>,
-    /// Per-cycle read/write events, recorded while capturing checkpoints
-    /// (feeds the per-bit dynamic-liveness backward pass).
-    pub rw_map: Option<Vec<RwEvent>>,
-}
-
 /// How precisely one cycle's register reads propagate liveness backwards.
 ///
 /// The conservative rule makes every read register fully live. Bitwise
@@ -807,7 +830,7 @@ pub(crate) struct RawRun {
 /// when the corresponding destination bit is live *after* the instruction
 /// (and, for masking immediates, only when the immediate keeps it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ReadPrecision {
+enum ReadPrecision {
     /// Every read register is live in all xlen bits.
     Full,
     /// The reads feed `rd` bit-for-bit under `mask`:
@@ -823,10 +846,10 @@ pub(crate) enum ReadPrecision {
 /// Registers one executed cycle read and wrote, with the per-bit
 /// refinement used by the liveness backward pass.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RwEvent {
-    pub(crate) reads: RegMask,
-    pub(crate) writes: RegMask,
-    pub(crate) precision: ReadPrecision,
+struct RwEvent {
+    reads: RegMask,
+    writes: RegMask,
+    precision: ReadPrecision,
 }
 
 impl RwEvent {
@@ -839,143 +862,27 @@ impl RwEvent {
     }
 }
 
-/// How a run ended: normally, or by provable re-convergence with the
-/// golden run.
-pub(crate) enum RunVerdict {
-    /// The run executed to a terminal state.
-    Finished(RawRun),
-    /// The faulted run's state became equal to the golden run's at an
-    /// aligned `cycle`: the remaining trace is the golden suffix, the run
-    /// is Benign, and the tail was skipped.
-    Converged {
-        /// The aligned cycle equality was established at.
-        cycle: u64,
-        /// Cycles actually simulated (from the restored checkpoint).
-        simulated: u64,
-    },
-}
-
-/// Resume context of a checkpointed fault run.
-pub(crate) struct ResumeCtx<'a> {
-    /// The golden run's checkpoints.
-    pub log: &'a CheckpointLog,
-    /// The golden run's outputs (the restored run inherits the prefix).
-    pub golden_outputs: &'a [u64],
-}
-
-/// The live executor state next to the caller-provided [`Machine`].
-///
-/// Crate-visible so the bitsliced engine (`crate::bitslice`) can maintain
-/// an identical replay state and hand a forked lane's state to
-/// [`run_tail`].
-pub(crate) struct ExecState {
-    pub(crate) hash: TraceHash,
-    pub(crate) outputs: Vec<u64>,
-    pub(crate) cycle: u64,
-    pub(crate) steps: u64,
-    pub(crate) func: u32,
-    pub(crate) pc: u32,
-    pub(crate) stack: Vec<FrameSnap>,
-    /// Incremental memory digest relative to the initial image.
-    pub(crate) mem_digest: u128,
-}
-
-impl ExecState {
-    /// The state at the program entry, before the first step.
-    pub(crate) fn fresh(flat: &FlatProgram<'_>) -> ExecState {
-        ExecState {
-            hash: TraceHash::new(),
-            outputs: Vec::new(),
-            cycle: 0,
-            steps: 0,
-            func: flat.entry,
-            pc: flat.funcs[flat.entry as usize].entry_pc,
-            stack: Vec::new(),
-            mem_digest: 0,
-        }
-    }
-
-    /// Restores checkpoint `idx` of `log` into `machine` (which must be in
-    /// initial state): applies the checkpoint's cumulative memory image
-    /// (recording each word's previous value in `dirty`), restores the
-    /// captured registers, and inherits the golden output prefix. `steps`
-    /// is set one below the boundary value so the loop-top increment
-    /// reproduces it exactly.
-    pub(crate) fn restore(
-        log: &CheckpointLog,
-        idx: usize,
-        golden_outputs: &[u64],
-        machine: &mut Machine,
-        dirty: &mut Vec<(u32, u32)>,
-    ) -> ExecState {
-        let ck = &log.checkpoints[idx];
-        for &(w, v) in &ck.mem_image {
-            dirty.push((w, machine.memory.word(w)));
-            machine.memory.set_word(w, v);
-        }
-        machine.restore_regs(&ck.regs);
-        ExecState {
-            hash: ck.hash,
-            outputs: golden_outputs[..ck.outputs_len as usize].to_vec(),
-            cycle: ck.cycle,
-            steps: ck.steps - 1,
-            func: ck.pos.0,
-            pc: ck.pos.1,
-            stack: ck.stack.clone(),
-            mem_digest: ck.mem_digest,
-        }
-    }
-
-    /// Whether this state equals the golden checkpoint `ck` in every
-    /// component the executor's future depends on. Register *bits* the
-    /// golden suffix overwrites before reading (`ck.live_bits`) may differ
-    /// — they cannot influence anything before they die.
-    fn matches(&self, machine: &Machine, ck: &Checkpoint) -> bool {
-        self.steps == ck.steps
-            && (self.func, self.pc) == ck.pos
-            && self.hash == ck.hash
-            && self.mem_digest == ck.mem_digest
-            && self.outputs.len() == ck.outputs_len as usize
-            && self.stack == ck.stack
-            && regs_match(machine.regs(), &ck.regs, &ck.live_bits)
-    }
-}
-
-/// Register-file equality modulo dynamically dead *bits*: register `i` may
-/// differ exactly in the bits clear in `live[i]`.
-fn regs_match(mine: &[u64], golden: &[u64], live: &[u64]) -> bool {
-    debug_assert_eq!(mine.len(), golden.len());
-    debug_assert_eq!(mine.len(), live.len());
-    mine.iter().zip(golden).zip(live).all(|((a, b), m)| (a ^ b) & m == 0)
-}
-
-/// The register mask of `r` in a read/write mask (registers past the mask
-/// width contribute nothing; the liveness pass keeps them fully live so
-/// convergence compares them exactly).
-fn reg_bit(r: Reg) -> RegMask {
-    RegMask::of_saturating(r)
-}
-
 /// The read/write event of one instruction: read/written register masks
 /// plus the per-bit refinement of how the reads feed the result.
-pub(crate) fn inst_rw(inst: &Inst, xlen_mask: u64) -> RwEvent {
+fn inst_rw(inst: &Inst, xlen_mask: u64) -> RwEvent {
     let full = RwEvent::full;
+    let of = RegMask::of;
     let per_bit = |reads: RegMask, rd: Reg, mask: u64| RwEvent {
         reads,
-        writes: reg_bit(rd),
+        writes: of(rd),
         precision: ReadPrecision::PerBit { rd, mask },
     };
     match inst {
         Inst::Alu { op, rd, rs1, rs2 } => {
-            let reads = reg_bit(*rs1).union(reg_bit(*rs2));
+            let reads = of(*rs1).union(of(*rs2));
             match op {
                 // Bit i of the result depends only on bit i of each source.
                 AluOp::And | AluOp::Or | AluOp::Xor => per_bit(reads, *rd, xlen_mask),
-                _ => full(reads, reg_bit(*rd)),
+                _ => full(reads, of(*rd)),
             }
         }
         Inst::AluImm { op, rd, rs1, imm } => {
-            let reads = reg_bit(*rs1);
+            let reads = of(*rs1);
             let imm = *imm as u64 & xlen_mask;
             match op {
                 // `andi` keeps only the bits set in the immediate; `ori`
@@ -984,22 +891,22 @@ pub(crate) fn inst_rw(inst: &Inst, xlen_mask: u64) -> RwEvent {
                 AluOp::And => per_bit(reads, *rd, imm),
                 AluOp::Or => per_bit(reads, *rd, !imm & xlen_mask),
                 AluOp::Xor => per_bit(reads, *rd, xlen_mask),
-                _ => full(reads, reg_bit(*rd)),
+                _ => full(reads, of(*rd)),
             }
         }
-        Inst::Li { rd, .. } | Inst::La { rd, .. } => full(RegMask::empty(), reg_bit(*rd)),
-        Inst::Mv { rd, rs } => per_bit(reg_bit(*rs), *rd, xlen_mask),
+        Inst::Li { rd, .. } | Inst::La { rd, .. } => full(RegMask::empty(), of(*rd)),
+        Inst::Mv { rd, rs } => per_bit(of(*rs), *rd, xlen_mask),
         Inst::Neg { rd, rs } | Inst::Seqz { rd, rs } | Inst::Snez { rd, rs } => {
-            full(reg_bit(*rs), reg_bit(*rd))
+            full(of(*rs), of(*rd))
         }
-        Inst::Load { rd, base, .. } => full(reg_bit(*base), reg_bit(*rd)),
+        Inst::Load { rd, base, .. } => full(of(*base), of(*rd)),
         Inst::Store { rs, base, width, .. } => {
             let width_mask = match width.bytes() {
                 b if b >= 8 => xlen_mask,
                 b => (1u64 << (b * 8)) - 1,
             };
             RwEvent {
-                reads: reg_bit(*rs).union(reg_bit(*base)),
+                reads: of(*rs).union(of(*base)),
                 writes: RegMask::empty(),
                 // When the value register is also the base, the address
                 // needs all of it live — fall back to the full rule.
@@ -1010,7 +917,7 @@ pub(crate) fn inst_rw(inst: &Inst, xlen_mask: u64) -> RwEvent {
                 },
             }
         }
-        Inst::Print { rs } => full(reg_bit(*rs), RegMask::empty()),
+        Inst::Print { rs } => full(of(*rs), RegMask::empty()),
         Inst::Call { .. } | Inst::Nop => RwEvent::empty(),
     }
 }
@@ -1020,7 +927,7 @@ pub(crate) fn inst_rw(inst: &Inst, xlen_mask: u64) -> RwEvent {
 /// overwriting). Gen masks derive from the liveness *after* the
 /// instruction, so they are computed before the kill — a register that is
 /// both read and written (e.g. `addi t0, t0, -1`) stays live.
-pub(crate) fn apply_rw_backward(live: &mut [u64], ev: &RwEvent, xlen_mask: u64) {
+fn apply_rw_backward(live: &mut [u64], ev: &RwEvent, xlen_mask: u64) {
     // The shared gen mask is derived from post-instruction liveness, so it
     // is computed before the kill (PerBit writes exactly `rd`; the other
     // precisions don't read `live` at all).
@@ -1046,258 +953,218 @@ pub(crate) fn apply_rw_backward(live: &mut [u64], ev: &RwEvent, xlen_mask: u64) 
     }
 }
 
-/// Runs `program` on `machine` (which must be in initial state) from its
-/// entry function, or from a restored checkpoint.
-///
-/// Every memory word the run writes — including restored checkpoint
-/// deltas — is appended to `dirty`, so the caller can undo the run and
-/// reuse the machine.
-///
-/// `fault` optionally injects one bit flip before the instruction at the
-/// given cycle. `record` enables the golden-run instrumentation (execution
-/// profile and cycle→point map). `capture` records checkpoints into the
-/// given log under its spacing policy (golden runs; a log with
-/// `Uniform(0)` spacing records nothing but still enables digest
-/// tracking). `tape` additionally records every absorbed trace-hash word,
-/// segmented per cycle (substrate recording runs). `resume` restores the
-/// nearest checkpoint at or before the fault cycle and enables the
-/// convergence early-exit (fault runs; requires `fault`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    flat: &FlatProgram<'_>,
-    max_cycles: u64,
-    fault: Option<FaultSpec>,
-    record: bool,
-    mut capture: Option<&mut CheckpointLog>,
-    mut tape: Option<&mut HashTape>,
-    resume: Option<ResumeCtx<'_>>,
-    machine: &mut Machine,
-    dirty: &mut Vec<(u32, u32)>,
-) -> RunVerdict {
-    let mut profile = record.then(ExecProfile::new);
-    let mut cycle_map = record.then(Vec::new);
-    let mut rw_map = capture.as_deref().is_some_and(CheckpointLog::captures).then(Vec::new);
-    let step_limit = max_cycles.saturating_mul(2) + 1024;
-
-    // Maintain the incremental memory digest only when checkpoints are in
-    // play; plain runs skip the per-store mixing.
-    let capturing = capture.is_some();
-    let converging = resume.as_ref().is_some_and(|r| r.log.is_enabled());
-    // Recording (golden) runs track the digest too: the terminal digest is
-    // the memory-equality side of the scheduler's semantic-equivalence
-    // check (`bec study`), and golden runs happen once per campaign.
-    let track_digest = capturing || converging || record;
-    // Watermark into `dirty` marking the start of the current checkpoint
-    // interval (capture never drains the list — the caller owns it), plus
-    // the running cumulative dirty-word image captured checkpoints store.
-    let mut delta_start = dirty.len();
-    let mut cum_image: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-
-    let mut st = match &resume {
-        Some(ctx) if ctx.log.is_enabled() => {
-            let f = fault.expect("resumed runs inject a fault");
-            let idx = ctx.log.nearest_at_or_before(f.cycle);
-            ExecState::restore(ctx.log, idx, ctx.golden_outputs, machine, dirty)
-        }
-        _ => ExecState::fresh(flat),
-    };
-    let start_cycle = st.cycle;
-
-    // A convergence early-exit claims the run finishes exactly like the
-    // golden suffix — only valid if that suffix itself fits this run's
-    // budget (the golden run may have been recorded under different
-    // limits).
-    let early_exit_ok = resume.as_ref().is_some_and(|r| {
-        r.log.completed && r.log.final_cycles <= max_cycles && r.log.final_steps < step_limit
-    });
-
-    enum LoopEnd {
-        Outcome(ExecOutcome),
-        Converged(u64),
-    }
-
-    let end = 'run: loop {
-        st.steps += 1;
-        if st.cycle >= max_cycles || st.steps >= step_limit {
-            break LoopEnd::Outcome(ExecOutcome::Timeout);
-        }
-        let step = &flat.funcs[st.func as usize].steps[st.pc as usize];
-
-        // Zero-cost fallthrough: unconditional jumps take no cycle and
-        // leave no trace event (block layout is not modeled; DESIGN.md §2).
-        if let FlatStep::Goto { target } = step {
-            st.pc = *target;
-            continue;
-        }
-
-        // Canonical cycle boundary: the next step consumes a cycle.
-        if let Some(log) = capture.as_deref_mut() {
-            let at_block_entry = || flat.funcs[st.func as usize].is_block_entry(st.pc);
-            if log.capture_due(st.cycle, at_block_entry) {
-                for &(w, _) in &dirty[delta_start..] {
-                    cum_image.insert(w, machine.memory.word(w));
-                }
-                delta_start = dirty.len();
-                log.checkpoints.push(Checkpoint {
-                    cycle: st.cycle,
-                    steps: st.steps,
-                    pos: (st.func, st.pc),
-                    stack: st.stack.clone(),
-                    regs: machine.regs().to_vec(),
-                    hash: st.hash,
-                    mem_digest: st.mem_digest,
-                    outputs_len: st.outputs.len() as u32,
-                    mem_image: cum_image.iter().map(|(&w, &v)| (w, v)).collect(),
-                    // Exact comparison until the liveness pass runs.
-                    live_bits: vec![u64::MAX; machine.regs().len()],
-                });
-                log.note_captured(st.cycle);
-            }
-        }
-        if early_exit_ok {
-            if let (Some(ctx), Some(f)) = (&resume, fault) {
-                if st.cycle > f.cycle {
-                    if let Some(ck) = ctx.log.at_cycle(st.cycle) {
-                        if st.matches(machine, ck) {
-                            break 'run LoopEnd::Converged(st.cycle);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Fault injection happens on the cycle boundary, before execution.
-        if let Some(fs) = fault {
-            if fs.cycle == st.cycle {
-                machine.flip(fs.reg, fs.bit);
-            }
-        }
-
-        // Trace: the executed point.
-        let point = step.point();
-        let token = trace_token(st.func, point);
-        st.hash.update(token);
-        if let Some(t) = tape.as_deref_mut() {
-            t.starts.push(t.words.len() as u32);
-            t.words.push(token);
-        }
-        if let Some(p) = profile.as_mut() {
-            p.add(st.func as usize, point, 1);
-        }
-        if let Some(m) = cycle_map.as_mut() {
-            m.push((st.func, point, st.stack.len() as u32));
-        }
-        st.cycle += 1;
-
-        // Per-cycle read/write events feed the liveness backward pass; the
-        // derivation is only paid on capturing (golden) runs — `track_rw`
-        // is false in the campaign hot path.
-        let track_rw = rw_map.is_some();
-        let xlen_mask = machine.config().truncate(u64::MAX);
-        let rw: RwEvent;
-        match step {
-            FlatStep::Goto { .. } => unreachable!("handled above"),
-            FlatStep::Inst { inst, .. } => {
-                rw = if track_rw { inst_rw(inst, xlen_mask) } else { RwEvent::empty() };
-                let digest = track_digest.then_some(&mut st.mem_digest);
-                let t = tape.as_deref_mut().map(|t| &mut t.words);
-                match step_inst(machine, inst, &mut st.hash, &mut st.outputs, digest, t, dirty) {
-                    StepResult::Next => st.pc += 1,
-                    StepResult::Trap(kind) => break LoopEnd::Outcome(ExecOutcome::Crashed(kind)),
-                }
-            }
-            FlatStep::La { rd, addr, .. } => {
-                rw = RwEvent::full(RegMask::empty(), reg_bit(*rd));
-                machine.write(*rd, *addr);
-                st.pc += 1;
-            }
-            FlatStep::Call { callee, .. } => {
-                rw = RwEvent::full(RegMask::empty(), reg_bit(Reg::RA));
-                if st.stack.len() >= MAX_CALL_DEPTH {
-                    break LoopEnd::Outcome(ExecOutcome::Crashed(CrashKind::StackOverflow));
-                }
-                let token = call_token(call_seed(point), st.stack.len(), xlen_mask);
-                machine.write(Reg::RA, token);
-                st.stack.push(FrameSnap { func: st.func, ret_pc: st.pc + 1, ra_token: token });
-                st.func = *callee;
-                st.pc = flat.funcs[*callee as usize].entry_pc;
-            }
-            FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => {
-                rw = RwEvent::full(
-                    rs2.map(reg_bit).unwrap_or_default().union(reg_bit(*rs1)),
-                    RegMask::empty(),
-                );
-                let a = machine.read(*rs1);
-                let b = rs2.map(|r| machine.read(r)).unwrap_or(0);
-                st.pc = if eval_cond(machine.config(), *cond, a, b) { *taken } else { *fall };
-            }
-            FlatStep::Exit { .. } => break LoopEnd::Outcome(ExecOutcome::Completed),
-            FlatStep::Ret { reads, .. } => match st.stack.pop() {
-                None => {
-                    // The entry function's return values are the program's
-                    // observable outcome.
-                    let mut r_mask = RegMask::empty();
-                    for r in *reads {
-                        r_mask = r_mask.union(reg_bit(*r));
-                        let v = machine.read(*r);
-                        st.hash.update(OUTPUT_EVENT);
-                        st.hash.update(v);
-                        tape_push(&mut tape, OUTPUT_EVENT);
-                        tape_push(&mut tape, v);
-                        st.outputs.push(v);
-                    }
-                    if let Some(m) = rw_map.as_mut() {
-                        m.push(RwEvent::full(r_mask, RegMask::empty()));
-                    }
-                    break LoopEnd::Outcome(ExecOutcome::Completed);
-                }
-                Some(frame) => {
-                    let have_ra = machine.config().num_regs == 32;
-                    rw = RwEvent::full(
-                        if have_ra { reg_bit(Reg::RA) } else { RegMask::empty() },
-                        RegMask::empty(),
-                    );
-                    if have_ra && machine.read(Reg::RA) != frame.ra_token {
-                        break 'run LoopEnd::Outcome(ExecOutcome::Crashed(CrashKind::WildReturn));
-                    }
-                    st.func = frame.func;
-                    st.pc = frame.ret_pc;
-                }
-            },
-        }
-        if let Some(m) = rw_map.as_mut() {
-            m.push(rw);
-        }
-    };
-
-    match end {
-        LoopEnd::Converged(cycle) => {
-            RunVerdict::Converged { cycle, simulated: cycle - start_cycle }
-        }
-        LoopEnd::Outcome(outcome) => {
-            if let Some(log) = capture {
-                log.final_cycles = st.cycle;
-                log.final_steps = st.steps;
-                log.completed = outcome == ExecOutcome::Completed;
-            }
-            RunVerdict::Finished(RawRun {
-                outcome,
-                outputs: st.outputs,
-                cycles: st.cycle,
-                hash: st.hash,
-                mem_digest: st.mem_digest,
-                profile,
-                cycle_map,
-                rw_map,
-            })
+/// Backward dynamic-liveness pass, at bit granularity: which register
+/// *bits* does the suffix from each checkpoint of `log` observe before
+/// overwriting? Anything else may differ at convergence time without
+/// influencing the future. Walks the per-cycle events `rw` of the run that
+/// captured `log` once in reverse, snapshotting the running live vector at
+/// each checkpoint cycle: O(trace) time, O(regs) extra space.
+fn fill_live_bits(log: &mut CheckpointLog, rw: &[RwEvent], nregs: usize, xlen_mask: u64) {
+    let mut live = vec![0u64; nregs];
+    let mut next_ck = log.checkpoints.len();
+    for c in (0..rw.len()).rev() {
+        apply_rw_backward(&mut live, &rw[c], xlen_mask);
+        // `live` now holds liveness at the boundary *before* the
+        // instruction at cycle `c` — exactly what a checkpoint captured at
+        // cycle `c` compares against.
+        while next_ck > 0 && log.checkpoints[next_ck - 1].cycle == c as u64 {
+            next_ck -= 1;
+            log.checkpoints[next_ck].live_bits.copy_from_slice(&live);
         }
     }
 }
 
-/// The state a run over decoded ops keeps besides memory: a local
-/// register file indexed by register-file slot (byte slots index it with
-/// no bounds checks), the absolute index of the next op, and the trace,
-/// output and call-stack state.
+/// What an instrumented [`run`] records, and how its fault is placed.
+pub(crate) enum RunMode<'a> {
+    /// A run with `fault` injected, if any, and no instrumentation.
+    Plain(Option<FaultSpec>),
+    /// A fault-free run that also tracks the memory digest.
+    Digest,
+    /// The golden run: tracks the memory digest and records every cycle's
+    /// `(function index, point, call depth)` into `cycle_map`; records
+    /// checkpoints (with their live bits) into `capture` under its spacing
+    /// policy, and every absorbed trace-hash word into `tape`, when given.
+    Golden {
+        cycle_map: &'a mut Vec<(u32, PointId, u32)>,
+        capture: Option<&'a mut CheckpointLog>,
+        tape: Option<&'a mut HashTape>,
+    },
+    /// A fault run restored from a checkpoint of `log`: tracks the memory
+    /// digest and, after the injection, early-exits once its state matches
+    /// the golden checkpoint at an aligned cycle.
+    Resume { fault: FaultSpec, log: &'a CheckpointLog },
+}
+
+/// How a [`run`] ended: normally, or by provable re-convergence with the
+/// golden run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RunEnd {
+    /// The run executed to a terminal state.
+    Finished(ExecOutcome),
+    /// The faulted run's state became equal to the golden run's at this
+    /// aligned cycle: the remaining trace is the golden suffix, the run is
+    /// Benign, and the tail was skipped.
+    Converged(u64),
+}
+
+/// Runs the program from the state `s` on `memory` under `mode`, until it
+/// ends, exhausts `max_cycles` or converges; `s` holds the final state.
+///
+/// Every memory word the run writes is appended to `dirty`, so the caller
+/// can undo the run and reuse the memory.
+pub(crate) fn run(
+    flat: &FlatProgram,
+    max_cycles: u64,
+    mut mode: RunMode<'_>,
+    s: &mut OpState,
+    memory: &mut Memory,
+    dirty: &mut Vec<(u32, u32)>,
+) -> RunEnd {
+    if let RunMode::Golden { tape, .. } = &mut mode {
+        if let Some(tape) = tape.take() {
+            return run_with(flat, max_cycles, mode, s, memory, dirty, &mut Taped(tape));
+        }
+    }
+    run_with(flat, max_cycles, mode, s, memory, dirty, &mut Hashed)
+}
+
+/// [`run`] with its trace words sent to `sink`.
+fn run_with<H: HashSink>(
+    flat: &FlatProgram,
+    max_cycles: u64,
+    mode: RunMode<'_>,
+    s: &mut OpState,
+    memory: &mut Memory,
+    dirty: &mut Vec<(u32, u32)>,
+    sink: &mut H,
+) -> RunEnd {
+    let cfg = flat.cfg;
+    let step_limit = max_cycles.saturating_mul(2) + 1024;
+    let (fault, track_digest, mut cycle_map, mut capture, resume) = match mode {
+        RunMode::Plain(fault) => (fault, false, None, None, None),
+        RunMode::Digest => (None, true, None, None, None),
+        RunMode::Golden { cycle_map, capture, .. } => (None, true, Some(cycle_map), capture, None),
+        RunMode::Resume { fault, log } => (Some(fault), true, None, None, Some(log)),
+    };
+    let mut rw_map = capture.as_deref().is_some_and(CheckpointLog::captures).then(Vec::new);
+    // The golden checkpoints a converging run compares its state against:
+    // those strictly after the injection cycle, in cycle order (the run
+    // meets every cycle boundary once, in order). A convergence early-exit
+    // claims the run finishes exactly like the golden suffix — only valid
+    // if that suffix itself fits this run's budget (the golden run may have
+    // been recorded under different limits).
+    let mut ahead: &[Checkpoint] = match (resume, fault) {
+        (Some(log), Some(f))
+            if log.completed && log.final_cycles <= max_cycles && log.final_steps < step_limit =>
+        {
+            let after = log.checkpoints.partition_point(|ck| ck.cycle <= f.cycle);
+            &log.checkpoints[after..]
+        }
+        _ => &[],
+    };
+    // Watermark into `dirty` marking the start of the current checkpoint
+    // interval (capture never drains the list — the caller owns it), plus
+    // the running cumulative dirty-word image captured checkpoints store.
+    let mut delta_start = dirty.len();
+    let mut cum_image: BTreeMap<u32, u32> = BTreeMap::new();
+
+    let end = loop {
+        s.steps += 1;
+        if s.cycle >= max_cycles || s.steps >= step_limit {
+            break RunEnd::Finished(ExecOutcome::Timeout);
+        }
+        let pc = s.pc as usize;
+        let op = flat.ops[pc];
+        // Zero-cost fallthrough: unconditional jumps take no cycle and
+        // leave no trace event (block layout is not modeled; DESIGN.md §2).
+        if let OpKind::Goto { target } = op.kind {
+            s.pc = target;
+            continue;
+        }
+
+        // Canonical cycle boundary: the next op consumes a cycle.
+        if let Some(log) = capture.as_deref_mut() {
+            if log.capture_due(s.cycle, || flat.is_block_entry(s.pc)) {
+                for &(w, _) in &dirty[delta_start..] {
+                    cum_image.insert(w, memory.word(w));
+                }
+                delta_start = dirty.len();
+                let n = cfg.num_regs as usize;
+                log.checkpoints.push(Checkpoint {
+                    cycle: s.cycle,
+                    steps: s.steps,
+                    pos: s.pc,
+                    stack: s.stack.clone(),
+                    regs: s.regs[..n].to_vec(),
+                    hash: s.hash,
+                    mem_digest: s.mem_digest,
+                    outputs_len: s.outputs.len() as u32,
+                    mem_image: cum_image.iter().map(|(&w, &v)| (w, v)).collect(),
+                    // Exact comparison until the liveness pass runs.
+                    live_bits: vec![u64::MAX; n],
+                });
+                log.note_captured(s.cycle);
+            }
+        }
+        if let Some((ck, rest)) = ahead.split_first() {
+            if ck.cycle == s.cycle {
+                if s.matches(ck) {
+                    break RunEnd::Converged(s.cycle);
+                }
+                ahead = rest;
+            }
+        }
+        // Fault injection happens on the cycle boundary, before execution.
+        if let Some(f) = fault {
+            if f.cycle == s.cycle {
+                s.flip(&cfg, f.reg, f.bit);
+            }
+        }
+
+        if let Some(m) = cycle_map.as_deref_mut() {
+            m.push(((op.token >> 32) as u32, PointId(op.token as u32), s.stack.len() as u32));
+        }
+        if let Some(m) = rw_map.as_mut() {
+            m.push(match op.kind {
+                // A return to a caller reads only the link register, and
+                // only where it is the ABI one.
+                OpKind::Ret { .. } if !s.stack.is_empty() => {
+                    let ra =
+                        if cfg.num_regs == 32 { RegMask::of(Reg::RA) } else { RegMask::empty() };
+                    RwEvent::full(ra, RegMask::empty())
+                }
+                _ => flat.rw[pc],
+            });
+        }
+        sink.open_cycle();
+        s.cycle += 1;
+        let stored = dirty.len();
+        let outcome = flat.exec(cfg, op, s, memory, dirty, sink);
+        if track_digest {
+            if let Some(&(w, old)) = dirty.get(stored) {
+                s.mem_digest ^= mem_mix(w, old) ^ mem_mix(w, memory.word(w));
+            }
+        }
+        if let Some(outcome) = outcome {
+            break RunEnd::Finished(outcome);
+        }
+    };
+
+    if let (RunEnd::Finished(outcome), Some(log)) = (end, capture) {
+        log.final_cycles = s.cycle;
+        log.final_steps = s.steps;
+        log.completed = outcome == ExecOutcome::Completed;
+        if let Some(rw) = rw_map {
+            fill_live_bits(log, &rw, cfg.num_regs as usize, cfg.mask());
+        }
+    }
+    end
+}
+
+/// The state a run keeps besides memory: a local register file indexed by
+/// register-file slot (byte slots index it with no bounds checks), the
+/// absolute index of the next op, and the counter, trace, output,
+/// call-stack and memory-digest state.
 #[derive(Clone)]
 pub(crate) struct OpState {
     pub(crate) regs: [u64; 256],
@@ -1307,24 +1174,83 @@ pub(crate) struct OpState {
     pub(crate) hash: TraceHash,
     pub(crate) outputs: Vec<u64>,
     pub(crate) stack: Vec<FrameSnap>,
+    /// Incremental memory digest relative to the initial image (kept only
+    /// by runs that track it).
+    pub(crate) mem_digest: u128,
 }
 
 impl OpState {
-    /// The op-level form of the executor state `state` over the register
-    /// file `regs`.
-    pub(crate) fn new(flat: &FlatProgram<'_>, state: ExecState, regs: &[u64]) -> OpState {
-        let ExecState { hash, outputs, cycle, steps, func, pc, stack, .. } = state;
+    /// The state at the program entry, before the first step, over the
+    /// initial register image `regs`.
+    pub(crate) fn fresh(flat: &FlatProgram, regs: &[u64]) -> OpState {
         let mut file = [0u64; 256];
         file[..regs.len()].copy_from_slice(regs);
         OpState {
             regs: file,
-            pc: flat.bases[func as usize] + pc,
-            cycle,
-            steps,
-            hash,
-            outputs,
-            stack,
+            pc: flat.entry,
+            cycle: 0,
+            steps: 0,
+            hash: TraceHash::new(),
+            outputs: Vec::new(),
+            stack: Vec::new(),
+            mem_digest: 0,
         }
+    }
+
+    /// Restores checkpoint `idx` of `log` onto `memory` (which must be in
+    /// initial state): applies the checkpoint's cumulative memory image
+    /// (recording each word's previous value in `dirty`), and returns the
+    /// captured state, with the golden output prefix. `steps` is set one
+    /// below the boundary value so the loop-top increment reproduces it
+    /// exactly.
+    pub(crate) fn restore(
+        log: &CheckpointLog,
+        idx: usize,
+        golden_outputs: &[u64],
+        memory: &mut Memory,
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> OpState {
+        let ck = &log.checkpoints[idx];
+        for &(w, v) in ck.mem_image.iter() {
+            dirty.push((w, memory.word(w)));
+            memory.set_word(w, v);
+        }
+        let mut regs = [0u64; 256];
+        regs[..ck.regs.len()].copy_from_slice(&ck.regs);
+        OpState {
+            regs,
+            pc: ck.pos,
+            cycle: ck.cycle,
+            steps: ck.steps - 1,
+            hash: ck.hash,
+            outputs: golden_outputs[..ck.outputs_len as usize].to_vec(),
+            stack: ck.stack.clone(),
+            mem_digest: ck.mem_digest,
+        }
+    }
+
+    /// Whether this state equals the golden checkpoint `ck` in every
+    /// component the run's future depends on. Register *bits* the golden
+    /// suffix overwrites before reading (`ck.live_bits`) may differ — they
+    /// cannot influence anything before they die.
+    fn matches(&self, ck: &Checkpoint) -> bool {
+        self.steps == ck.steps
+            && self.pc == ck.pos
+            && self.hash == ck.hash
+            && self.mem_digest == ck.mem_digest
+            && self.outputs.len() == ck.outputs_len as usize
+            && self.stack == ck.stack
+            && self.regs.iter().zip(&ck.regs).zip(&ck.live_bits).all(|((a, b), m)| (a ^ b) & m == 0)
+    }
+
+    /// Injects a fault: flips `bit` of `reg`. Flips into the hardwired zero
+    /// register or past the machine word are physically impossible and
+    /// ignored.
+    pub(crate) fn flip(&mut self, cfg: &MachineConfig, reg: Reg, bit: u32) {
+        if cfg.is_zero_reg(reg) || bit >= cfg.xlen {
+            return;
+        }
+        self.regs[reg.index() as usize] ^= 1 << bit;
     }
 }
 
@@ -1334,16 +1260,14 @@ impl OpState {
 /// checks — a forked lane has already left the golden control path, so it
 /// can never match a golden checkpoint again.
 ///
-/// The tail walks the decoded ops and ends in exactly the state [`run`]
-/// would: `s` holds the final registers, outputs, cycle count and trace
-/// hash, `memory` the final memory, and every written word is logged in
-/// `dirty`. With `keep_hash` false the trace hash is left untouched, so
-/// the final hash is the start state's. Callers pass false only for a
-/// lane whose trace already differs from the golden run's, and classify
-/// it by outcome and outputs alone.
+/// The tail ends in exactly the state [`run`] would: `s` holds the final
+/// registers, outputs, cycle count and trace hash, `memory` the final
+/// memory, and every written word is logged in `dirty`. With `keep_hash`
+/// false the trace hash is left untouched, so the final hash is the start
+/// state's. Callers pass false only for a lane whose trace already differs
+/// from the golden run's, and classify it by outcome and outputs alone.
 pub(crate) fn run_tail(
-    flat: &FlatProgram<'_>,
-    cfg: MachineConfig,
+    flat: &FlatProgram,
     max_cycles: u64,
     s: &mut OpState,
     memory: &mut Memory,
@@ -1351,22 +1275,22 @@ pub(crate) fn run_tail(
     keep_hash: bool,
 ) -> ExecOutcome {
     if keep_hash {
-        tail::<true>(flat, cfg, max_cycles, s, memory, dirty)
+        tail(flat, max_cycles, s, memory, dirty, &mut Hashed)
     } else {
-        tail::<false>(flat, cfg, max_cycles, s, memory, dirty)
+        tail(flat, max_cycles, s, memory, dirty, &mut NoHash)
     }
 }
 
-/// The tail loop of [`run_tail`], with the trace hash updated iff `HASH`.
-fn tail<const HASH: bool>(
-    flat: &FlatProgram<'_>,
-    cfg: MachineConfig,
+/// The tail loop of [`run_tail`], with the trace words sent to `sink`.
+fn tail<H: HashSink>(
+    flat: &FlatProgram,
     max_cycles: u64,
     s: &mut OpState,
     memory: &mut Memory,
     dirty: &mut Vec<(u32, u32)>,
+    sink: &mut H,
 ) -> ExecOutcome {
-    assert!(!flat.ops.is_empty(), "tails run on machines with decoded ops");
+    let cfg = flat.cfg;
     let step_limit = max_cycles.saturating_mul(2) + 1024;
     loop {
         s.steps += 1;
@@ -1379,83 +1303,10 @@ fn tail<const HASH: bool>(
             continue;
         }
         s.cycle += 1;
-        if let Some(outcome) = flat.exec::<HASH>(cfg, op, s, memory, dirty) {
+        if let Some(outcome) = flat.exec(cfg, op, s, memory, dirty, sink) {
             return outcome;
         }
     }
-}
-
-enum StepResult {
-    Next,
-    Trap(CrashKind),
-}
-
-fn step_inst(
-    m: &mut Machine,
-    inst: &Inst,
-    hash: &mut TraceHash,
-    outputs: &mut Vec<u64>,
-    digest: Option<&mut u128>,
-    mut tape: Option<&mut Vec<u64>>,
-    dirty: &mut Vec<(u32, u32)>,
-) -> StepResult {
-    // Mirrors every `hash.update` with a tape append (substrate recording).
-    let mut note = |hash: &mut TraceHash, w: u64| {
-        hash.update(w);
-        if let Some(t) = tape.as_deref_mut() {
-            t.push(w);
-        }
-    };
-    let c = *m.config();
-    match inst {
-        Inst::Li { rd, imm } => m.write(*rd, *imm as u64),
-        Inst::La { .. } | Inst::Call { .. } => {
-            unreachable!("pre-resolved during flattening")
-        }
-        Inst::Mv { rd, rs } => m.write(*rd, m.read(*rs)),
-        Inst::Neg { rd, rs } => m.write(*rd, 0u64.wrapping_sub(m.read(*rs))),
-        Inst::Seqz { rd, rs } => m.write(*rd, u64::from(m.read(*rs) == 0)),
-        Inst::Snez { rd, rs } => m.write(*rd, u64::from(m.read(*rs) != 0)),
-        Inst::Alu { op, rd, rs1, rs2 } => {
-            m.write(*rd, eval_alu(&c, *op, m.read(*rs1), m.read(*rs2)));
-        }
-        Inst::AluImm { op, rd, rs1, imm } => {
-            m.write(*rd, eval_alu(&c, *op, m.read(*rs1), *imm as u64));
-        }
-        Inst::Load { rd, base, offset, width, signed } => {
-            let addr = effective_address(m.read(*base), *offset as u64, c.mask());
-            let size = width.bytes();
-            let raw = match load(&m.memory, addr, size) {
-                Ok(raw) => raw,
-                Err(kind) => return StepResult::Trap(kind),
-            };
-            note(hash, access_event(LOAD_EVENT, addr));
-            note(hash, raw);
-            m.write(*rd, extend_load(raw, *signed, size));
-        }
-        Inst::Store { rs, base, offset, width } => {
-            let addr = effective_address(m.read(*base), *offset as u64, c.mask());
-            let size = width.bytes();
-            let value = m.read(*rs) & width_mask(size);
-            let (widx, old) = match store(&mut m.memory, addr, size, value, dirty) {
-                Ok(touched) => touched,
-                Err(kind) => return StepResult::Trap(kind),
-            };
-            if let Some(d) = digest {
-                *d ^= mem_mix(widx, old) ^ mem_mix(widx, m.memory.word(widx));
-            }
-            note(hash, access_event(STORE_EVENT, addr));
-            note(hash, value);
-        }
-        Inst::Print { rs } => {
-            let v = m.read(*rs);
-            note(hash, PRINT_EVENT);
-            note(hash, v);
-            outputs.push(v);
-        }
-        Inst::Nop => {}
-    }
-    StepResult::Next
 }
 
 #[cfg(test)]
@@ -1488,7 +1339,8 @@ mod tests {
             Inst::Print { rs: r(20) },
             Inst::Nop,
         ];
-        let mask = |regs: &[Reg]| regs.iter().fold(RegMask::empty(), |m, &r| m.union(reg_bit(r)));
+        let mask =
+            |regs: &[Reg]| regs.iter().fold(RegMask::empty(), |m, &r| m.union(RegMask::of(r)));
         for inst in &insts {
             let ev = inst_rw(inst, u64::MAX);
             assert_eq!(ev.reads, mask(&inst.reads()), "{inst:?}: reads");

@@ -1,17 +1,22 @@
-//! Differential test of the tail interpreter: [`run_tail`] against the
-//! instrumented [`run`] from the same states — the program entry and
-//! golden checkpoints with and without an injected bit flip — comparing
-//! outcome, outputs, cycles, the dirty log, the final registers and
-//! memory, and the trace hash wherever the tail keeps it.
+//! Differential tests of the interpreter's loops. `every_op_agrees` holds
+//! both [`run_tail`] and [`run`] to an independent oracle: the output list
+//! computed next to its program with [`eval_alu`]/[`eval_cond`] on the
+//! program's constants. The other tests run the tail against the
+//! instrumented [`run`] (golden mode, recording a hash tape) from the same
+//! states — the program entry and golden checkpoints with and without an
+//! injected bit flip — comparing outcome, outputs, cycles, the dirty log,
+//! the final registers and memory, and the trace hash wherever the tail
+//! keeps it; `run`'s tape must rehash to its final hash.
 
 use super::*;
+use crate::machine::Machine;
 use crate::runner::{SimLimits, Simulator};
 use bec_testutil::Rng;
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Everything both interpreters must agree on at the end of a run (the
-/// final memory is compared separately, without printing it).
+/// Everything both loops must agree on at the end of a run (the final
+/// memory is compared separately, without printing it).
 #[derive(Debug, PartialEq)]
 struct End {
     outcome: ExecOutcome,
@@ -22,7 +27,14 @@ struct End {
     regs: Vec<u64>,
 }
 
-/// Where both interpreters start.
+impl End {
+    fn of(outcome: ExecOutcome, s: OpState, dirty: Vec<(u32, u32)>, cfg: &MachineConfig) -> End {
+        let regs = s.regs[..cfg.num_regs as usize].to_vec();
+        End { outcome, outputs: s.outputs, cycles: s.cycle, hash: s.hash, dirty, regs }
+    }
+}
+
+/// Where both loops start.
 #[derive(Clone, Copy, Debug)]
 enum Start {
     /// The program entry.
@@ -32,74 +44,55 @@ enum Start {
     Checkpoint { idx: usize, flip: Option<(Reg, u32)> },
 }
 
-/// A fresh machine and dirty log positioned at `start`, as the tail
-/// receives them.
-fn tail_state(
+/// The state, memory and dirty log both loops start from at `start`.
+fn start_state(
     sim: &Simulator<'_>,
     log: &CheckpointLog,
     golden_outputs: &[u64],
     start: Start,
-) -> (ExecState, Machine, Vec<(u32, u32)>) {
+) -> (OpState, Memory, Vec<(u32, u32)>) {
     let mut machine = Machine::new(sim.program());
     let mut dirty = Vec::new();
-    let state = match start {
-        Start::Entry => ExecState::fresh(&sim.flat),
+    let s = match start {
+        Start::Entry => OpState::fresh(&sim.flat, machine.initial_regs()),
         Start::Checkpoint { idx, flip } => {
-            let st = ExecState::restore(log, idx, golden_outputs, &mut machine, &mut dirty);
+            let memory = &mut machine.memory;
+            let mut s = OpState::restore(log, idx, golden_outputs, memory, &mut dirty);
             if let Some((reg, bit)) = flip {
-                machine.flip(reg, bit);
+                s.flip(&sim.flat.cfg, reg, bit);
             }
-            st
+            s
         }
     };
-    (state, machine, dirty)
+    (s, machine.memory, dirty)
 }
 
-/// Runs `start` through [`run`]: from the entry, or as a resumed fault
-/// run injecting at the checkpoint's own cycle with convergence off.
+/// Runs `start` through [`run`] in golden mode with a hash tape, and
+/// checks the tape and cycle map it records against the run.
 fn reference(
     sim: &Simulator<'_>,
     log: &CheckpointLog,
     golden_outputs: &[u64],
     start: Start,
 ) -> (End, Memory) {
-    let mut machine = Machine::new(sim.program());
-    let mut dirty = Vec::new();
+    let (mut s, mut memory, mut dirty) = start_state(sim, log, golden_outputs, start);
+    let (start_hash, start_cycle) = (s.hash, s.cycle);
+    let mut cycle_map = Vec::new();
+    let mut tape = HashTape::default();
+    let mode = RunMode::Golden { cycle_map: &mut cycle_map, capture: None, tape: Some(&mut tape) };
     let max = sim.limits.max_cycles;
-    // A log marked incomplete never allows the convergence early-exit.
-    let no_exit = CheckpointLog { completed: false, ..log.clone() };
-    let verdict = match start {
-        Start::Entry => {
-            run(&sim.flat, max, None, false, None, None, None, &mut machine, &mut dirty)
-        }
-        Start::Checkpoint { idx, flip } => {
-            // A bit past the word never flips.
-            let (reg, bit) = flip.unwrap_or((Reg::phys(0), u32::MAX));
-            let fault = FaultSpec { cycle: log.checkpoints[idx].cycle, reg, bit };
-            let resume = ResumeCtx { log: &no_exit, golden_outputs };
-            run(
-                &sim.flat,
-                max,
-                Some(fault),
-                false,
-                None,
-                None,
-                Some(resume),
-                &mut machine,
-                &mut dirty,
-            )
-        }
+    let RunEnd::Finished(outcome) = run(&sim.flat, max, mode, &mut s, &mut memory, &mut dirty)
+    else {
+        unreachable!("runs without a checkpoint log cannot converge-exit")
     };
-    let RunVerdict::Finished(raw) = verdict else { unreachable!("convergence is off") };
-    let end = End {
-        outcome: raw.outcome,
-        outputs: raw.outputs,
-        cycles: raw.cycles,
-        hash: raw.hash,
-        dirty,
-        regs: machine.regs().to_vec(),
-    };
-    (end, machine.memory)
+    let mut rehash = start_hash;
+    for &w in &tape.words {
+        rehash.update(w);
+    }
+    assert_eq!(rehash, s.hash, "{start:?}: the tape does not rehash to the run's hash");
+    assert_eq!(tape.starts.len() as u64, s.cycle - start_cycle, "{start:?}: tape cycles");
+    assert_eq!(cycle_map.len(), tape.starts.len(), "{start:?}: cycle map length");
+    (End::of(outcome, s, dirty, &sim.flat.cfg), memory)
 }
 
 /// Runs `start` through [`run_tail`].
@@ -110,17 +103,14 @@ fn tail_end(
     start: Start,
     keep_hash: bool,
 ) -> (End, Memory) {
-    let (state, mut machine, mut dirty) = tail_state(sim, log, golden_outputs, start);
-    let mut s = OpState::new(&sim.flat, state, machine.regs());
-    let (cfg, max) = (*machine.config(), sim.limits.max_cycles);
-    let outcome = run_tail(&sim.flat, cfg, max, &mut s, &mut machine.memory, &mut dirty, keep_hash);
-    let regs = s.regs[..machine.regs().len()].to_vec();
-    let end = End { outcome, outputs: s.outputs, cycles: s.cycle, hash: s.hash, dirty, regs };
-    (end, machine.memory)
+    let (mut s, mut memory, mut dirty) = start_state(sim, log, golden_outputs, start);
+    let max = sim.limits.max_cycles;
+    let outcome = run_tail(&sim.flat, max, &mut s, &mut memory, &mut dirty, keep_hash);
+    (End::of(outcome, s, dirty, &sim.flat.cfg), memory)
 }
 
-/// Asserts both interpreters agree from `start`, with the tail's hash
-/// kept and skipped; returns the outcome.
+/// Asserts both loops agree from `start`, with the tail's hash kept and
+/// skipped; returns the outcome.
 fn assert_agree(
     label: &str,
     sim: &Simulator<'_>,
@@ -133,7 +123,7 @@ fn assert_agree(
     assert_eq!(got, want, "{label}: {start:?}");
     assert!(got_mem == want_mem, "{label}: {start:?}: final memory differs");
 
-    let start_hash = tail_state(sim, log, golden_outputs, start).0.hash;
+    let start_hash = start_state(sim, log, golden_outputs, start).0.hash;
     let (skipped, skipped_mem) = tail_end(sim, log, golden_outputs, start, false);
     assert_eq!(skipped.hash, start_hash, "{label}: {start:?}: a skipped hash moved");
     assert_eq!(End { hash: want.hash, ..skipped }, want, "{label}: {start:?} (hash skipped)");
@@ -388,7 +378,8 @@ entry:
 }
 
 /// A program that runs every ALU op in register and immediate form and
-/// every branch condition, on `cfg`, from the entry with no calls.
+/// every branch condition, on `cfg`, from the entry with no calls, and the
+/// outputs it must print, computed from its constants.
 ///
 /// Each operand pair runs every op as `op d, a, b` and `op d, a, imm`,
 /// then with the destination aliasing `rs1`, aliasing `rs2`, `rs1 == rs2`,
@@ -396,7 +387,7 @@ entry:
 /// pairs include division and remainder by zero, `MIN / -1` and register
 /// shift amounts at and past `xlen` (`verify` keeps shift immediates
 /// below it); every condition branches both ways.
-fn every_op_program(cfg: MachineConfig) -> Program {
+fn every_op_program(cfg: MachineConfig) -> (Program, Vec<u64>) {
     let (a, b, d) = (Reg::phys(5), Reg::phys(6), Reg::phys(7));
     let zero = cfg.zero_reg.expect("the program writes the zero register");
     let mask = cfg.mask();
@@ -420,8 +411,15 @@ fn every_op_program(cfg: MachineConfig) -> Program {
     let mut pb = bec_ir::ProgramBuilder::new(cfg);
     let mut fb = pb.function("main", bec_ir::Signature::void(0));
     fb.block("entry");
+    let mut want = Vec::new();
     for &(x, y) in &pairs {
+        assert!(x <= mask && y <= mask, "operands fit the word");
         for &op in TAIL_ALU_OPS {
+            // The immediate operand: shift amounts wrap to the word width,
+            // every other immediate is `y` itself.
+            let iy = op_imm(op, y) as u64 & mask;
+            let (xy, xi) = (eval_alu(&cfg, op, x, y), eval_alu(&cfg, op, x, iy));
+            want.extend([xy, xi, eval_alu(&cfg, op, x, x), xy, xy, xi, 0, 0]);
             fb.li(a, imm(x)).li(b, imm(y));
             fb.alu(op, d, a, b).print(d);
             fb.alu_imm(op, d, a, op_imm(op, y)).print(d);
@@ -443,7 +441,9 @@ fn every_op_program(cfg: MachineConfig) -> Program {
         let mut taken = [false; 2];
         for (p, q) in [(Some(x), y), (Some(y), x), (Some(x), x), (Some(x), 0), (None, x)] {
             let lhs = p.unwrap_or(0);
-            taken[usize::from(eval_cond(&cfg, cond, lhs, q))] = true;
+            let took = eval_cond(&cfg, cond, lhs, q);
+            taken[usize::from(took)] = true;
+            want.push(if took { 1 } else { 2 });
             fb.li(a, imm(lhs)).li(b, imm(q));
             let (t, f, next) = (format!("t{branch}"), format!("f{branch}"), format!("n{branch}"));
             match p {
@@ -465,19 +465,34 @@ fn every_op_program(cfg: MachineConfig) -> Program {
     fb.finish();
     let p = pb.finish();
     bec_ir::verify_program(&p).expect("verifies");
-    p
+    (p, want)
 }
 
-/// Every decoded ALU and branch arm of the tail against `run`, on rv32 and
-/// on a 16-bit machine: a swapped decode arm changes an output or a path.
+/// Asserts `got` equals the oracle's `want`, naming the first output that
+/// differs.
+fn assert_outputs(label: &str, got: &[u64], want: &[u64]) {
+    if let Some(i) = got.iter().zip(want).position(|(g, w)| g != w) {
+        panic!("{label}: output {i} is {:#x}, the oracle says {:#x}", got[i], want[i]);
+    }
+    assert_eq!(got.len(), want.len(), "{label}: output count");
+}
+
+/// Every decoded ALU and branch arm, through both the tail and `run`,
+/// against the oracle's outputs on rv32 and on a 16-bit machine: a swapped
+/// decode arm changes an output or a path.
 #[test]
 fn every_op_agrees() {
     let half = MachineConfig { xlen: 16, num_regs: 16, zero_reg: Some(Reg::ZERO) };
     for (label, cfg) in [("rv32", MachineConfig::rv32()), ("xlen16", half)] {
-        let p = every_op_program(cfg);
+        let (p, want) = every_op_program(cfg);
         let sim = Simulator::new(&p);
         let log = CheckpointLog::disabled();
-        assert_eq!(assert_agree(label, &sim, &log, &[], Start::Entry), ExecOutcome::Completed);
+        let (tail, _) = tail_end(&sim, &log, &[], Start::Entry, true);
+        assert_eq!(tail.outcome, ExecOutcome::Completed, "{label}: tail outcome");
+        assert_outputs(&format!("{label}: tail"), &tail.outputs, &want);
+        let (run, _) = reference(&sim, &log, &[], Start::Entry);
+        assert_eq!(run.outcome, ExecOutcome::Completed, "{label}: run outcome");
+        assert_outputs(&format!("{label}: run"), &run.outputs, &want);
         differential(label, &p, 16, 4);
     }
 }

@@ -1,7 +1,8 @@
-//! Machine state: register file, memory, and the fault-injection hook.
+//! Machine state: the initial register image, memory, and the fault
+//! specification.
 
 use bec_ir::program::{DATA_BASE, STACK_TOP};
-use bec_ir::{MachineConfig, Program, Reg};
+use bec_ir::{Program, Reg};
 
 /// A single-event upset: flip `bit` of `reg` immediately before the
 /// instruction at `cycle` executes.
@@ -118,10 +119,10 @@ impl Memory {
     }
 }
 
-/// The architectural machine state.
+/// A program's machine at its entry: the memory a run executes on, and the
+/// register file it starts from.
 #[derive(Clone, Debug)]
 pub struct Machine {
-    config: MachineConfig,
     regs: Vec<u64>,
     /// Byte-addressed memory.
     pub memory: Memory,
@@ -132,69 +133,25 @@ impl Machine {
     /// global data, `sp` at the stack top on 32-register machines.
     pub fn new(program: &Program) -> Machine {
         let config = program.config;
-        let mut m = Machine {
-            config,
-            regs: vec![0; config.num_regs as usize],
-            memory: Memory::for_program(program),
-        };
+        let mut regs = vec![0; config.num_regs as usize];
         if config.num_regs == 32 {
-            m.write(Reg::SP, config.truncate(STACK_TOP));
+            regs[Reg::SP.index() as usize] = config.truncate(STACK_TOP);
         }
-        m
+        Machine { regs, memory: Memory::for_program(program) }
     }
 
-    /// Reads a register (the hardwired zero register reads 0).
-    pub fn read(&self, r: Reg) -> u64 {
-        if self.config.is_zero_reg(r) {
-            return 0;
-        }
-        self.regs[r.index() as usize]
-    }
-
-    /// Writes a register (writes to the hardwired zero register vanish).
-    pub fn write(&mut self, r: Reg, v: u64) {
-        if self.config.is_zero_reg(r) {
-            return;
-        }
-        self.regs[r.index() as usize] = self.config.truncate(v);
-    }
-
-    /// Injects a fault: flips `bit` of `reg`. Flips into the hardwired zero
-    /// register are physically impossible and ignored.
-    pub fn flip(&mut self, reg: Reg, bit: u32) {
-        if self.config.is_zero_reg(reg) || bit >= self.config.xlen {
-            return;
-        }
-        let i = reg.index() as usize;
-        self.regs[i] ^= 1 << bit;
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// The full register file, for checkpoint capture and state comparison.
-    pub fn regs(&self) -> &[u64] {
+    /// The register file at the program entry.
+    pub fn initial_regs(&self) -> &[u64] {
         &self.regs
-    }
-
-    /// Restores the register file from a checkpoint snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regs` was captured on a machine with a different register
-    /// count.
-    pub fn restore_regs(&mut self, regs: &[u64]) {
-        assert_eq!(regs.len(), self.regs.len(), "register snapshot from a different machine");
-        self.regs.copy_from_slice(regs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use bec_ir::program::Global;
+    use bec_ir::{parse_program, MachineConfig};
 
     fn program_with_global() -> Program {
         let mut p = Program::new(MachineConfig::rv32());
@@ -222,27 +179,38 @@ mod tests {
         assert_eq!(m.load(end - 4, 4), Some(7));
     }
 
+    /// Writes to the hardwired zero register vanish and flips into it are
+    /// ignored; a flip of any other register lands.
     #[test]
     fn zero_register_semantics() {
-        let p = program_with_global();
-        let mut m = Machine::new(&p);
-        m.write(Reg::ZERO, 99);
-        assert_eq!(m.read(Reg::ZERO), 0);
-        m.flip(Reg::ZERO, 3);
-        assert_eq!(m.read(Reg::ZERO), 0);
-        m.write(Reg::T0, 5);
-        m.flip(Reg::T0, 1);
-        assert_eq!(m.read(Reg::T0), 7);
+        let p = parse_program(
+            "func @main(args=0, ret=none) {\nentry:\n    li zero, 99\n    li t0, 5\n    \
+             mv t1, zero\n    print t1\n    print t0\n    exit\n}\n",
+        )
+        .unwrap();
+        let sim = Simulator::new(&p);
+        assert_eq!(sim.run_golden().outputs(), &[0, 5]);
+        // Cycle 2 is the boundary before `mv t1, zero`.
+        let zero = sim.run_with_fault(FaultSpec { cycle: 2, reg: Reg::ZERO, bit: 3 });
+        assert_eq!(zero.outputs(), &[0, 5]);
+        let t0 = sim.run_with_fault(FaultSpec { cycle: 2, reg: Reg::T0, bit: 1 });
+        assert_eq!(t0.outputs(), &[0, 7]);
+        // A flip past the machine word is ignored too.
+        let wide = sim.run_with_fault(FaultSpec { cycle: 2, reg: Reg::T0, bit: 32 });
+        assert_eq!(wide.outputs(), &[0, 5]);
+        assert_eq!(Machine::new(&p).initial_regs()[Reg::SP.index() as usize], STACK_TOP);
     }
 
     #[test]
     fn writes_truncate_to_xlen() {
-        let mut p = program_with_global();
-        p.config = MachineConfig::example4();
-        p.globals.clear();
-        let mut m = Machine::new(&p);
-        m.write(Reg::phys(1), 0x13);
-        assert_eq!(m.read(Reg::phys(1)), 3);
+        let p = parse_program(
+            "machine xlen=4 regs=4 zero=none\nfunc @main(args=0, ret=none) {\nentry:\n    \
+             li r1, -1\n    addi r1, r1, 4\n    print r1\n    exit\n}\n",
+        )
+        .unwrap();
+        bec_ir::verify_program(&p).unwrap();
+        assert_eq!(Machine::new(&p).initial_regs(), &[0; 4]);
+        assert_eq!(Simulator::new(&p).run_golden().outputs(), &[3]);
     }
 
     #[test]

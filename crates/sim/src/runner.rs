@@ -3,15 +3,13 @@
 //! [`crate::checkpoint`]).
 
 use crate::checkpoint::CheckpointLog;
-use crate::exec::{
-    apply_rw_backward, run, run_tail, ExecOutcome, ExecState, FlatProgram, HashTape, OpState,
-    ResumeCtx, RunVerdict, RwEvent,
-};
+use crate::exec::{run, run_tail, ExecOutcome, FlatProgram, HashTape, OpState, RunEnd, RunMode};
 use crate::machine::{FaultSpec, Machine};
 use crate::trace::{FaultClass, TraceHash};
 use bec_core::ExecProfile;
 use bec_ir::{PointId, Program};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Resource limits for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,6 +38,11 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The result of a run that ended with `outcome` in state `s`.
+    pub(crate) fn of(outcome: ExecOutcome, s: OpState) -> RunResult {
+        RunResult { outcome, outputs: s.outputs, cycles: s.cycle, hash: s.hash }
+    }
+
     /// The observable outputs.
     pub fn outputs(&self) -> &[u64] {
         &self.outputs
@@ -86,8 +89,9 @@ pub struct GoldenRun {
     pub(crate) next_same_depth: Vec<u64>,
     /// `(func, point) → cycles it executed at`, precomputed once so
     /// fault-space enumeration is O(trace) total instead of rescanning the
-    /// cycle map per queried site.
-    pub(crate) occurrence_index: OccurrenceIndex,
+    /// cycle map per queried site. Shared, not copied, by the golden runs
+    /// the golden substrate derives.
+    pub(crate) occurrence_index: Arc<OccurrenceIndex>,
     /// The register file at the end of the run.
     pub(crate) terminal_regs: Vec<u64>,
     /// Terminal memory digest relative to the initial image (XOR of
@@ -179,7 +183,7 @@ pub struct FaultRun {
 #[derive(Clone, Debug)]
 pub struct Simulator<'p> {
     program: &'p Program,
-    pub(crate) flat: FlatProgram<'p>,
+    pub(crate) flat: FlatProgram,
     pub(crate) limits: SimLimits,
 }
 
@@ -218,7 +222,7 @@ impl<'p> Simulator<'p> {
     /// Runs without faults, recording the execution profile and the
     /// cycle→point map.
     pub fn run_golden(&self) -> GoldenRun {
-        self.golden_run(None, None).0
+        self.golden_run(None, None)
     }
 
     /// Runs without faults like [`Simulator::run_golden`], additionally
@@ -228,7 +232,7 @@ impl<'p> Simulator<'p> {
     pub fn run_golden_checkpointed(&self, interval: u64) -> (GoldenRun, CheckpointLog) {
         let mut log = CheckpointLog::new(interval);
         let capture = (interval > 0).then_some(&mut log);
-        let golden = self.golden_run(capture, None).0;
+        let golden = self.golden_run(capture, None);
         (golden, log)
     }
 
@@ -241,7 +245,7 @@ impl<'p> Simulator<'p> {
     /// log across every scheduled variant.
     pub fn run_golden_aligned(&self) -> (GoldenRun, CheckpointLog) {
         let mut log = CheckpointLog::aligned();
-        let golden = self.golden_run(Some(&mut log), None).0;
+        let golden = self.golden_run(Some(&mut log), None);
         (golden, log)
     }
 
@@ -252,141 +256,60 @@ impl<'p> Simulator<'p> {
     pub(crate) fn run_golden_substrate(&self) -> (GoldenRun, CheckpointLog, HashTape) {
         let mut log = CheckpointLog::aligned();
         let mut tape = HashTape::default();
-        let (golden, _) = self.golden_run(Some(&mut log), Some(&mut tape));
+        let golden = self.golden_run(Some(&mut log), Some(&mut tape));
         (golden, log, tape)
     }
 
     /// A fault-free run for its observable result alone: the outcome and
     /// the printed values, exactly as [`Simulator::run_golden`] reports
-    /// them, without its profile, cycle map or memory digest. Runs on the
-    /// decoded ops (`exec::run_tail` from the program entry) whenever the
-    /// machine has them.
+    /// them, without its profile, cycle map, memory digest or trace hash
+    /// (`exec::run_tail` from the program entry).
     pub fn run_outputs(&self) -> (ExecOutcome, Vec<u64>) {
         let mut machine = Machine::new(self.program);
-        let mut dirty = Vec::new();
-        if self.flat.ops.is_empty() {
-            // Register files too wide for the decoded op slots.
-            let verdict = run(
-                &self.flat,
-                self.limits.max_cycles,
-                None,
-                false,
-                None,
-                None,
-                None,
-                &mut machine,
-                &mut dirty,
-            );
-            let RunVerdict::Finished(raw) = verdict else {
-                unreachable!("fault-free runs cannot converge-exit")
-            };
-            return (raw.outcome, raw.outputs);
-        }
-        let mut s = OpState::new(&self.flat, ExecState::fresh(&self.flat), machine.regs());
-        let cfg = *machine.config();
-        let outcome = run_tail(
-            &self.flat,
-            cfg,
-            self.limits.max_cycles,
-            &mut s,
-            &mut machine.memory,
-            &mut dirty,
-            false,
-        );
+        let mut s = OpState::fresh(&self.flat, machine.initial_regs());
+        let max = self.limits.max_cycles;
+        let outcome =
+            run_tail(&self.flat, max, &mut s, &mut machine.memory, &mut Vec::new(), false);
         (outcome, s.outputs)
     }
 
     /// A plain fault-free run that still tracks the memory digest:
     /// `(result, terminal registers, mem digest)`. Debug-only verification
     /// net for substrate-derived golden runs — cheaper than
-    /// [`Simulator::run_golden`] (no profile, no cycle map, no liveness).
+    /// [`Simulator::run_golden`] (no cycle map, no liveness).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) fn run_plain_verify(&self) -> (RunResult, Vec<u64>, u128) {
+        let (outcome, s) = self.run_from_entry(RunMode::Digest);
+        let regs = s.regs[..self.program.config.num_regs as usize].to_vec();
+        let digest = s.mem_digest;
+        (RunResult::of(outcome, s), regs, digest)
+    }
+
+    /// Runs `mode` from the program entry on a fresh machine: the outcome
+    /// and the final state.
+    fn run_from_entry(&self, mode: RunMode<'_>) -> (ExecOutcome, OpState) {
         let mut machine = Machine::new(self.program);
-        let mut dirty = Vec::new();
-        // A disabled log records no checkpoints but switches digest
-        // tracking on (see `exec::run`).
-        let mut log = CheckpointLog::disabled();
-        let verdict = run(
-            &self.flat,
-            self.limits.max_cycles,
-            None,
-            false,
-            Some(&mut log),
-            None,
-            None,
-            &mut machine,
-            &mut dirty,
-        );
-        let RunVerdict::Finished(raw) = verdict else {
-            unreachable!("fault-free runs cannot converge-exit")
+        let mut s = OpState::fresh(&self.flat, machine.initial_regs());
+        let max = self.limits.max_cycles;
+        let end = run(&self.flat, max, mode, &mut s, &mut machine.memory, &mut Vec::new());
+        let RunEnd::Finished(outcome) = end else {
+            unreachable!("runs without a checkpoint log cannot converge-exit")
         };
-        let result = RunResult {
-            outcome: raw.outcome,
-            outputs: raw.outputs,
-            cycles: raw.cycles,
-            hash: raw.hash,
-        };
-        (result, machine.regs().to_vec(), raw.mem_digest)
+        (outcome, s)
     }
 
     fn golden_run(
         &self,
-        mut capture: Option<&mut CheckpointLog>,
+        capture: Option<&mut CheckpointLog>,
         tape: Option<&mut HashTape>,
-    ) -> (GoldenRun, Vec<RwEvent>) {
-        let mut machine = Machine::new(self.program);
-        let mut dirty = Vec::new();
-        let verdict = run(
-            &self.flat,
-            self.limits.max_cycles,
-            None,
-            true,
-            capture.as_deref_mut(),
-            tape,
-            None,
-            &mut machine,
-            &mut dirty,
-        );
-        let RunVerdict::Finished(mut raw) = verdict else {
-            unreachable!("golden runs cannot converge-exit")
-        };
-        // Backward dynamic-liveness pass, at bit granularity: which
-        // register *bits* does the suffix from each checkpoint observe
-        // before overwriting? Anything else may differ at convergence time
-        // without influencing the future. Walked once in reverse with the
-        // running live vector snapshotted at each checkpoint cycle, so the
-        // pass is O(trace) time and O(regs) extra space.
-        if let Some(log) = capture {
-            let rw = raw.rw_map.as_deref().unwrap_or(&[]);
-            let nregs = machine.regs().len();
-            let xlen_mask = machine.config().truncate(u64::MAX);
-            let mut live = vec![0u64; nregs];
-            // Registers past the read/write mask width never appear in the
-            // events; keep them fully live (exact comparison), matching
-            // their all-ones initialization in the capture.
-            for m in live.iter_mut().skip(64) {
-                *m = u64::MAX;
-            }
-            let mut next_ck = log.checkpoints.len();
-            for c in (0..raw.cycles as usize).rev() {
-                if let Some(ev) = rw.get(c) {
-                    apply_rw_backward(&mut live, ev, xlen_mask);
-                }
-                // `live` now holds liveness at the boundary *before* the
-                // instruction at cycle `c` — exactly what a checkpoint
-                // captured at cycle `c` compares against.
-                while next_ck > 0 && log.checkpoints[next_ck - 1].cycle == c as u64 {
-                    next_ck -= 1;
-                    log.checkpoints[next_ck].live_bits.copy_from_slice(&live);
-                }
-            }
-        }
-        let rw_map = raw.rw_map.take().unwrap_or_default();
-        let cycle_map = raw.cycle_map.expect("recording enabled");
-        // The two lookup structures derived from the cycle map: the next
-        // cycle at the same call depth (fault-site windows, one backward
-        // pass) and the `(func, point) → occurrence cycles` index.
+    ) -> GoldenRun {
+        let mut cycle_map = Vec::new();
+        let mode = RunMode::Golden { cycle_map: &mut cycle_map, capture, tape };
+        let (outcome, s) = self.run_from_entry(mode);
+        // The lookup structures derived from the cycle map: the next cycle
+        // at the same call depth (fault-site windows, one backward pass),
+        // the `(func, point) → occurrence cycles` index, and the execution
+        // profile (the occurrence counts).
         let n = cycle_map.len();
         let mut next_same_depth = vec![n as u64; n];
         let mut last_at_depth: Vec<u64> = Vec::new();
@@ -402,50 +325,32 @@ impl<'p> Simulator<'p> {
         for (c, &(f, p, _)) in cycle_map.iter().enumerate() {
             occurrence_index.entry((f as usize, p)).or_default().push(c as u64);
         }
-        let golden = GoldenRun {
-            result: RunResult {
-                outcome: raw.outcome,
-                outputs: raw.outputs,
-                cycles: raw.cycles,
-                hash: raw.hash,
-            },
-            profile: raw.profile.expect("recording enabled"),
+        let mut profile = ExecProfile::new();
+        for (&(f, p), cycles) in &occurrence_index {
+            profile.set(f, p, cycles.len() as u64);
+        }
+        GoldenRun {
+            terminal_regs: s.regs[..self.program.config.num_regs as usize].to_vec(),
+            mem_digest: s.mem_digest,
+            result: RunResult::of(outcome, s),
+            profile,
             cycle_map,
             next_same_depth,
-            occurrence_index,
-            terminal_regs: machine.regs().to_vec(),
-            mem_digest: raw.mem_digest,
-        };
-        (golden, rw_map)
+            occurrence_index: Arc::new(occurrence_index),
+        }
     }
 
     /// Runs with a single injected bit flip, from scratch (cycle 0).
     pub fn run_with_fault(&self, fault: FaultSpec) -> RunResult {
-        let mut machine = Machine::new(self.program);
-        let mut dirty = Vec::new();
-        let verdict = run(
-            &self.flat,
-            self.limits.max_cycles,
-            Some(fault),
-            false,
-            None,
-            None,
-            None,
-            &mut machine,
-            &mut dirty,
-        );
-        let RunVerdict::Finished(raw) = verdict else {
-            unreachable!("runs without a resume context cannot converge-exit")
-        };
-        RunResult { outcome: raw.outcome, outputs: raw.outputs, cycles: raw.cycles, hash: raw.hash }
+        let (outcome, s) = self.run_from_entry(RunMode::Plain(Some(fault)));
+        RunResult::of(outcome, s)
     }
 
-    /// A reusable fault-injection context (scratch machine + dirty-word
+    /// A reusable fault-injection context (scratch memory + dirty-word
     /// undo log). Campaign workers create one per thread and run millions
     /// of faults without re-allocating the address space.
     pub fn injector(&self) -> Injector<'p, '_> {
-        let machine = Machine::new(self.program);
-        Injector { sim: self, initial_regs: machine.regs().to_vec(), machine, dirty: Vec::new() }
+        Injector { sim: self, machine: Machine::new(self.program), dirty: Vec::new() }
     }
 
     /// Runs one fault through a fresh [`Injector`]; see
@@ -461,14 +366,13 @@ impl<'p> Simulator<'p> {
     }
 }
 
-/// A reusable fault-injection context: one scratch [`Machine`] plus the
-/// pristine initial register file. Memory is undone through the dirty log,
-/// which records each written word's previous value — popping it in
-/// reverse restores the exact pre-run image with no pristine copy held.
+/// A reusable fault-injection context: one scratch [`Machine`] whose
+/// memory is undone through the dirty log, which records each written
+/// word's previous value — popping it in reverse restores the exact pre-run
+/// image with no pristine copy held.
 pub struct Injector<'p, 's> {
     sim: &'s Simulator<'p>,
     machine: Machine,
-    initial_regs: Vec<u64>,
     dirty: Vec<(u32, u32)>,
 }
 
@@ -489,45 +393,33 @@ impl Injector<'_, '_> {
         fault: FaultSpec,
     ) -> FaultRun {
         let sim = self.sim;
-        let start_cycle = if ckpts.is_enabled() {
-            ckpts.checkpoints[ckpts.nearest_at_or_before(fault.cycle)].cycle
+        let (mut s, mode) = if ckpts.is_enabled() {
+            let idx = ckpts.nearest_at_or_before(fault.cycle);
+            let memory = &mut self.machine.memory;
+            let s = OpState::restore(ckpts, idx, golden.outputs(), memory, &mut self.dirty);
+            (s, RunMode::Resume { fault, log: ckpts })
         } else {
-            0
+            (OpState::fresh(&sim.flat, self.machine.initial_regs()), RunMode::Plain(Some(fault)))
         };
-        let resume = ResumeCtx { log: ckpts, golden_outputs: golden.outputs() };
-        let verdict = run(
-            &sim.flat,
-            sim.limits.max_cycles,
-            Some(fault),
-            false,
-            None,
-            None,
-            Some(resume),
-            &mut self.machine,
-            &mut self.dirty,
-        );
+        let memory = &mut self.machine.memory;
+        let start_cycle = s.cycle;
+        let end = run(&sim.flat, sim.limits.max_cycles, mode, &mut s, memory, &mut self.dirty);
         // Undo the run: pop the dirty log in reverse, restoring each
-        // word's recorded previous value, and reset the register file,
-        // leaving the scratch machine in initial state for the next fault.
-        self.machine.restore_regs(&self.initial_regs);
+        // word's recorded previous value, leaving the scratch memory in
+        // initial state for the next fault.
         while let Some((w, old)) = self.dirty.pop() {
-            self.machine.memory.set_word(w, old);
+            memory.set_word(w, old);
         }
-        match verdict {
-            RunVerdict::Converged { cycle, simulated } => FaultRun {
+        match end {
+            RunEnd::Converged(cycle) => FaultRun {
                 class: FaultClass::Benign,
                 converged_at: Some(cycle),
-                simulated_cycles: simulated,
+                simulated_cycles: cycle - start_cycle,
                 restored_at: start_cycle,
                 result: None,
             },
-            RunVerdict::Finished(raw) => {
-                let result = RunResult {
-                    outcome: raw.outcome,
-                    outputs: raw.outputs,
-                    cycles: raw.cycles,
-                    hash: raw.hash,
-                };
+            RunEnd::Finished(outcome) => {
+                let result = RunResult::of(outcome, s);
                 FaultRun {
                     class: result.classify(&golden.result),
                     converged_at: None,

@@ -187,13 +187,24 @@ impl GoldenSubstrate {
         // source cycle `c + (perm[f][p] - p)`. The cloned checkpoints keep
         // their machine state and liveness masks (both schedule-invariant
         // at block entries); only their hash states are rewritten here.
+        let tape = &self.tape;
         let mut hash = TraceHash::new();
+        let absorb =
+            |hash: &mut TraceHash, words: &[u64]| words.iter().for_each(|&w| hash.update(w));
+        // Unmoved points (the common case) take token and payload from
+        // their own cycle, so a run of unmoved cycles is one contiguous
+        // slice of the tape: `pending` is where the run not yet absorbed
+        // starts.
+        let mut pending = 0;
         let mut next_ck = 0;
         // Checkpoint capture cycles are strictly increasing, so a single
         // "next capture" cursor replaces a per-cycle scan.
         let mut next_ck_cycle = ckpts.checkpoints.first().map_or(u64::MAX, |ck| ck.cycle);
         for (c, &(f, p, _)) in self.golden.cycle_map.iter().enumerate() {
+            let start = tape.starts[c] as usize;
             if c as u64 == next_ck_cycle {
+                absorb(&mut hash, &tape.words[pending..start]);
+                pending = start;
                 while next_ck < ckpts.checkpoints.len()
                     && ckpts.checkpoints[next_ck].cycle == c as u64
                 {
@@ -204,22 +215,19 @@ impl GoldenSubstrate {
             }
             let delta = permutation[f as usize][p.index()] as i64 - p.index() as i64;
             if delta == 0 {
-                // Unmoved point (the common case): token and payload both
-                // come from the baseline's own cycle, one contiguous slice.
-                for &w in self.tape.cycle_words(c) {
-                    hash.update(w);
-                }
                 continue;
             }
             let sc = c as i64 + delta;
             if sc as u64 >= cycles as u64 {
                 return None; // defensive: precondition guarantees in-range
             }
-            hash.update(self.tape.cycle_words(c)[0]);
-            for &w in &self.tape.cycle_words(sc as usize)[1..] {
-                hash.update(w);
-            }
+            // The pending run and this cycle's token, then the payload of
+            // the instruction the variant executes here.
+            absorb(&mut hash, &tape.words[pending..=start]);
+            absorb(&mut hash, &tape.cycle_words(sc as usize)[1..]);
+            pending = start + tape.cycle_words(c).len();
         }
+        absorb(&mut hash, &tape.words[pending..]);
 
         let mut golden = self.golden.clone();
         golden.result.hash = hash;
@@ -355,6 +363,91 @@ entry:
         assert_eq!(d.golden.result.outputs, real.result.outputs);
         assert_eq!(d.golden.occurrence_index(), real.occurrence_index());
         assert_eq!(d.golden.terminal_regs(), real.terminal_regs());
+    }
+
+    /// The golden run, the uninstrumented run on the decoded ops and the
+    /// digest-tracking verification run agree on the 4-register `example4`
+    /// machine, a 16-bit machine and rv32, and the substrate's tape
+    /// rehashes to the golden hash.
+    #[test]
+    fn golden_paths_agree_on_every_machine_shape() {
+        let example4 = parse_program(
+            r#"
+machine xlen=4 regs=4 zero=none
+func @main(args=0, ret=none) {
+entry:
+    li r1, 6
+    li r0, 0
+    li r3, 4
+    j loop
+loop:
+    andi r2, r1, 1
+    add  r0, r0, r2
+    sb   r0, 1(r3)
+    lbu  r2, 1(r3)
+    addi r1, r1, -1
+    bnez r1, loop, exit
+exit:
+    print r2
+    ret r0
+}
+"#,
+        )
+        .unwrap();
+        assert_eq!(example4.config, bec_ir::MachineConfig::example4());
+        let half = parse_program(
+            r#"
+machine xlen=16 regs=16 zero=r0
+global buf: word[2] = { 5, 0x8006 }
+func @twice(args=1, ret=a0) {
+entry:
+    add a0, a0, a0
+    ret a0
+}
+func @main(args=0, ret=a0) {
+entry:
+    la t0, @buf
+    lh a0, 4(t0)
+    call @twice
+    sh a0, 0(t0)
+    lw a1, 0(t0)
+    print a1
+    ret a0
+}
+"#,
+        )
+        .unwrap();
+        let crc32 = bec_suite::crc32::scaled(8).compile().unwrap();
+        for (label, p) in
+            [("example4", example4), ("xlen16", half), ("toy", toy()), ("crc32", crc32)]
+        {
+            bec_ir::verify_program(&p).unwrap();
+            let sim = Simulator::new(&p);
+            let golden = sim.run_golden();
+            assert_eq!(golden.result.outcome, ExecOutcome::Completed, "{label}");
+            let (outcome, outputs) = sim.run_outputs();
+            assert_eq!(
+                (outcome, outputs.as_slice()),
+                (ExecOutcome::Completed, golden.outputs()),
+                "{label}"
+            );
+            let (plain, regs, digest) = sim.run_plain_verify();
+            assert_eq!(plain.outcome, golden.result.outcome, "{label}: outcome");
+            assert_eq!(plain.outputs, golden.result.outputs, "{label}: outputs");
+            assert_eq!(plain.cycles, golden.cycles(), "{label}: cycles");
+            assert_eq!(plain.hash, golden.result.hash, "{label}: hash");
+            assert_eq!(regs, golden.terminal_regs, "{label}: terminal registers");
+            assert_eq!(digest, golden.mem_digest, "{label}: memory digest");
+
+            let sub = GoldenSubstrate::record(&p, SimLimits::default()).unwrap();
+            assert_eq!(sub.golden().result.hash, golden.result.hash, "{label}: substrate hash");
+            assert_eq!(sub.tape.starts.len() as u64, golden.cycles(), "{label}: tape cycles");
+            let mut rehash = TraceHash::new();
+            for &w in &sub.tape.words {
+                rehash.update(w);
+            }
+            assert_eq!(rehash, golden.result.hash, "{label}: the tape rehashes to the golden hash");
+        }
     }
 
     #[test]

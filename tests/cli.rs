@@ -89,6 +89,26 @@ fn ir_dialect_files_are_accepted_too() {
     assert!(out.contains("output[0] = 3"), "{out}");
 }
 
+/// A register file wider than 64 is an input error (exit 1) naming the
+/// limit, for the analysis and the campaign alike, not a panic.
+#[test]
+fn register_files_wider_than_64_are_rejected() {
+    let dir = std::env::temp_dir().join("bec_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wide.bec");
+    std::fs::write(
+        &path,
+        "machine xlen=16 regs=65 zero=none\nfunc @main(args=0, ret=none) {\nentry:\n    li r64, 3\n    print r64\n    exit\n}\n",
+    )
+    .unwrap();
+    for cmd in ["analyze", "campaign"] {
+        let out = bec(&[cmd, path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "bec {cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("64-register limit"), "bec {cmd}: {err}");
+    }
+}
+
 #[test]
 fn bad_input_fails_with_a_line_number() {
     let dir = std::env::temp_dir().join("bec_cli_test");
