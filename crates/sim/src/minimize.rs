@@ -22,7 +22,11 @@
 //!    line.
 //!
 //! The search is fully deterministic: candidate order is a pure function of
-//! the current text, so a fixed input minimizes to fixed bytes. The result
+//! the current text, so a fixed input minimizes to fixed bytes. Two caps
+//! bound it, both counted rather than timed so they cannot break that: at
+//! most `CANDIDATE_CAP` candidate checks, and at most a fixed budget of
+//! simulated cycles over all checks ([`CYCLE_BUDGET`]). Past
+//! either, the smallest reproducer found so far is returned. The result
 //! carries the final violation [`Witness`], and
 //! [`Minimized::reproducer`] renders a standalone `.bec` file whose header
 //! comment holds the exact `bec sim <file> --fault <cycle>:<reg>:<bit>`
@@ -83,6 +87,9 @@ pub struct Minimized {
     pub candidates: u64,
     /// Candidate edits accepted.
     pub shrinks: u64,
+    /// Cycles simulated by all checks (golden and fault runs), the input's
+    /// own check included.
+    pub cycles: u64,
 }
 
 impl Minimized {
@@ -109,6 +116,14 @@ impl Minimized {
 /// Safety valve: the search stops accepting new candidates past this many
 /// predicate evaluations (generated programs finish in a few hundred).
 const CANDIDATE_CAP: u64 = 20_000;
+
+/// Default total of simulated cycles the checks of one minimization may
+/// spend. Each check runs a golden run and one run of up to the per-run
+/// budget per claimed-masked fault before the first violation, so the
+/// candidate cap alone lets a slow predicate stall a fuzz session (one
+/// generated program spent over 2·10⁹ cycles in three checks). Most generated
+/// programs minimize in under 10⁷ cycles, the slowest seen in under 10⁸.
+pub const CYCLE_BUDGET: u64 = 200_000_000;
 
 /// The delta-debugging minimizer. Construction is cheap; all state lives
 /// on the stack of [`Minimizer::minimize`].
@@ -137,9 +152,20 @@ impl<'a> Minimizer<'a> {
     /// when every claimed-masked injection is benign (or the golden run
     /// does not complete — nothing can be claimed about such a program).
     pub fn find_violation(&self, program: &Program) -> Option<Witness> {
+        self.scan(program, &mut 0, u64::MAX)
+    }
+
+    /// [`Minimizer::find_violation`], adding every simulated cycle to
+    /// `spent` and starting no run once `spent` reaches `budget` (the scan
+    /// then reports no violation).
+    fn scan(&self, program: &Program, spent: &mut u64, budget: u64) -> Option<Witness> {
+        if *spent >= budget {
+            return None;
+        }
         let bec = BecAnalysis::analyze(program, self.options);
         let sim = Simulator::with_limits(program, self.limits);
         let golden = sim.run_golden();
+        *spent += golden.cycles();
         if golden.result.outcome != crate::exec::ExecOutcome::Completed {
             return None;
         }
@@ -152,7 +178,12 @@ impl<'a> Minimizer<'a> {
             if !claimed_masked {
                 continue;
             }
-            let observed = sim.run_with_fault(f.spec).classify(&golden.result);
+            if *spent >= budget {
+                return None;
+            }
+            let run = sim.run_with_fault(f.spec);
+            *spent += run.cycles;
+            let observed = run.classify(&golden.result);
             if observed != FaultClass::Benign {
                 return Some(Witness {
                     fault: f.spec,
@@ -167,10 +198,19 @@ impl<'a> Minimizer<'a> {
     }
 
     /// Shrinks `program` while [`Minimizer::find_violation`] keeps firing.
-    /// Returns `None` when the input has no violation to begin with.
+    /// Returns `None` when the input has no violation to begin with, or
+    /// none within [`CYCLE_BUDGET`]. Every check, the input's included,
+    /// draws on the one budget; a candidate check cut short by it counts
+    /// as a rejection and ends the search.
     pub fn minimize(&self, program: &Program) -> Option<Minimized> {
+        self.minimize_within(program, CYCLE_BUDGET)
+    }
+
+    /// [`Minimizer::minimize`] with a total budget of `budget` cycles.
+    fn minimize_within(&self, program: &Program, budget: u64) -> Option<Minimized> {
         let mut lines: Vec<String> = print_program(program).lines().map(str::to_owned).collect();
-        let (mut current, mut witness) = self.check(&lines)?;
+        let mut spent = 0u64;
+        let (mut current, mut witness) = self.check(&lines, &mut spent, budget)?;
         let initial_instructions = point_count(&current);
         let mut candidates = 0u64;
         let mut shrinks = 0u64;
@@ -182,11 +222,11 @@ impl<'a> Minimizer<'a> {
             for pass in passes {
                 let mut i = 0;
                 while let Some(cand) = pass(&lines, i) {
-                    if candidates >= CANDIDATE_CAP {
+                    if candidates >= CANDIDATE_CAP || spent >= budget {
                         break;
                     }
                     candidates += 1;
-                    if let Some((p, w)) = self.check(&cand) {
+                    if let Some((p, w)) = self.check(&cand, &mut spent, budget) {
                         // Accepted: keep the index — position `i` now names
                         // the next candidate of the shrunk text.
                         lines = cand;
@@ -199,7 +239,7 @@ impl<'a> Minimizer<'a> {
                     }
                 }
             }
-            if !changed || candidates >= CANDIDATE_CAP {
+            if !changed || candidates >= CANDIDATE_CAP || spent >= budget {
                 break;
             }
         }
@@ -214,15 +254,17 @@ impl<'a> Minimizer<'a> {
             witness,
             candidates,
             shrinks,
+            cycles: spent,
         })
     }
 
-    /// The predicate: candidate lines must parse, verify and still violate.
-    fn check(&self, lines: &[String]) -> Option<(Program, Witness)> {
+    /// The predicate: candidate lines must parse, verify and still violate
+    /// within the cycle budget (see [`Minimizer::scan`]).
+    fn check(&self, lines: &[String], spent: &mut u64, budget: u64) -> Option<(Program, Witness)> {
         let src = lines.join("\n");
         let p = parse_program(&src).ok()?;
         verify_program(&p).ok()?;
-        let w = self.find_violation(&p)?;
+        let w = self.scan(&p, spent, budget)?;
         Some((p, w))
     }
 }
@@ -411,6 +453,35 @@ fn drop_line(lines: &[String], n: usize) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bec_fuzzgen::{generate, GenConfig};
+
+    #[test]
+    fn cycle_budget_stops_expensive_checks() {
+        // Each check of this program simulates ~100k cycles, so a budget
+        // of a few checks' worth stops the search early: fewer candidates,
+        // a larger but still valid reproducer.
+        let g = generate(15, &GenConfig::full());
+        let options = BecOptions::paper();
+        let minimizer = Minimizer::new(&options, Oracle::AssumeAllMasked);
+        let full = minimizer.minimize(&g.program).unwrap();
+        assert!(full.cycles / full.candidates > 50_000, "checks too cheap: {} cycles", full.cycles);
+
+        let budget = 400_000;
+        let cut = minimizer.minimize_within(&g.program, budget).expect("input check fits");
+        assert!(cut.candidates < full.candidates, "{} vs {}", cut.candidates, full.candidates);
+        assert!(cut.cycles < full.cycles);
+        assert!(cut.instructions >= full.instructions);
+        assert!(cut.instructions <= cut.initial_instructions);
+        assert_eq!(minimizer.find_violation(&cut.program), Some(cut.witness));
+        // Cycles, not time: the cut lands on the same candidate every run.
+        let again = minimizer.minimize_within(&g.program, budget).unwrap();
+        assert_eq!(
+            (again.source, again.candidates, again.cycles),
+            (cut.source, cut.candidates, cut.cycles)
+        );
+        // A budget the input's own check overruns yields no reproducer.
+        assert!(minimizer.minimize_within(&g.program, 1).is_none());
+    }
 
     #[test]
     fn retarget_rewrites_only_label_operands() {

@@ -187,8 +187,17 @@ pub struct PreparedCampaign {
     pub plan: ShardPlan,
 }
 
-/// The pre-pool phase of [`run_campaign`]: golden probe (or derivation
-/// from `shared`), completion check, budget derivation and shard planning.
+/// The golden half of a [`PreparedCampaign`]: a completed fault-free run
+/// and its checkpoint log, before budget derivation and planning.
+pub struct CampaignGolden {
+    /// The golden (fault-free) run of the program under campaign.
+    pub golden: GoldenRun,
+    /// The golden run's checkpoint log.
+    pub ckpts: CheckpointLog,
+}
+
+/// The pre-pool phase of [`run_campaign`]: [`prepare_golden`] on the main
+/// timeline, then [`plan_campaign`].
 ///
 /// # Errors
 ///
@@ -201,11 +210,31 @@ pub fn prepare_campaign(
     shared: Option<SharedGolden<'_>>,
     tel: &Telemetry,
 ) -> Result<PreparedCampaign, String> {
+    let golden = prepare_golden(label, program, spec, shared, tel, 0)?;
+    Ok(plan_campaign(label, verdicts, spec, golden, tel))
+}
+
+/// The golden step of a campaign: golden probe (or derivation from
+/// `shared`) and completion check. Its `golden` span goes on trace
+/// timeline `tid`, so a study can run it on a helper thread; it writes
+/// only counters, whose totals do not depend on which thread adds them.
+///
+/// # Errors
+///
+/// Fails when the golden run did not complete.
+pub fn prepare_golden(
+    label: &str,
+    program: &Program,
+    spec: &StudySpec,
+    shared: Option<SharedGolden<'_>>,
+    tel: &Telemetry,
+    tid: u32,
+) -> Result<CampaignGolden, String> {
     let probe = Simulator::with_limits(
         program,
         SimLimits { max_cycles: spec.max_cycles.unwrap_or(100_000_000) },
     );
-    let golden_span = tel.span("golden").arg("label", label);
+    let golden_span = tel.span_on(tid, "golden").arg("label", label);
     let (golden, ckpts) = match spec.checkpoint_interval {
         Some(0) => (probe.run_golden(), CheckpointLog::disabled()),
         Some(n) => probe.run_golden_checkpointed(n),
@@ -218,7 +247,6 @@ pub fn prepare_campaign(
             None => probe.run_golden_aligned(),
         },
     };
-    let interval = ckpts.interval();
     drop(golden_span);
     if golden.result.outcome != crate::ExecOutcome::Completed {
         return Err(format!(
@@ -226,6 +254,22 @@ pub fn prepare_campaign(
             golden.result.outcome
         ));
     }
+    Ok(CampaignGolden { golden, ckpts })
+}
+
+/// The plan step of a campaign: budget derivation and shard planning.
+/// It writes the `campaign.checkpoint_interval` and
+/// `campaign.budget_cycles` gauges, so run it serially, just before its
+/// campaign: a gauge keeps its last write.
+pub fn plan_campaign(
+    label: &str,
+    verdicts: &SiteVerdicts,
+    spec: &StudySpec,
+    golden: CampaignGolden,
+    tel: &Telemetry,
+) -> PreparedCampaign {
+    let CampaignGolden { golden, ckpts } = golden;
+    let interval = ckpts.interval();
     let budget = spec
         .max_cycles
         .unwrap_or_else(|| golden.cycles().saturating_mul(100).saturating_add(10_000));
@@ -236,7 +280,7 @@ pub fn prepare_campaign(
     let plan_span = tel.span("plan").arg("label", label);
     let plan = SiteTable::new(verdicts, &golden).plan(cspec);
     drop(plan_span.arg("fault_space", plan.fault_space()).arg("runs", plan.runs()));
-    Ok(PreparedCampaign { golden, ckpts, interval, budget, plan })
+    PreparedCampaign { golden, ckpts, interval, budget, plan }
 }
 
 /// The pool phase of [`run_campaign`]: executes a prepared

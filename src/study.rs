@@ -38,15 +38,18 @@
 //!   over the baseline ([`StudyReport::coverage_regressions`]; the
 //!   deliberately pessimal `worst` bound is exempt).
 
-use bec_core::{BecAnalysis, BecOptions};
+use bec_core::{BecAnalysis, BecOptions, SiteCounts, SurfaceRow};
 use bec_ir::{MachineConfig, Program};
-use bec_sched::Scheduler;
+use bec_sched::{Criterion, ScheduledVariant, Scheduler};
 use bec_sim::study::{
-    prepare_campaign, run_prepared, BenchmarkStudy, EquivalenceRecord, ScoringRecord, StudyReport,
-    StudySpec, VariantRecord,
+    plan_campaign, prepare_golden, run_prepared, BenchmarkStudy, CampaignGolden, EquivalenceRecord,
+    ScoringRecord, StudyReport, StudySpec, VariantRecord,
 };
 use bec_sim::{GoldenRun, GoldenSubstrate, SharedGolden, SimLimits, Simulator, SiteVerdicts};
+use bec_suite::Benchmark;
 use bec_telemetry::{Phase, ProgressEvent, Telemetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// What to study: which benchmarks, under which rule set, with which
 /// campaign spec.
@@ -87,6 +90,14 @@ impl StudyConfig {
 /// Runs the study described by `cfg`, resuming completed variant
 /// campaigns from `resume` when given (each campaign is moved out of it).
 ///
+/// The work before each campaign runs as fork-join phases on the
+/// `cfg.spec.workers` threads: the calling thread plus at most
+/// `workers − 1` scoped helpers, all joined before the next campaign
+/// starts (`workers = 1` spawns none). Every benchmark is compiled up
+/// front; per benchmark, the golden substrate is recorded while the
+/// scheduler scores, and the variants are prepared concurrently. The
+/// campaigns themselves run one at a time, in criterion order.
+///
 /// `progress` receives typed [`ProgressEvent`]s as the pipeline advances:
 /// one [`Phase::Schedule`] event per benchmark (variant count, scoring
 /// counters) and one [`Phase::Verify`] plus one [`Phase::Campaign`] event
@@ -100,7 +111,8 @@ impl StudyConfig {
 ///
 /// Fails on unknown benchmark names, a resume report recorded for a
 /// different study spec, any semantic-equivalence failure of a scheduled
-/// variant, or a campaign-level error.
+/// variant, or a campaign-level error. Errors surface in benchmark and
+/// criterion order, after the progress events of everything before them.
 pub fn run_study(
     cfg: &StudyConfig,
     mut resume: Option<StudyReport>,
@@ -118,16 +130,20 @@ pub fn run_study(
     let names = cfg.benchmark_names();
     let _study_span = tel.span("study").arg("benchmarks", names.len());
     tel.gauge("study.benchmarks", names.len() as u64);
-    let mut report = StudyReport::empty(&cfg.rules, &cfg.spec);
-    for name in names {
-        let bench = bec_suite::benchmark(&name)
+    let compiled = fork_join(&names, cfg.spec.workers, |name, tid| {
+        let _compile_span = tel.span_on(tid, "compile").arg("benchmark", name);
+        let bench = bec_suite::benchmark(name)
             .ok_or_else(|| format!("unknown suite benchmark `{name}`"))?;
         let program =
             bench.compile().map_err(|e| format!("{name}: benchmark failed to compile: {e}"))?;
+        Ok::<_, String>((bench, program))
+    });
+    let mut report = StudyReport::empty(&cfg.rules, &cfg.spec);
+    for compiled in compiled {
+        let (bench, program) = compiled?;
         report.benchmarks.push(study_benchmark(
             cfg,
-            &name,
-            &bench.expected,
+            &bench,
             &program,
             resume.as_mut(),
             tel,
@@ -137,22 +153,65 @@ pub fn run_study(
     Ok(report)
 }
 
-/// Studies one compiled benchmark: shared-analysis scheduling, per-variant
-/// equivalence verification, analysis, surface accounting and campaign.
+/// Studies one compiled benchmark: shared-analysis scoring and the
+/// substrate recording, concurrent variant preparation, then each
+/// variant's plan, campaign and equivalence verdict in criterion order.
 fn study_benchmark(
     cfg: &StudyConfig,
-    name: &str,
-    expected: &[u64],
+    bench: &Benchmark,
     program: &Program,
     mut resume: Option<&mut StudyReport>,
     tel: &Telemetry,
     progress: &mut impl FnMut(&ProgressEvent),
 ) -> Result<BenchmarkStudy, String> {
+    let (name, expected) = (bench.name, &bench.expected[..]);
     let _bench_span = tel.span("benchmark").arg("name", name);
+    // The shared golden substrate: record the baseline's aligned-checkpoint
+    // golden run once and derive every variant's campaign inputs from it
+    // through the schedule permutation. Recording only pays off under the
+    // adaptive checkpoint policy (an explicit interval forces per-variant
+    // grids), and `--no-golden-reuse` opts out entirely; a benchmark whose
+    // baseline fails to record simply falls back to independent goldens.
+    let record = cfg.spec.golden_reuse && cfg.spec.checkpoint_interval.is_none();
+    let substrate = OnceLock::new();
+    let substrate_of = |tid: u32| {
+        substrate
+            .get_or_init(|| {
+                record.then(|| {
+                    let _substrate_span = tel.span_on(tid, "substrate").arg("benchmark", name);
+                    let limits =
+                        SimLimits { max_cycles: cfg.spec.max_cycles.unwrap_or(100_000_000) };
+                    GoldenSubstrate::record(program, limits).ok()
+                })?
+            })
+            .as_ref()
+    };
     // One BecAnalysis scores every candidate schedule (the shared-analysis
     // refactor this pipeline exists to exercise).
-    let schedule_span = tel.span("schedule").arg("benchmark", name);
-    let scheduler = Scheduler::new(program, &cfg.options);
+    let scheduler = OnceLock::new();
+    let scheduler_of = |tid: u32| {
+        scheduler.get_or_init(|| {
+            let _schedule_span = tel.span_on(tid, "schedule").arg("benchmark", name);
+            Scheduler::new(program, &cfg.options)
+        })
+    };
+    // One fork-join prepares the variants, so a helper that starts late
+    // still finds work. The calling thread records the substrate first: it
+    // lives through the benchmark's campaigns, and allocated on a helper
+    // it would pin memory in that thread's allocator arena, raising the
+    // study's peak RSS. A helper scores the schedules meanwhile; whichever
+    // thread needs the other's result first computes it or waits for it.
+    let prepared = fork_join(&Criterion::ALL, cfg.spec.workers, |&criterion, tid| {
+        let (substrate, scheduler) = if tid == 0 {
+            let substrate = substrate_of(tid);
+            (substrate, scheduler_of(tid))
+        } else {
+            let scheduler = scheduler_of(tid);
+            (substrate_of(tid), scheduler)
+        };
+        prepare_variant(cfg, bench, scheduler, substrate, criterion, tel, tid)
+    });
+    let scheduler = scheduler.into_inner().expect("every variant was scheduled");
     let stats = scheduler.analysis().stats();
     let scoring = ScoringRecord {
         analyses: scheduler.analyses_run(),
@@ -161,78 +220,36 @@ fn study_benchmark(
         coalesce_passes: stats.coalesce_passes,
         uf_nodes: stats.uf_nodes,
     };
+    drop(scheduler);
     debug_assert_eq!(scoring.analyses, 1, "variant scoring must reuse one analysis");
-    let scheduled = scheduler.variants();
-    drop(schedule_span);
     tel.add("study.scoring_analyses", scoring.analyses);
     progress(&ProgressEvent {
         benchmark: name.to_owned(),
         variant: String::new(),
         phase: Phase::Schedule,
         counters: vec![
-            ("variants", scheduled.len() as u64),
+            ("variants", Criterion::ALL.len() as u64),
             ("points", scoring.points),
             ("solver_visits", scoring.solver_visits),
         ],
     });
 
-    // The shared golden substrate: record the baseline's aligned-checkpoint
-    // golden run once and derive every variant's campaign inputs from it
-    // through the schedule permutation. Recording only pays off under the
-    // adaptive checkpoint policy (an explicit interval forces per-variant
-    // grids), and `--no-golden-reuse` opts out entirely; a benchmark whose
-    // baseline fails to record simply falls back to independent goldens.
-    let substrate = if cfg.spec.golden_reuse && cfg.spec.checkpoint_interval.is_none() {
-        let substrate_span = tel.span("substrate").arg("benchmark", name);
-        let limits = SimLimits { max_cycles: cfg.spec.max_cycles.unwrap_or(100_000_000) };
-        let recorded = GoldenSubstrate::record(program, limits).ok();
-        drop(substrate_span);
-        recorded
-    } else {
-        None
-    };
-
     let mut variants = Vec::new();
     // The baseline golden run everything is compared against; filled by
     // the first (Original) variant.
     let mut baseline: Option<GoldenRun> = None;
-    for variant in scheduled {
+    for prepared in prepared {
+        let PreparedVariant { variant, label, verdicts, golden, reencode, counts, surface } =
+            prepared?;
         let criterion = variant.criterion;
         let _variant_span =
             tel.span("variant").arg("benchmark", name).arg("criterion", criterion.name());
-        bec_ir::verify_program(&variant.program).map_err(|e| {
-            format!("{name}/{}: scheduler broke the program: {e}", criterion.name())
-        })?;
-
-        // The variant's own analysis: its verdicts are the campaign's
-        // static provenance and its surface is the coverage-gate metric.
-        // The baseline variant IS the original program, so its analysis is
-        // the scheduler's shared one — only real reschedules re-analyze.
-        let analysis_span =
-            tel.span("analysis").arg("benchmark", name).arg("criterion", criterion.name());
-        let fresh;
-        let vbec: &BecAnalysis = if criterion == bec_sched::Criterion::Original {
-            scheduler.analysis()
-        } else {
-            fresh = BecAnalysis::analyze(&variant.program, &cfg.options);
-            &fresh
-        };
-        let verdicts = SiteVerdicts::of(&variant.program, vbec);
-        drop(analysis_span);
-        let label = format!("study:{name}:{}", criterion.name());
         let prior =
             resume.as_deref_mut().and_then(|r| r.take_prior_campaign(name, criterion.name()));
-        let shared = substrate
-            .as_ref()
-            .map(|s| SharedGolden { substrate: s, permutation: &variant.permutation });
-        let prep = prepare_campaign(&label, &variant.program, &verdicts, &cfg.spec, shared, tel)?;
+        let prep = plan_campaign(&label, &verdicts, &cfg.spec, golden, tel);
         let crun = run_prepared(&label, &variant.program, prep, &cfg.spec, prior, tel)?;
 
-        let verify_span =
-            tel.span("verify").arg("benchmark", name).arg("criterion", criterion.name());
-        let equivalence =
-            check_equivalence(expected, baseline.as_ref(), &variant.program, &crun.golden);
-        drop(verify_span);
+        let equivalence = check_equivalence(expected, baseline.as_ref(), &crun.golden, reencode);
         let baseline_cycles =
             baseline.as_ref().map(GoldenRun::cycles).unwrap_or_else(|| crun.golden.cycles());
         if !equivalence.holds(baseline_cycles) {
@@ -249,12 +266,6 @@ fn study_benchmark(
             counters: vec![("cycles", equivalence.cycles)],
         });
 
-        let surface_span =
-            tel.span("surface").arg("benchmark", name).arg("criterion", criterion.name());
-        let counts = vbec.site_counts(&variant.program);
-        let surface =
-            bec_core::surface::surface_row(name, &variant.program, vbec, &crun.golden.profile);
-        drop(surface_span);
         tel.add("study.variants", 1);
         progress(&ProgressEvent {
             benchmark: name.to_owned(),
@@ -286,14 +297,116 @@ fn study_benchmark(
     Ok(BenchmarkStudy { name: name.to_owned(), scoring, variants })
 }
 
+/// One variant's campaign inputs and static accounting, computed before
+/// any of the benchmark's campaigns runs.
+struct PreparedVariant {
+    variant: ScheduledVariant,
+    label: String,
+    verdicts: SiteVerdicts,
+    golden: CampaignGolden,
+    /// The RV32 re-encode probe (see [`reencode_matches`]).
+    reencode: Option<bool>,
+    counts: SiteCounts,
+    surface: SurfaceRow,
+}
+
+/// Prepares one variant on trace timeline `tid`: its schedule under
+/// `criterion` and program check, its own analysis and verdicts, its
+/// golden run, the re-encode probe and the surface accounting.
+fn prepare_variant(
+    cfg: &StudyConfig,
+    bench: &Benchmark,
+    scheduler: &Scheduler<'_>,
+    substrate: Option<&GoldenSubstrate>,
+    criterion: Criterion,
+    tel: &Telemetry,
+    tid: u32,
+) -> Result<PreparedVariant, String> {
+    let (name, expected) = (bench.name, &bench.expected[..]);
+    let _prepare_span =
+        tel.span_on(tid, "prepare").arg("benchmark", name).arg("criterion", criterion.name());
+    let variant = scheduler.schedule(criterion);
+    let criterion = criterion.name();
+    bec_ir::verify_program(&variant.program)
+        .map_err(|e| format!("{name}/{criterion}: scheduler broke the program: {e}"))?;
+
+    // The variant's own analysis: its verdicts are the campaign's static
+    // provenance and its surface is the coverage-gate metric. The baseline
+    // variant IS the original program, so its analysis is the scheduler's
+    // shared one — only real reschedules re-analyze.
+    let analysis_span =
+        tel.span_on(tid, "analysis").arg("benchmark", name).arg("criterion", criterion);
+    let fresh;
+    let vbec: &BecAnalysis = if variant.criterion == Criterion::Original {
+        scheduler.analysis()
+    } else {
+        fresh = BecAnalysis::analyze(&variant.program, &cfg.options);
+        &fresh
+    };
+    let verdicts = SiteVerdicts::of(&variant.program, vbec);
+    drop(analysis_span);
+
+    let label = format!("study:{name}:{criterion}");
+    let shared =
+        substrate.map(|s| SharedGolden { substrate: s, permutation: &variant.permutation });
+    let golden = prepare_golden(&label, &variant.program, &cfg.spec, shared, tel, tid)?;
+
+    let verify_span = tel.span_on(tid, "verify").arg("benchmark", name).arg("criterion", criterion);
+    let reencode = reencode_matches(&variant.program, expected);
+    drop(verify_span);
+
+    let surface_span =
+        tel.span_on(tid, "surface").arg("benchmark", name).arg("criterion", criterion);
+    let counts = vbec.site_counts(&variant.program);
+    let surface =
+        bec_core::surface::surface_row(name, &variant.program, vbec, &golden.golden.profile);
+    drop(surface_span);
+    Ok(PreparedVariant { variant, label, verdicts, golden, reencode, counts, surface })
+}
+
+/// Runs `job` on every item: on the calling thread (trace timeline 0)
+/// and at most `workers − 1` scoped helpers (timelines 1, 2, …), each
+/// taking the next unclaimed item. Returns the results in item order;
+/// every helper is joined before it returns.
+fn fork_join<I: Sync, T: Send>(
+    items: &[I],
+    workers: usize,
+    job: impl Fn(&I, u32) -> T + Sync,
+) -> Vec<T> {
+    let helpers = workers.saturating_sub(1).min(items.len().saturating_sub(1));
+    let next = AtomicUsize::new(0);
+    let drain = |tid: u32| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break done };
+            done.push((i, job(item, tid)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (1..=helpers as u32).map(|tid| scope.spawn(move || drain(tid))).collect();
+        let mut done = drain(0);
+        for h in handles {
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        for (i, result) in done {
+            slots[i] = Some(result);
+        }
+    });
+    slots.into_iter().map(|s| s.expect("every item prepared")).collect()
+}
+
 /// Establishes the semantic-equivalence evidence of one variant golden run
-/// against the baseline (and the suite oracle). `baseline` is `None` for
-/// the baseline variant itself, which is compared against the oracle only.
+/// against the baseline (and the suite oracle), given the variant's
+/// re-encode probe result. `baseline` is `None` for the baseline variant
+/// itself, which is compared against the oracle only.
 fn check_equivalence(
     expected: &[u64],
     baseline: Option<&GoldenRun>,
-    program: &Program,
     golden: &GoldenRun,
+    reencode_outputs_match: Option<bool>,
 ) -> EquivalenceRecord {
     let outputs_match = golden.outputs() == expected
         && baseline.map(|b| golden.outputs() == b.outputs()).unwrap_or(true);
@@ -304,7 +417,7 @@ fn check_equivalence(
             .map(|b| golden.terminal_regs() == b.terminal_regs())
             .unwrap_or(true),
         mem_digest_match: baseline.map(|b| golden.mem_digest() == b.mem_digest()).unwrap_or(true),
-        reencode_outputs_match: reencode_matches(program, expected),
+        reencode_outputs_match,
     }
 }
 
@@ -332,7 +445,6 @@ fn reencode_matches(program: &Program, expected: &[u64]) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bec_sched::Criterion;
 
     #[test]
     fn crc32_study_end_to_end() {
@@ -442,5 +554,23 @@ mod tests {
         assert!(run_study(&cfg, None, &Telemetry::disabled(), |_| {})
             .unwrap_err()
             .contains("unknown suite benchmark"));
+    }
+
+    #[test]
+    fn errors_surface_in_benchmark_order() {
+        // Every benchmark compiles up front, but a bad name still fails
+        // only after the benchmarks before it are studied, and nothing
+        // after it runs.
+        let spec = StudySpec { sample: Some(8), shards: 2, workers: 2, ..StudySpec::default() };
+        let cfg = StudyConfig {
+            benchmarks: vec!["crc32".into(), "nope".into(), "rsa".into()],
+            ..StudyConfig::suite(spec)
+        };
+        let mut seen: Vec<String> = Vec::new();
+        let err = run_study(&cfg, None, &Telemetry::disabled(), |e| seen.push(e.benchmark.clone()))
+            .unwrap_err();
+        assert!(err.contains("unknown suite benchmark `nope`"), "{err}");
+        assert!(seen.iter().any(|b| b == "crc32"), "{seen:?}");
+        assert!(seen.iter().all(|b| b != "rsa"), "{seen:?}");
     }
 }

@@ -26,13 +26,21 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn run_bec(args: &[String]) -> String {
+    run_bec_with_stderr(args).0
+}
+
+/// Runs `bec` to success and returns its stdout and stderr.
+fn run_bec_with_stderr(args: &[String]) -> (String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_bec"))
         .current_dir(repo_root())
         .args(args)
         .output()
         .expect("bec binary runs");
     assert!(out.status.success(), "bec {args:?} failed:\n{}", String::from_utf8_lossy(&out.stderr));
-    String::from_utf8(out.stdout).expect("utf8 stdout")
+    (
+        String::from_utf8(out.stdout).expect("utf8 stdout"),
+        String::from_utf8(out.stderr).expect("utf8 stderr"),
+    )
 }
 
 fn read(path: &Path) -> String {
@@ -69,18 +77,29 @@ fn logical_metrics(snapshot: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// What one exporter run of [`assert_invariant`] leaves besides stdout
+/// and the report.
+struct Exports {
+    /// The `--metrics-out` snapshot.
+    metrics: String,
+    /// The span names of the `--trace-out` export.
+    spans: BTreeSet<String>,
+    /// The run's stderr.
+    stderr: String,
+}
+
 /// Runs `base` once without exporters (the reference), then with
 /// exporters at 1, 2 and 8 workers. Asserts byte-identical stdout and
 /// report files everywhere, checks the trace spans, and returns the three
-/// metrics snapshots.
-fn assert_invariant(label: &str, base: &[&str], expected_spans: &[&str]) -> Vec<String> {
+/// runs' exports.
+fn assert_invariant(label: &str, base: &[&str], expected_spans: &[&str]) -> Vec<Exports> {
     let report_ref = tmp(&format!("{label}_ref.json"));
     let mut reference = strs(base);
     reference.extend(["--report".into(), report_ref.display().to_string()]);
     let stdout_ref = run_bec(&reference);
     let report_bytes = read(&report_ref);
 
-    let mut snapshots = Vec::new();
+    let mut runs = Vec::new();
     for workers in ["1", "2", "8"] {
         let report = tmp(&format!("{label}_w{workers}.json"));
         let trace = tmp(&format!("{label}_w{workers}_trace.json"));
@@ -96,7 +115,7 @@ fn assert_invariant(label: &str, base: &[&str], expected_spans: &[&str]) -> Vec<
             "--metrics-out".into(),
             metrics.display().to_string(),
         ]);
-        let stdout = run_bec(&args);
+        let (stdout, stderr) = run_bec_with_stderr(&args);
         assert_eq!(stdout, stdout_ref, "{label}: exporters/workers={workers} changed stdout");
         assert_eq!(
             read(&report),
@@ -114,19 +133,19 @@ fn assert_invariant(label: &str, base: &[&str], expected_spans: &[&str]) -> Vec<
         for span in expected_spans {
             assert!(names.contains(*span), "{label}: trace lacks span `{span}` ({names:?})");
         }
-        snapshots.push(read(&metrics));
+        runs.push(Exports { metrics: read(&metrics), spans: names, stderr });
 
         for p in [&report, &trace, &metrics] {
             let _ = std::fs::remove_file(p);
         }
     }
     let _ = std::fs::remove_file(&report_ref);
-    snapshots
+    runs
 }
 
 #[test]
 fn campaign_exports_never_change_stdout_or_reports() {
-    let snapshots = assert_invariant(
+    let runs = assert_invariant(
         "campaign",
         &[
             "campaign",
@@ -141,14 +160,14 @@ fn campaign_exports_never_change_stdout_or_reports() {
         ],
         &["golden", "campaign", "shard"],
     );
-    let logical: Vec<_> = snapshots.iter().map(|s| logical_metrics(s)).collect();
+    let logical: Vec<_> = runs.iter().map(|r| logical_metrics(&r.metrics)).collect();
     assert!(!logical[0].is_empty());
     assert!(
         logical.windows(2).all(|w| w[0] == w[1]),
         "campaign logical metrics vary with worker count:\n{logical:#?}"
     );
     // Spot-check the registry against the spec: 24 sampled runs.
-    let doc = Json::parse(&snapshots[0]).unwrap();
+    let doc = Json::parse(&runs[0].metrics).unwrap();
     let runs = doc
         .get("metrics")
         .and_then(|m| m.get("campaign.runs"))
@@ -161,7 +180,7 @@ fn campaign_exports_never_change_stdout_or_reports() {
 fn study_exports_never_change_stdout_or_reports() {
     let base =
         ["study", "--bench", "crc32", "--sample", "40", "--seed", "7", "--shards", "4", "--json"];
-    let snapshots = assert_invariant(
+    let runs = assert_invariant(
         "study",
         &base,
         &[
@@ -176,7 +195,7 @@ fn study_exports_never_change_stdout_or_reports() {
             "shard",
         ],
     );
-    let logical: Vec<_> = snapshots.iter().map(|s| logical_metrics(s)).collect();
+    let logical: Vec<_> = runs.iter().map(|r| logical_metrics(&r.metrics)).collect();
     assert!(
         logical.windows(2).all(|w| w[0] == w[1]),
         "study logical metrics vary with worker count:\n{logical:#?}"
@@ -184,7 +203,7 @@ fn study_exports_never_change_stdout_or_reports() {
     // The substrate counters are part of the logical (worker-independent)
     // registry: every variant (including the identity baseline) derives
     // from the shared substrate, and the replays are cycle-deterministic.
-    let doc = Json::parse(&snapshots[0]).unwrap();
+    let doc = Json::parse(&runs[0].metrics).unwrap();
     let counter = |name: &str| {
         doc.get("metrics")
             .and_then(|m| m.get(name))
@@ -212,6 +231,71 @@ fn study_exports_never_change_stdout_or_reports() {
     for p in [&report_ref, &report_no] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// The stderr `study:` progress lines with the values of the two
+/// nondeterministic counters, `wall_ms` and `workers`, removed.
+fn study_progress(stderr: &str) -> Vec<String> {
+    stderr
+        .lines()
+        .filter(|l| l.starts_with("study:"))
+        .map(|l| {
+            l.split(", ")
+                .map(|part| match part.split_once(' ') {
+                    Some((key @ ("wall_ms" | "workers"), _)) => key,
+                    _ => part,
+                })
+                .collect::<Vec<_>>()
+                .join(", ")
+        })
+        .collect()
+}
+
+#[test]
+fn multi_benchmark_study_is_worker_count_independent() {
+    // Two benchmarks, one of them multi-function (bitcount has 6
+    // functions), so the compile, substrate and variant-prepare phases
+    // all run concurrently at 2 and 8 workers.
+    let runs = assert_invariant(
+        "study2",
+        &[
+            "study", "--bench", "crc32", "--bench", "bitcount", "--sample", "40", "--seed", "7",
+            "--shards", "4", "--json",
+        ],
+        &[
+            "study",
+            "compile",
+            "benchmark",
+            "schedule",
+            "substrate",
+            "prepare",
+            "analysis",
+            "golden",
+            "verify",
+            "surface",
+            "variant",
+            "plan",
+            "campaign",
+            "shard",
+        ],
+    );
+    let logical: Vec<_> = runs.iter().map(|r| logical_metrics(&r.metrics)).collect();
+    assert!(
+        logical.windows(2).all(|w| w[0] == w[1]),
+        "study logical metrics vary with worker count:\n{logical:#?}"
+    );
+    let names: Vec<&str> = logical[0].iter().map(|(name, _)| name.as_str()).collect();
+    for gauge in ["campaign.checkpoint_interval", "campaign.budget_cycles"] {
+        assert!(names.contains(&gauge), "snapshot lacks {gauge}: {names:?}");
+    }
+    assert!(runs.windows(2).all(|w| w[0].spans == w[1].spans), "span names vary with worker count");
+    let progress: Vec<Vec<String>> = runs.iter().map(|r| study_progress(&r.stderr)).collect();
+    // One schedule line per benchmark, then verify + campaign per variant.
+    assert_eq!(progress[0].len(), 2 * (1 + 2 * 3), "{:#?}", progress[0]);
+    assert!(
+        progress.windows(2).all(|w| w[0] == w[1]),
+        "study progress lines vary with worker count:\n{progress:#?}"
+    );
 }
 
 #[test]
