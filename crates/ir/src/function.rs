@@ -120,15 +120,6 @@ impl Function {
         &self.blocks[id.index()]
     }
 
-    /// Mutable access to a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
-    }
-
     /// Total number of program points (instructions + terminators).
     pub fn point_count(&self) -> usize {
         self.blocks.iter().map(Block::point_count).sum()

@@ -74,12 +74,6 @@ impl AluOp {
             Remu => "remu",
         }
     }
-
-    /// Whether this is one of the compare-like operations (`slt`, `sltu`)
-    /// that the paper's Algorithm 3 treats with `eval`-equivalence.
-    pub fn is_compare(self) -> bool {
-        matches!(self, AluOp::Slt | AluOp::Sltu)
-    }
 }
 
 /// Memory access width.
@@ -210,15 +204,6 @@ impl Inst {
             | Inst::Load { rd, .. } => vec![*rd],
             Inst::Store { .. } | Inst::Call { .. } | Inst::Print { rs: _ } | Inst::Nop => vec![],
         }
-    }
-
-    /// Whether the instruction touches memory or has other side effects that
-    /// impose ordering constraints on the scheduler.
-    pub fn has_side_effects(&self) -> bool {
-        matches!(
-            self,
-            Inst::Load { .. } | Inst::Store { .. } | Inst::Call { .. } | Inst::Print { .. }
-        )
     }
 
     /// Rewrites every register operand through `f` (used by the register

@@ -72,11 +72,6 @@ impl Program {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Mutable lookup of a function by name.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Index of a function by name.
     pub fn function_index(&self, name: &str) -> Option<usize> {
         self.functions.iter().position(|f| f.name == name)

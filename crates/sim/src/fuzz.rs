@@ -19,18 +19,18 @@
 //! `bec sim <file> --fault <cycle>:<reg>:<bit>`.
 //!
 //! Everything is deterministic by construction: program seeds are a pure
-//! function of [`FuzzSpec::seed`], campaign reports are canonical
-//! regardless of worker count or engine, the class probes run on the
-//! scalar simulator, and the minimizer's search order is a pure function
-//! of the program text. The findings log ([`FuzzReport::to_json`]) and
-//! every corpus file therefore render to identical bytes at any
-//! `--workers` count and under both engines.
+//! function of the master seed (the `seed` of [`FuzzSpec::campaign`]),
+//! campaign reports are canonical regardless of worker count or engine,
+//! the class probes run on the scalar simulator, and the minimizer's
+//! search order is a pure function of the program text. The findings log
+//! ([`FuzzReport::to_json`]) and every corpus file therefore render to
+//! identical bytes at any `--workers` count and under both engines.
 
-use crate::bitslice::Engine;
 use crate::json::Json;
 use crate::machine::FaultSpec;
 use crate::minimize::{Minimized, Minimizer, Oracle};
 use crate::runner::{GoldenRun, SimLimits, Simulator};
+use crate::shard::SiteVerdicts;
 use crate::study::{run_campaign, StudySpec};
 use crate::trace::FaultClass;
 use crate::validate::MismatchKind;
@@ -47,18 +47,14 @@ const CLASS_PROBE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The deterministic inputs of a fuzzing session.
 #[derive(Clone, Debug)]
 pub struct FuzzSpec {
-    /// Master seed: program seeds and probe choices derive from it.
-    pub seed: u64,
+    /// The per-program campaign knobs. Its `seed` is the master seed:
+    /// program seeds and probe choices derive from it, and every campaign
+    /// samples with it. `workers` and `engine` never influence findings
+    /// bytes; `max_cycles` and `checkpoint_interval` stay at their
+    /// defaults (derived budget, adaptive checkpoints).
+    pub campaign: StudySpec,
     /// Number of programs to generate and check.
     pub budget: u64,
-    /// Per-program campaign sample (`None`: exhaustive).
-    pub sample: Option<u64>,
-    /// Shards per campaign.
-    pub shards: u32,
-    /// Worker threads (never influences findings bytes).
-    pub workers: usize,
-    /// Per-fault execution engine (never influences findings bytes).
-    pub engine: Engine,
     /// Class-equivalence probes per program.
     pub class_checks: u32,
     /// Whether findings are shrunk to minimal reproducers.
@@ -73,12 +69,8 @@ pub struct FuzzSpec {
 impl Default for FuzzSpec {
     fn default() -> FuzzSpec {
         FuzzSpec {
-            seed: 0xbec,
+            campaign: StudySpec { sample: Some(256), shards: 16, ..StudySpec::default() },
             budget: 16,
-            sample: Some(256),
-            shards: 16,
-            workers: 1,
-            engine: Engine::default(),
             class_checks: 8,
             minimize: false,
             oracle: Oracle::Analysis,
@@ -217,7 +209,7 @@ pub fn run_fuzz(
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     }
     let mut report = FuzzReport {
-        seed: spec.seed,
+        seed: spec.campaign.seed,
         budget: spec.budget,
         programs: 0,
         campaign_runs: 0,
@@ -225,7 +217,7 @@ pub fn run_fuzz(
         class_probes: 0,
         findings: Vec::new(),
     };
-    let mut seeds = Rng::seeded(spec.seed);
+    let mut seeds = Rng::seeded(spec.campaign.seed);
     for i in 0..spec.budget {
         let program_seed = seeds.next_u64();
         let label = format!("fuzz-{i:04}");
@@ -239,21 +231,11 @@ pub fn run_fuzz(
         match spec.oracle {
             Oracle::Analysis => {
                 let bec = BecAnalysis::analyze(&g.program, options);
-                let study = StudySpec {
-                    seed: spec.seed,
-                    sample: spec.sample,
-                    shards: spec.shards,
-                    workers: spec.workers,
-                    max_cycles: None,
-                    checkpoint_interval: None,
-                    engine: spec.engine,
-                    golden_reuse: true,
-                };
                 let run = run_campaign(
                     &label,
                     &g.program,
-                    &bec,
-                    &study,
+                    &SiteVerdicts::of(&g.program, &bec),
+                    &spec.campaign,
                     None,
                     None,
                     &Telemetry::disabled(),

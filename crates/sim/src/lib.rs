@@ -6,9 +6,6 @@
 //! observable outputs), and can flip one register bit at a chosen cycle —
 //! the paper's single-event-upset model. On top of it sit:
 //!
-//! * [`campaign`] — exhaustive, inject-on-read (value-level) and BEC
-//!   (bit-level) fault-injection campaigns, parallelized across worker
-//!   threads;
 //! * [`shard`] + [`pool`] — the sharded campaign engine: the statically
 //!   classified fault space partitioned into work-stealing shards executed
 //!   on a thread pool, with seeded sampling and a resumable JSON
@@ -52,7 +49,6 @@
 //! ```
 
 pub mod bitslice;
-pub mod campaign;
 pub mod checkpoint;
 pub mod exec;
 pub mod fuzz;
@@ -68,7 +64,6 @@ pub mod trace;
 pub mod validate;
 
 pub use bitslice::Engine;
-pub use campaign::{CampaignKind, CampaignSummary};
 pub use checkpoint::{default_checkpoint_interval, Checkpoint, CheckpointLog};
 pub use exec::{CrashKind, ExecOutcome};
 pub use fuzz::{run_fuzz, FuzzFinding, FuzzReport, FuzzSpec};

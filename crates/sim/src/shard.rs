@@ -162,9 +162,9 @@ impl SiteVerdicts {
 /// Enumerates the full statically-classified fault space of `program`, in
 /// canonical order (function, point, occurrence, register, bit).
 ///
-/// Unlike [`crate::campaign::value_level_faults`], dead (statically masked)
-/// sites are included — they are exactly the claims a differential campaign
-/// must test.
+/// Unlike an inject-on-read list (value-live sites only), dead
+/// (statically masked) sites are included — they are exactly the claims a
+/// differential campaign must test.
 ///
 /// The order is part of the report format: sampling draws from it, shards
 /// are contiguous chunks of it and report rows follow it. Execution order

@@ -22,6 +22,7 @@
 //!
 //! ```
 //! use bec_sim::study::{run_campaign, StudySpec};
+//! use bec_sim::SiteVerdicts;
 //! use bec_core::{BecAnalysis, BecOptions};
 //! use bec_telemetry::Telemetry;
 //! use bec_ir::parse_program;
@@ -35,9 +36,10 @@
 //!     exit
 //! }
 //! "#)?;
-//! let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
+//! let verdicts = SiteVerdicts::of(&p, &BecAnalysis::analyze(&p, &BecOptions::paper()));
 //! let spec = StudySpec { sample: Some(16), shards: 4, ..StudySpec::default() };
-//! let run = run_campaign("toy", &p, &bec, &spec, None, None, &Telemetry::disabled()).unwrap();
+//! let run = run_campaign("toy", &p, &verdicts, &spec, None, None, &Telemetry::disabled())
+//!     .unwrap();
 //! assert!(run.report.is_complete());
 //! assert_eq!(run.report.runs(), 16);
 //! assert!(run.report.violations().is_empty());
@@ -55,7 +57,6 @@ use crate::runner::{GoldenRun, SimLimits, Simulator};
 use crate::shard::{CampaignReport, CampaignSpec, ShardPlan, SiteTable, SiteVerdicts};
 use crate::substrate::GoldenSubstrate;
 use crate::trace::FaultClass;
-use bec_core::BecAnalysis;
 use bec_ir::Program;
 use bec_telemetry::Telemetry;
 
@@ -125,7 +126,7 @@ pub struct CampaignRun {
 }
 
 /// A benchmark's shared golden substrate plus the schedule permutation of
-/// the variant under campaign — what [`prepare_campaign`] needs to derive
+/// the variant under campaign — what [`prepare_golden`] needs to derive
 /// the variant's golden run and checkpoint log instead of re-simulating
 /// them.
 #[derive(Clone, Copy)]
@@ -136,10 +137,12 @@ pub struct SharedGolden<'a> {
     pub permutation: &'a [Vec<u32>],
 }
 
-/// Runs one differential campaign over `program`, labelled `label` in the
-/// report: golden probe, derived budget, checkpointed engine, sharded
-/// pool. This is the per-variant building block of a study and the same
-/// flow `bec campaign` runs for a single program.
+/// Runs one differential campaign over `program` with the static
+/// `verdicts`, labelled `label` in the report: golden probe, derived
+/// budget, checkpointed engine, sharded pool ([`prepare_golden`] on the
+/// main timeline, [`plan_campaign`], then [`run_prepared`]). This is the
+/// flow `bec campaign` runs for a single program and `bec fuzz` for each
+/// generated one.
 ///
 /// When `shared` is given, the adaptive checkpoint policy is in effect and
 /// the variant passes the substrate's static admission check, the golden
@@ -161,14 +164,14 @@ pub struct SharedGolden<'a> {
 pub fn run_campaign(
     label: &str,
     program: &Program,
-    bec: &BecAnalysis,
+    verdicts: &SiteVerdicts,
     spec: &StudySpec,
     resume: Option<CampaignReport>,
     shared: Option<SharedGolden<'_>>,
     tel: &Telemetry,
 ) -> Result<CampaignRun, String> {
-    let verdicts = SiteVerdicts::of(program, bec);
-    let prep = prepare_campaign(label, program, &verdicts, spec, shared, tel)?;
+    let golden = prepare_golden(label, program, spec, shared, tel, 0)?;
+    let prep = plan_campaign(label, verdicts, spec, golden, tel);
     run_prepared(label, program, prep, spec, resume, tel)
 }
 
@@ -194,24 +197,6 @@ pub struct CampaignGolden {
     pub golden: GoldenRun,
     /// The golden run's checkpoint log.
     pub ckpts: CheckpointLog,
-}
-
-/// The pre-pool phase of [`run_campaign`]: [`prepare_golden`] on the main
-/// timeline, then [`plan_campaign`].
-///
-/// # Errors
-///
-/// Fails when the golden run did not complete.
-pub fn prepare_campaign(
-    label: &str,
-    program: &Program,
-    verdicts: &SiteVerdicts,
-    spec: &StudySpec,
-    shared: Option<SharedGolden<'_>>,
-    tel: &Telemetry,
-) -> Result<PreparedCampaign, String> {
-    let golden = prepare_golden(label, program, spec, shared, tel, 0)?;
-    Ok(plan_campaign(label, verdicts, spec, golden, tel))
 }
 
 /// The golden step of a campaign: golden probe (or derivation from
@@ -920,7 +905,7 @@ fn decode_permutation_entry<'a>(src: &mut impl Source<'a>) -> Result<Checked<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bec_core::BecOptions;
+    use bec_core::{BecAnalysis, BecOptions};
     use bec_ir::parse_program;
 
     fn toy() -> Program {
@@ -946,8 +931,8 @@ exit:
 
     fn toy_campaign(spec: &StudySpec) -> CampaignRun {
         let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        run_campaign("toy", &p, &bec, spec, None, None, &Telemetry::disabled()).unwrap()
+        let verdicts = SiteVerdicts::of(&p, &BecAnalysis::analyze(&p, &BecOptions::paper()));
+        run_campaign("toy", &p, &verdicts, spec, None, None, &Telemetry::disabled()).unwrap()
     }
 
     fn toy_record(criterion: &str, gated: bool, campaign: CampaignReport) -> VariantRecord {
@@ -992,9 +977,9 @@ exit:
         let mut partial = full.report.clone();
         partial.shards[2] = None;
         let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
+        let verdicts = SiteVerdicts::of(&p, &BecAnalysis::analyze(&p, &BecOptions::paper()));
         let resumed =
-            run_campaign("toy", &p, &bec, &spec, Some(partial), None, &Telemetry::disabled())
+            run_campaign("toy", &p, &verdicts, &spec, Some(partial), None, &Telemetry::disabled())
                 .unwrap();
         assert_eq!(resumed.report, full.report);
         assert_eq!(resumed.stats.resumed_shards, 3);

@@ -12,7 +12,6 @@
 //!
 //! Masked sites (`[s0]`) are validated against the golden trace itself.
 
-use crate::campaign::occurrence_map;
 use crate::machine::FaultSpec;
 use crate::runner::Simulator;
 use bec_core::{BecAnalysis, BecOptions};
@@ -102,7 +101,6 @@ pub fn validate_program(program: &Program, options: &BecOptions) -> ValidationRe
     let sim = Simulator::new(program);
     let golden = sim.run_golden();
     let golden_digest = golden.result.hash.digest();
-    let occs = occurrence_map(&golden);
 
     let mut report = ValidationReport::default();
     // (class representative, occurrence index) → member runs: the trace
@@ -117,7 +115,7 @@ pub fn validate_program(program: &Program, options: &BecOptions) -> ValidationRe
             if !fa.liveness.is_live_after(p, r) {
                 continue;
             }
-            let Some(cycles) = occs.get(&(fi, p)) else { continue };
+            let cycles = golden.occurrences(fi, p);
             for bit in 0..program.config.xlen {
                 let class = fa.coalescing.class_of(p, r, bit).expect("accessed site");
                 for (k, &c) in cycles.iter().enumerate() {

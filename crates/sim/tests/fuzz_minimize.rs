@@ -11,7 +11,7 @@
 use bec_core::BecOptions;
 use bec_fuzzgen::{generate, GenConfig};
 use bec_ir::{parse_program, verify_program};
-use bec_sim::{run_fuzz, Engine, FaultClass, FuzzSpec, Minimizer, Oracle, Simulator};
+use bec_sim::{run_fuzz, Engine, FaultClass, FuzzSpec, Minimizer, Oracle, Simulator, StudySpec};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -81,10 +81,8 @@ fn reproducer_round_trips_and_replays() {
 #[test]
 fn fuzzing_the_real_analysis_finds_nothing() {
     let spec = FuzzSpec {
-        seed: 0xF002,
+        campaign: StudySpec { seed: 0xF002, sample: Some(64), shards: 8, ..StudySpec::default() },
         budget: 3,
-        sample: Some(64),
-        shards: 8,
         class_checks: 4,
         ..FuzzSpec::default()
     };
@@ -99,16 +97,15 @@ fn fuzzing_the_real_analysis_finds_nothing() {
 #[test]
 fn findings_log_is_invariant_under_workers_and_engine() {
     let base = FuzzSpec {
-        seed: 0xF003,
+        campaign: StudySpec { seed: 0xF003, sample: Some(48), shards: 8, ..StudySpec::default() },
         budget: 2,
-        sample: Some(48),
-        shards: 8,
         class_checks: 3,
         ..FuzzSpec::default()
     };
     let reference = run_fuzz(&base, &BecOptions::paper(), None).unwrap().to_json().render();
     for (workers, engine) in [(4, Engine::Bitsliced), (1, Engine::Scalar), (3, Engine::Scalar)] {
-        let spec = FuzzSpec { workers, engine, ..base.clone() };
+        let spec =
+            FuzzSpec { campaign: StudySpec { workers, engine, ..base.campaign }, ..base.clone() };
         let got = run_fuzz(&spec, &BecOptions::paper(), None).unwrap().to_json().render();
         assert_eq!(got, reference, "log bytes moved under workers={workers} engine={engine:?}");
     }
@@ -117,7 +114,7 @@ fn findings_log_is_invariant_under_workers_and_engine() {
 #[test]
 fn demo_oracle_produces_minimized_corpus_deterministically() {
     let spec = FuzzSpec {
-        seed: 0xF004,
+        campaign: StudySpec { seed: 0xF004, ..FuzzSpec::default().campaign },
         budget: 2,
         minimize: true,
         oracle: Oracle::AssumeAllMasked,

@@ -14,7 +14,7 @@ use super::{all_cores, campaign_flag, input, load_resume, write_report, CliError
 use bec_core::{report, BecAnalysis};
 use bec_sim::json::Json;
 use bec_sim::shard::CampaignReport;
-use bec_sim::study::{prepare_campaign, run_prepared, StudySpec};
+use bec_sim::study::{run_campaign, StudySpec};
 use bec_sim::{Engine, FaultClass, PoolStats, SiteVerdicts};
 use bec_telemetry::Telemetry;
 
@@ -66,8 +66,7 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     // injection budget, checkpointed engine, sharded pool. The analysis is
     // dropped once its verdicts are extracted, before the golden run.
     let verdicts = SiteVerdicts::of(&program, &BecAnalysis::analyze(&program, &args.options));
-    let run = prepare_campaign(&args.file, &program, &verdicts, spec, None, &tel)
-        .and_then(|prep| run_prepared(&args.file, &program, prep, spec, resume, &tel))
+    let run = run_campaign(&args.file, &program, &verdicts, spec, resume, None, &tel)
         .map_err(CliError::failed)?;
     let (campaign, stats, interval) = (run.report, run.stats, run.interval);
 

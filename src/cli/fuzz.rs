@@ -17,11 +17,11 @@
 //! findings to demonstrate the violation → minimizer → reproducer
 //! pipeline.
 
-use super::{all_cores, rule_options, CliError};
+use super::{all_cores, campaign_flag, rule_options, CliError};
 use bec_core::report::group_digits as g;
 use bec_fuzzgen::GenConfig;
 use bec_sim::json::Json;
-use bec_sim::{run_fuzz, Engine, FaultClass, FuzzReport, FuzzSpec, Oracle};
+use bec_sim::{run_fuzz, FaultClass, FuzzReport, FuzzSpec, Oracle};
 use std::path::PathBuf;
 
 struct Flags {
@@ -33,12 +33,14 @@ struct Flags {
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
+    // Worker count never reaches stdout, so defaulting to all cores is
+    // determinism-free parallelism; an explicit value is honored.
     let mut spec = FuzzSpec::default();
+    spec.campaign.workers = all_cores();
     let mut rules_name = String::from("paper");
     let mut profile_name = String::from("full");
     let mut corpus_dir = None;
     let mut json = false;
-    let mut workers: Option<usize> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -51,9 +53,10 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                 rule_options(&v)?;
                 rules_name = v;
             }
-            "--seed" => {
-                let v = value("--seed")?;
-                spec.seed = v.parse().map_err(|_| CliError::usage(format!("bad seed `{v}`")))?;
+            // The shared campaign flags; `--max-cycles` and
+            // `--checkpoint-interval` are not fuzz options.
+            "--seed" | "--sample" | "--shards" | "--workers" | "--engine" => {
+                campaign_flag(&mut spec.campaign, flag, value)?;
             }
             "--budget" => {
                 let v = value("--budget")?;
@@ -63,42 +66,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                 }
                 spec.budget = n;
             }
-            "--sample" => {
-                let v = value("--sample")?;
-                let n: u64 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad sample size `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--sample must be at least 1"));
-                }
-                spec.sample = Some(n);
-            }
-            "--exhaustive" => spec.sample = None,
-            "--shards" => {
-                let v = value("--shards")?;
-                let n: u32 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad shard count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--shards must be at least 1"));
-                }
-                spec.shards = n;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--workers must be at least 1"));
-                }
-                workers = Some(n);
-            }
-            // Wall-clock lever only: findings and stdout bytes are pinned
-            // identical under both engines.
-            "--engine" => {
-                let v = value("--engine")?;
-                spec.engine = Engine::parse(&v).ok_or_else(|| {
-                    CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
-                })?;
-            }
+            "--exhaustive" => spec.campaign.sample = None,
             "--class-checks" => {
                 let v = value("--class-checks")?;
                 spec.class_checks =
@@ -123,9 +91,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
             other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
-    // Worker count never reaches stdout, so defaulting to all cores is
-    // determinism-free parallelism; an explicit value is honored.
-    spec.workers = workers.unwrap_or_else(all_cores);
     Ok(Flags { spec, rules_name, profile_name, corpus_dir, json })
 }
 
@@ -161,7 +126,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 fn print_text(flags: &Flags, report: &FuzzReport) {
-    let mode = match flags.spec.sample {
+    let mode = match flags.spec.campaign.sample {
         Some(n) => format!("seeded sample of {} per program", g(n)),
         None => "exhaustive".to_owned(),
     };
@@ -171,7 +136,7 @@ fn print_text(flags: &Flags, report: &FuzzReport) {
         g(report.budget),
         flags.profile_name,
         flags.rules_name,
-        g(flags.spec.shards as u64),
+        g(flags.spec.campaign.shards as u64),
     );
     println!("\ncampaign runs: {}", g(report.campaign_runs));
     for c in FaultClass::ALL {
@@ -225,12 +190,12 @@ fn summary_json(flags: &Flags, report: &FuzzReport) -> Json {
         ("profile".to_owned(), Json::str(&flags.profile_name)),
         (
             "sample".to_owned(),
-            match flags.spec.sample {
+            match flags.spec.campaign.sample {
                 Some(n) => Json::UInt(n),
                 None => Json::str("exhaustive"),
             },
         ),
-        ("shards".to_owned(), Json::UInt(flags.spec.shards as u64)),
+        ("shards".to_owned(), Json::UInt(flags.spec.campaign.shards as u64)),
         ("class_checks".to_owned(), Json::UInt(flags.spec.class_checks as u64)),
     ];
     match report.to_json() {

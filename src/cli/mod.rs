@@ -81,7 +81,8 @@ pub(crate) fn all_cores() -> usize {
 /// Applies one campaign flag shared by `campaign` and `study`
 /// (`--sample/--seed/--shards/--workers/--engine/--max-cycles/
 /// --checkpoint-interval`) to `spec`, reading its value through `value`.
-/// Returns `Ok(false)` when `flag` is not one of them.
+/// `fuzz` routes the first five through it too. Returns `Ok(false)` when
+/// `flag` is not one of them.
 pub(crate) fn campaign_flag(
     spec: &mut StudySpec,
     flag: &str,

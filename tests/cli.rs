@@ -153,6 +153,32 @@ fn campaign_rejects_vacuous_and_malformed_flags() {
 }
 
 #[test]
+fn fuzz_rejects_malformed_campaign_flags() {
+    // `fuzz` shares the campaign flag parser for its sampling, sharding and
+    // execution knobs, but takes no cycle budget or checkpoint interval.
+    for (flag, value, message) in [
+        ("--sample", "0", "--sample must be at least 1"),
+        ("--sample", "x", "bad sample size `x`"),
+        ("--shards", "0", "--shards must be at least 1"),
+        ("--shards", "x", "bad shard count `x`"),
+        ("--workers", "0", "--workers must be at least 1"),
+        ("--workers", "x", "bad worker count `x`"),
+        ("--engine", "foo", "unknown engine `foo` (expected scalar or bitsliced)"),
+        ("--seed", "x", "bad seed `x`"),
+        ("--max-cycles", "5", "unknown flag `--max-cycles`"),
+        ("--checkpoint-interval", "5", "unknown flag `--checkpoint-interval`"),
+    ] {
+        let out = bec(&["fuzz", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "fuzz {flag} {value} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: {message}\n")),
+            "fuzz {flag} {value}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn removed_distribution_entry_points_are_usage_errors() {
     // Campaigns run in one process with no artifact cache: the former
     // `--spawn`/`--cache-dir` flags and the worker command are rejected.

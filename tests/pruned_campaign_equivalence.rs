@@ -4,47 +4,18 @@
 //!
 //! For every value-live fault run the campaign would skip, the outcome must
 //! be reconstructible: masked runs behave like the golden run, and
-//! inferrable runs behave exactly like their class representative.
+//! inferrable runs behave exactly like their class representative. That is
+//! the §V validation ([`bec_sim::validate_program`]), which injects every
+//! value-live site bit at every occurrence and groups the runs by
+//! (function, class, occurrence).
 
-use bec_core::{BecAnalysis, BecOptions};
-use bec_sim::campaign::occurrence_map;
-use bec_sim::{FaultSpec, Simulator};
-use std::collections::HashMap;
+use bec_core::BecOptions;
+use bec_sim::validate_program;
 
 fn check_program(program: &bec_ir::Program) {
-    let bec = BecAnalysis::analyze(program, &BecOptions::paper());
-    let sim = Simulator::new(program);
-    let golden = sim.run_golden();
-    let occs = occurrence_map(&golden);
-    let golden_digest = golden.result.hash.digest();
-
-    for (fi, fa) in bec.functions().iter().enumerate() {
-        let s0 = fa.coalescing.s0_class();
-        // Representative trace per (class, occurrence index).
-        let mut rep: HashMap<(usize, u64), u128> = HashMap::new();
-        for (p, r) in fa.coalescing.nodes().site_pairs() {
-            if !fa.liveness.is_live_after(p, r) {
-                continue;
-            }
-            let Some(cycles) = occs.get(&(fi, p)) else { continue };
-            for bit in 0..program.config.xlen {
-                let class = fa.coalescing.class_of(p, r, bit).unwrap();
-                for (k, &c) in cycles.iter().enumerate() {
-                    let open = golden.window_open_cycle(c);
-                    let run = sim.run_with_fault(FaultSpec { cycle: open, reg: r, bit });
-                    let digest = run.hash.digest();
-                    if class == s0 {
-                        // Masked: inferred to be golden.
-                        assert_eq!(digest, golden_digest, "masked site misbehaved");
-                    } else {
-                        // Inferrable: inferred from the class representative.
-                        let slot = rep.entry((class, k as u64)).or_insert(digest);
-                        assert_eq!(*slot, digest, "class member diverged from representative");
-                    }
-                }
-            }
-        }
-    }
+    let report = validate_program(program, &BecOptions::paper());
+    assert!(report.runs > 0, "no value-live fault site was injected");
+    assert!(report.is_sound(), "pruning would lose accuracy: {:?}", report.mismatches);
 }
 
 #[test]

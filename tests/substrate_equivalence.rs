@@ -20,7 +20,7 @@
 use bec::study::{run_study, StudyConfig};
 use bec_core::{BecAnalysis, BecOptions};
 use bec_sim::study::{run_campaign, StudySpec};
-use bec_sim::{Engine, GoldenSubstrate, SharedGolden, SimLimits, Simulator};
+use bec_sim::{Engine, GoldenSubstrate, SharedGolden, SimLimits, Simulator, SiteVerdicts};
 use bec_telemetry::Telemetry;
 
 /// The same per-run cycle budget `run_campaign`'s golden probe uses
@@ -68,7 +68,8 @@ fn countyears_campaign_bytes_invariant_under_reuse() {
     let substrate = GoldenSubstrate::record(&program, LIMITS).unwrap();
     let scheduler = bec_sched::Scheduler::new(&program, &options);
     for variant in scheduler.variants() {
-        let vbec = BecAnalysis::analyze(&variant.program, &options);
+        let verdicts =
+            SiteVerdicts::of(&variant.program, &BecAnalysis::analyze(&variant.program, &options));
         let label = format!("countyears:{}", variant.criterion.name());
         let mut renders = Vec::new();
         for engine in [Engine::Scalar, Engine::Bitsliced] {
@@ -87,7 +88,7 @@ fn countyears_campaign_bytes_invariant_under_reuse() {
                     let run = run_campaign(
                         &label,
                         &variant.program,
-                        &vbec,
+                        &verdicts,
                         &spec,
                         None,
                         shared,
